@@ -6,8 +6,8 @@
 //
 //   1. zero result divergence: the (winner priority, wildcards) digest over
 //      the whole packet stream is identical for every engine, before AND
-//      after churn, and the bloom engine's lookup_batch digest equals its
-//      scalar digest;
+//      after churn, and each engine's lookup_batch digest equals its scalar
+//      digest;
 //   2. the chained-tuple engine beating staged TSS by >= 1.5x in MODEL
 //      cycles per lookup at >= 512 masks (CostModel cls_* costs priced from
 //      each engine's own stats delta — deterministic, host-independent);
@@ -34,8 +34,7 @@ using namespace ovs::benchutil;
 namespace {
 
 constexpr ClassifierEngine kEngines[] = {ClassifierEngine::kStagedTss,
-                                         ClassifierEngine::kChainedTuple,
-                                         ClassifierEngine::kBloomGated};
+                                         ClassifierEngine::kChainedTuple};
 
 uint64_t mix64(uint64_t h, uint64_t v) {
   h ^= v;
@@ -56,7 +55,6 @@ double model_cycles(const ClassifierStats& st, const CostModel& m) {
              static_cast<double>(st.tuples_searched - st.stage_terminations) +
          m.cls_stage_term * static_cast<double>(st.stage_terminations) +
          m.cls_tuple_skip * static_cast<double>(st.tuples_skipped) +
-         m.cls_gate_probe * static_cast<double>(st.gate_probes) +
          m.cls_guide_probe * static_cast<double>(st.guide_probes);
 }
 
@@ -142,8 +140,8 @@ EngineRun run_engine(ClassifierEngine engine, size_t n_rules, size_t n_masks,
   out.wall_klookups_s =
       static_cast<double>(pkts.size()) / (t1 - t0) / 1e3;
 
-  // Batch pass (every engine: non-native engines exercise the scalar
-  // fallback, the bloom engine its SoA pipeline).
+  // Batch pass (staged exercises the scalar fallback, chained its SoA
+  // pipeline).
   t0 = now_s();
   out.batch = digest_batch(cls, pkts);
   t1 = now_s();
@@ -251,7 +249,7 @@ int bench_main(int argc, char** argv) {
     }
 
     // Gate 1: zero result divergence across engines, pre- and post-churn,
-    // and the bloom batch path against its own scalar path.
+    // and each batch path against its own scalar path.
     const EngineRun& ref = runs[ClassifierEngine::kStagedTss];
     for (ClassifierEngine e : kEngines) {
       const EngineRun& r = runs[e];

@@ -132,8 +132,7 @@ int bench_main(int argc, char** argv) {
   // A nested-prefix scale table (the chained engine's natural habitat) with
   // Zipf traffic, small enough to keep this bench quick.
   for (ClassifierEngine e :
-       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple,
-        ClassifierEngine::kBloomGated}) {
+       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple}) {
     ClassifierConfig cfg;
     cfg.engine = e;
     Classifier cls(cfg);

@@ -64,7 +64,7 @@ class ChainedTupleEngine final : public ClassifierBackend {
     return chains_.empty() ? 0 : chains_.size() + max_chain_length() - 1;
   }
 
-  // SoA batch slice width (see batch_block); matches StagedTssEngine's.
+  // SoA batch slice width (see batch_block).
   static constexpr size_t kBatchBlock = 16;
 
  private:

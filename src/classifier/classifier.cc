@@ -12,8 +12,6 @@ const char* classifier_engine_name(ClassifierEngine engine) noexcept {
       return "staged";
     case ClassifierEngine::kChainedTuple:
       return "chained";
-    case ClassifierEngine::kBloomGated:
-      return "bloom";
   }
   return "unknown";
 }

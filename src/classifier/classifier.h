@@ -12,10 +12,8 @@
 //   * kChainedTuple  — TupleChain-style: subtables totally ordered by
 //     mask subsumption form chains; a per-level guide set over full-masked
 //     rule hashes lets a lookup stop a whole chain on one miss instead of
-//     probing every mask (see chain_engine.h for the soundness argument).
-//   * kBloomGated    — staged TSS with a per-subtable single-hash counting
-//     gate in front of the staged walk, plus the SIMD-friendly
-//     structure-of-arrays lookup_batch path (staged_tss.h).
+//     probing every mask (see chain_engine.h for the soundness argument);
+//     it also carries a structure-of-arrays lookup_batch path.
 //
 // All engines implement the same caching-aware contract: when a lookup is
 // given a FlowWildcards accumulator, every key bit the decision depended on
@@ -37,7 +35,6 @@ class ClassifierBackend;
 enum class ClassifierEngine : uint8_t {
   kStagedTss = 0,   // paper baseline (§5)
   kChainedTuple,    // mask-subsumption chains with guide sets
-  kBloomGated,      // staged TSS behind single-hash gates + batched lookup
 };
 
 const char* classifier_engine_name(ClassifierEngine engine) noexcept;
@@ -88,9 +85,8 @@ inline constexpr size_t kNumTrieFields = kTrieFields.size();
 struct ClassifierStats {
   uint64_t lookups = 0;
   uint64_t tuples_searched = 0;      // subtables whose hash tables were probed
-  uint64_t tuples_skipped = 0;       // skipped via tries/partitions/gates
+  uint64_t tuples_skipped = 0;       // skipped via tries/partitions/chains
   uint64_t stage_terminations = 0;   // staged-lookup early misses
-  uint64_t gate_probes = 0;          // kBloomGated: single-hash gate tests
   uint64_t guide_probes = 0;         // kChainedTuple: chain guide-set probes
 };
 
@@ -131,7 +127,7 @@ class Classifier {
   // Classifies `n` keys in one call: out[i] receives what lookup(keys[i])
   // would return, and (if `wcs` is non-null) wcs[i] accumulates exactly the
   // bits a scalar lookup would have consulted for keys[i]. Engines without a
-  // native batch path fall back to a scalar loop; kBloomGated runs its
+  // native batch path fall back to a scalar loop; kChainedTuple runs its
   // structure-of-arrays probe pipeline. Same thread-safety as lookup().
   void lookup_batch(const FlowKey* keys, size_t n, const Rule** out,
                     FlowWildcards* wcs = nullptr) const noexcept;

@@ -21,12 +21,10 @@ std::unique_ptr<ClassifierBackend> make_classifier_backend(
   switch (cfg.engine) {
     case ClassifierEngine::kChainedTuple:
       return std::make_unique<ChainedTupleEngine>(cfg);
-    case ClassifierEngine::kBloomGated:
-      return std::make_unique<StagedTssEngine>(cfg, /*gated=*/true);
     case ClassifierEngine::kStagedTss:
       break;
   }
-  return std::make_unique<StagedTssEngine>(cfg, /*gated=*/false);
+  return std::make_unique<StagedTssEngine>(cfg);
 }
 
 }  // namespace ovs

@@ -61,42 +61,11 @@ bool is_icmp_port_rule(const Rule& rule) noexcept {
 
 // --- Tuple ------------------------------------------------------------------
 
-Tuple::Tuple(const FlowMask& mask, bool gated)
-    : mask_(mask), schema_(mask), gated_(gated) {
+Tuple::Tuple(const FlowMask& mask) : mask_(mask), schema_(mask) {
   n_stages_ = mask.last_stage() + 1;
   partitions_metadata_ = mask.is_exact(FieldId::kMetadata);
   for (size_t i = 0; i < kNumTrieFields; ++i)
     trie_plen_[i] = mask.prefix_len(kTrieFields[i]);
-  if (gated_) {
-    gate_stage_ = schema_.first_active_stage();
-    gate_.assign(64, 0);
-    gate_mask_ = gate_.size() - 1;
-  }
-}
-
-void Tuple::gate_add(uint64_t gh) noexcept {
-  uint16_t& c = gate_[gh & gate_mask_];
-  if (c != 0xffff) ++c;
-}
-
-void Tuple::gate_remove(uint64_t gh) noexcept {
-  uint16_t& c = gate_[gh & gate_mask_];
-  if (c != 0xffff) {
-    assert(c > 0);
-    --c;
-  }
-}
-
-void Tuple::maybe_grow_gate() {
-  size_t target = 64;
-  while (target < 65536 && target < 4 * (n_rules_ + 1)) target <<= 1;
-  if (target <= gate_.size()) return;
-  gate_.assign(target, 0);
-  gate_mask_ = target - 1;
-  rules_.for_each([&](Rule* head) {
-    for (Rule* r = head; r != nullptr; r = RuleLinks::next(*r))
-      gate_add(gate_hash(r->match().key));
-  });
 }
 
 void Tuple::insert(Rule* rule) {
@@ -112,11 +81,6 @@ void Tuple::insert(Rule* rule) {
 
   if (partitions_metadata_)
     metadata_values_.add(hash_mix64(rule->match().key.metadata()));
-
-  if (gated_) {
-    maybe_grow_gate();
-    gate_add(gate_hash(rule->match().key));
-  }
 
   RuleLinks::chain_insert(rules_, rule);
 
@@ -138,7 +102,6 @@ void Tuple::remove(Rule* rule) noexcept {
   }
   if (partitions_metadata_)
     metadata_values_.remove(hash_mix64(rule->match().key.metadata()));
-  if (gated_) gate_remove(gate_hash(rule->match().key));
 
   --n_rules_;
   auto it = prio_counts_.find(rule->priority());
@@ -150,22 +113,22 @@ void Tuple::recompute_pri_max() noexcept {
   pri_max_ = prio_counts_.empty() ? 0 : prio_counts_.rbegin()->first;
 }
 
-const Rule* Tuple::lookup_from(const FlowKey& pkt, bool staged,
-                               size_t* stage_searched, size_t s,
-                               uint64_t h) const noexcept {
-  if (staged && n_stages_ > 1) {
-    while (s + 1 < n_stages_) {
+const Rule* Tuple::lookup(const FlowKey& pkt, bool staged,
+                          size_t* stage_searched) const noexcept {
+  uint64_t h;
+  if (staged) {
+    h = schema_.hash_stage(pkt, 0, 0);
+    for (size_t s = 0; s + 1 < n_stages_; ++s) {
       if (!stage_sets_[s].contains(h)) {
         *stage_searched = s;
         return nullptr;
       }
-      ++s;
-      h = schema_.hash_stage(pkt, s, h);
+      h = schema_.hash_stage(pkt, s + 1, h);
     }
     // h now covers stages [0, n_stages_-1]; later stages are empty for this
     // mask, so h equals the full hash.
   } else {
-    for (++s; s < kNumStages; ++s) h = schema_.hash_stage(pkt, s, h);
+    h = schema_.full_hash(pkt);
   }
   *stage_searched = n_stages_ - 1;
   Rule* const* head = rules_.find(
@@ -180,8 +143,7 @@ struct StagedTssEngine::TrieCtx {
   std::array<PrefixTrie::LookupResult, kNumTrieFields> res;
 };
 
-StagedTssEngine::StagedTssEngine(const ClassifierConfig& cfg, bool gated)
-    : cfg_(cfg), gated_(gated) {}
+StagedTssEngine::StagedTssEngine(const ClassifierConfig& cfg) : cfg_(cfg) {}
 
 StagedTssEngine::~StagedTssEngine() = default;
 
@@ -195,7 +157,7 @@ Tuple* StagedTssEngine::find_tuple(const FlowMask& mask) const noexcept {
 
 Tuple* StagedTssEngine::get_tuple(const FlowMask& mask) {
   if (Tuple* t = find_tuple(mask)) return t;
-  auto owned = std::make_unique<Tuple>(mask, gated_);
+  auto owned = std::make_unique<Tuple>(mask);
   Tuple* t = owned.get();
   tuples_.push_back(std::move(owned));
   sorted_.push_back(t);
@@ -308,7 +270,7 @@ const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
   // Per-call counters, flushed once into the shared atomics at the end so
   // concurrent readers pay one relaxed RMW per counter instead of one per
   // tuple.
-  uint32_t searched = 0, skipped = 0, stage_terms = 0, gate_probes = 0;
+  uint32_t searched = 0, skipped = 0, stage_terms = 0;
   TrieCtx ctx;
   const Rule* best = nullptr;
   for (Tuple* t : sorted_) {
@@ -327,25 +289,7 @@ const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
       continue;
     }
     size_t stage_searched = 0;
-    const Rule* r;
-    if (gated_) {
-      const uint64_t gh = t->gate_hash(pkt);
-      ++gate_probes;
-      if (!t->gate_contains(gh)) {
-        // Gate miss: no rule in this subtable shares the packet's
-        // gate-stage bits, so only those words were consulted (exactly a
-        // stage miss at the gate stage).
-        if (wc != nullptr)
-          for (size_t i = 0; i < kStageEnd[t->gate_stage()]; ++i)
-            wc->w[i] |= t->mask().w[i];
-        ++skipped;
-        continue;
-      }
-      r = t->lookup_from(pkt, cfg_.staged_lookup, &stage_searched,
-                         t->gate_stage(), gh);
-    } else {
-      r = t->lookup(pkt, cfg_.staged_lookup, &stage_searched);
-    }
+    const Rule* r = t->lookup(pkt, cfg_.staged_lookup, &stage_searched);
     ++searched;
     if (wc != nullptr) {
       if (stage_searched + 1 < t->n_stages()) {
@@ -371,179 +315,8 @@ const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
   if (stage_terms != 0)
     stats_.stage_terminations.fetch_add(stage_terms,
                                         std::memory_order_relaxed);
-  if (gate_probes != 0)
-    stats_.gate_probes.fetch_add(gate_probes, std::memory_order_relaxed);
   if (n_searched != nullptr) *n_searched = searched;
   return best;
-}
-
-void StagedTssEngine::lookup_batch(const FlowKey* keys, size_t n,
-                                   const Rule** out,
-                                   FlowWildcards* wcs) const noexcept {
-  if (!gated_) {
-    // The baseline engine keeps the scalar loop; the SoA pipeline below is
-    // the gated engine's batch path.
-    ClassifierBackend::lookup_batch(keys, n, out, wcs);
-    return;
-  }
-  for (size_t base = 0; base < n; base += kBatchBlock) {
-    const size_t m = std::min(kBatchBlock, n - base);
-    batch_block(keys + base, m, out + base,
-                wcs != nullptr ? wcs + base : nullptr);
-  }
-}
-
-// Structure-of-arrays batch classification over one block of keys. For each
-// subtable the block advances through probe rounds — gate hash, gate test,
-// per-stage membership, final rule probe — with all surviving keys hashed
-// word-at-a-time (mask word outer, keys inner) and the next round's table
-// slots prefetched for the whole block before any key probes. Every per-key
-// decision (priority cut, partition/trie/gate skip, stage miss, wildcard
-// accumulation) replicates the scalar gated lookup exactly, so out[i]/wcs[i]
-// are byte-identical to n scalar calls.
-void StagedTssEngine::batch_block(const FlowKey* keys, size_t m,
-                                  const Rule** out,
-                                  FlowWildcards* wcs) const noexcept {
-  uint32_t searched = 0, skipped = 0, stage_terms = 0, gate_probes = 0;
-  std::array<const Rule*, kBatchBlock> best{};
-  std::array<bool, kBatchBlock> done{};
-  std::array<TrieCtx, kBatchBlock> tctx{};
-  std::array<uint8_t, kBatchBlock> live;
-  std::array<uint64_t, kBatchBlock> gh;
-  size_t n_done = 0;
-
-  for (Tuple* t : sorted_) {
-    if (n_done == m) break;
-    const MiniflowSchema& sch = t->schema();
-
-    // Round 0: per-key priority cut and partition/trie skips (scalar
-    // decisions — they touch per-key lazily computed trie state).
-    size_t n_live = 0;
-    for (size_t i = 0; i < m; ++i) {
-      if (done[i]) continue;
-      if (best[i] != nullptr && cfg_.priority_sorting &&
-          best[i]->priority() >= t->pri_max()) {
-        done[i] = true;
-        ++n_done;
-        continue;
-      }
-      if (cfg_.partitioning && t->partitions_metadata() &&
-          !t->partition_contains(keys[i].metadata())) {
-        if (wcs != nullptr) wcs[i].set_exact(FieldId::kMetadata);
-        ++skipped;
-        continue;
-      }
-      if (check_tries(*t, keys[i], tctx[i],
-                      wcs != nullptr ? &wcs[i] : nullptr)) {
-        ++skipped;
-        continue;
-      }
-      live[n_live++] = static_cast<uint8_t>(i);
-    }
-    if (n_live == 0) continue;
-
-    // Round 1: SoA gate hashes, then gate prefetch + test for the block.
-    const size_t gs = t->gate_stage();
-    for (size_t j = 0; j < n_live; ++j) gh[j] = 0;
-    for (size_t wi = sch.stage_begin(gs); wi < sch.stage_end(gs); ++wi) {
-      const size_t w = sch.word(wi);
-      const uint64_t mw = sch.mask_word(wi);
-      for (size_t j = 0; j < n_live; ++j)
-        gh[j] = hash_add64(gh[j], keys[live[j]].w[w] & mw);
-    }
-    for (size_t j = 0; j < n_live; ++j) t->gate_prefetch(gh[j]);
-    size_t n_act = 0;
-    for (size_t j = 0; j < n_live; ++j) {
-      ++gate_probes;
-      const size_t i = live[j];
-      if (!t->gate_contains(gh[j])) {
-        if (wcs != nullptr)
-          for (size_t w = 0; w < kStageEnd[gs]; ++w)
-            wcs[i].w[w] |= t->mask().w[w];
-        ++skipped;
-        continue;
-      }
-      live[n_act] = static_cast<uint8_t>(i);
-      gh[n_act] = gh[j];
-      ++n_act;
-    }
-    if (n_act == 0) continue;
-
-    // Rounds 2..k: staged membership sets, prefetched per round; survivors'
-    // hashes are extended stage-by-stage in the same SoA shape.
-    size_t s = gs;
-    if (cfg_.staged_lookup && t->n_stages() > 1) {
-      while (s + 1 < t->n_stages() && n_act > 0) {
-        for (size_t j = 0; j < n_act; ++j) t->stage_sets_[s].prefetch(gh[j]);
-        size_t keep = 0;
-        for (size_t j = 0; j < n_act; ++j) {
-          const size_t i = live[j];
-          if (!t->stage_sets_[s].contains(gh[j])) {
-            ++searched;
-            ++stage_terms;
-            if (wcs != nullptr)
-              for (size_t w = 0; w < kStageEnd[s]; ++w)
-                wcs[i].w[w] |= t->mask().w[w];
-            continue;
-          }
-          live[keep] = static_cast<uint8_t>(i);
-          gh[keep] = gh[j];
-          ++keep;
-        }
-        n_act = keep;
-        if (n_act == 0) break;
-        ++s;
-        for (size_t wi = sch.stage_begin(s); wi < sch.stage_end(s); ++wi) {
-          const size_t w = sch.word(wi);
-          const uint64_t mw = sch.mask_word(wi);
-          for (size_t j = 0; j < n_act; ++j)
-            gh[j] = hash_add64(gh[j], keys[live[j]].w[w] & mw);
-        }
-      }
-      if (n_act == 0) continue;
-    } else {
-      for (size_t s2 = s + 1; s2 < kNumStages; ++s2) {
-        for (size_t wi = sch.stage_begin(s2); wi < sch.stage_end(s2); ++wi) {
-          const size_t w = sch.word(wi);
-          const uint64_t mw = sch.mask_word(wi);
-          for (size_t j = 0; j < n_act; ++j)
-            gh[j] = hash_add64(gh[j], keys[live[j]].w[w] & mw);
-        }
-      }
-    }
-
-    // Final round: rule-table probes, prefetched for the whole block.
-    for (size_t j = 0; j < n_act; ++j) t->rules_.prefetch(gh[j]);
-    for (size_t j = 0; j < n_act; ++j) {
-      const size_t i = live[j];
-      ++searched;
-      if (wcs != nullptr) wcs[i].unite(t->mask());
-      Rule* const* head = t->rules_.find(gh[j], [&](Rule* r) {
-        return sch.masked_equal(keys[i], r->match().key);
-      });
-      if (head != nullptr &&
-          (best[i] == nullptr || (*head)->priority() > best[i]->priority())) {
-        best[i] = *head;
-        if (cfg_.first_match_only) {
-          done[i] = true;
-          ++n_done;
-        }
-      }
-    }
-  }
-
-  for (size_t i = 0; i < m; ++i) out[i] = best[i];
-
-  stats_.lookups.fetch_add(m, std::memory_order_relaxed);
-  if (searched != 0)
-    stats_.tuples_searched.fetch_add(searched, std::memory_order_relaxed);
-  if (skipped != 0)
-    stats_.tuples_skipped.fetch_add(skipped, std::memory_order_relaxed);
-  if (stage_terms != 0)
-    stats_.stage_terminations.fetch_add(stage_terms,
-                                        std::memory_order_relaxed);
-  if (gate_probes != 0)
-    stats_.gate_probes.fetch_add(gate_probes, std::memory_order_relaxed);
 }
 
 ClassifierStats StagedTssEngine::stats() const noexcept {
@@ -553,7 +326,6 @@ ClassifierStats StagedTssEngine::stats() const noexcept {
   s.tuples_skipped = stats_.tuples_skipped.load(std::memory_order_relaxed);
   s.stage_terminations =
       stats_.stage_terminations.load(std::memory_order_relaxed);
-  s.gate_probes = stats_.gate_probes.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -562,7 +334,6 @@ void StagedTssEngine::reset_stats() const noexcept {
   stats_.tuples_searched.store(0, std::memory_order_relaxed);
   stats_.tuples_skipped.store(0, std::memory_order_relaxed);
   stats_.stage_terminations.store(0, std::memory_order_relaxed);
-  stats_.gate_probes.store(0, std::memory_order_relaxed);
 }
 
 void StagedTssEngine::for_each_rule(

@@ -1,23 +1,7 @@
-// Staged tuple-space-search engine — the paper's classifier (§5), hosting
-// two ClassifierConfig::engine values:
-//
-//   * kStagedTss  (gated = false): the reference algorithm, verbatim.
-//   * kBloomGated (gated = true): every subtable additionally carries a
-//     small counting filter ("gate") indexed by a single hash over the
-//     subtable's first non-empty stage. A lookup probes the gate before
-//     walking the stages; a gate miss proves no rule in the subtable can
-//     match the packet's gate-stage bits, so the subtable is skipped after
-//     one array load. Soundness mirrors a stage-0 miss: the skip consulted
-//     exactly the gate stage's masked words, which is what gets united into
-//     the megaflow wildcards. The gate hash doubles as the staged walk's
-//     running hash, so a gate pass costs nothing extra.
-//
-// The gated engine also overrides lookup_batch with a structure-of-arrays
-// probe pipeline: for each subtable, hashes for all in-flight keys are
-// computed word-by-word (mask word outer, keys inner — a SIMD-friendly
-// loop with no ISA intrinsics), then the next round's hash-table slots are
-// prefetched for the whole batch before any is probed, overlapping the
-// dependent-load latency that dominates scalar TSS.
+// Staged tuple-space-search engine — the paper's classifier (§5) and the
+// reference ClassifierConfig::engine (kStagedTss): one hash table per mask,
+// walked stage by stage with tuple priority sorting, prefix tries and
+// metadata partitions in front.
 #pragma once
 
 #include <array>
@@ -39,10 +23,9 @@ namespace ovs {
 // One hash table per unique mask ("subtable").
 class Tuple {
  public:
-  explicit Tuple(const FlowMask& mask, bool gated);
+  explicit Tuple(const FlowMask& mask);
 
   const FlowMask& mask() const noexcept { return mask_; }
-  const MiniflowSchema& schema() const noexcept { return schema_; }
   int32_t pri_max() const noexcept { return pri_max_; }
   size_t size() const noexcept { return n_rules_; }
   bool empty() const noexcept { return n_rules_ == 0; }
@@ -71,41 +54,13 @@ class Tuple {
   // Staged lookup. On return *stage_searched is the index of the last stage
   // consulted (== n_stages_-1 when the final rule table was probed).
   const Rule* lookup(const FlowKey& pkt, bool staged,
-                     size_t* stage_searched) const noexcept {
-    return lookup_from(pkt, staged, stage_searched, 0,
-                       schema_.hash_stage(pkt, 0, 0));
-  }
-
-  // Resumes a staged walk at stage `s` with `h` = the chained hash of
-  // stages [0, s] (stage-set checks for stages < s already passed, or were
-  // vacuous because those stages are empty). The gated path enters here at
-  // the gate stage, reusing the gate hash.
-  const Rule* lookup_from(const FlowKey& pkt, bool staged,
-                          size_t* stage_searched, size_t s,
-                          uint64_t h) const noexcept;
+                     size_t* stage_searched) const noexcept;
 
   // Metadata partition support.
   bool partitions_metadata() const noexcept { return partitions_metadata_; }
   bool partition_contains(uint64_t metadata) const noexcept {
     return metadata_values_.contains(hash_mix64(metadata));
   }
-
-  // Counting-filter gate (kBloomGated only). The gate hash is the staged
-  // hash through the first non-empty stage, so it is a prefix of the full
-  // staged hash chain.
-  size_t gate_stage() const noexcept { return gate_stage_; }
-  uint64_t gate_hash(const FlowWords& src) const noexcept {
-    return schema_.hash_stage(src, gate_stage_, 0);
-  }
-  bool gate_contains(uint64_t gh) const noexcept {
-    return gate_[gh & gate_mask_] != 0;
-  }
-  void gate_prefetch(uint64_t gh) const noexcept {
-    __builtin_prefetch(&gate_[gh & gate_mask_]);
-  }
-  void gate_add(uint64_t gh) noexcept;
-  void gate_remove(uint64_t gh) noexcept;
-  void maybe_grow_gate();
 
   void recompute_pri_max() noexcept;
 
@@ -129,19 +84,11 @@ class Tuple {
   int32_t pri_max_ = 0;
 
   std::array<int, kNumTrieFields> trie_plen_{};
-
-  // kBloomGated: power-of-two counting filter over gate hashes. Counters
-  // saturate at 0xffff and then stick (a stale sticky counter can only cause
-  // a false positive, i.e. a wasted probe — never a wrong skip).
-  bool gated_ = false;
-  size_t gate_stage_ = 0;
-  std::vector<uint16_t> gate_;
-  uint64_t gate_mask_ = 0;
 };
 
 class StagedTssEngine final : public ClassifierBackend {
  public:
-  StagedTssEngine(const ClassifierConfig& cfg, bool gated);
+  explicit StagedTssEngine(const ClassifierConfig& cfg);
   ~StagedTssEngine() override;
 
   void insert(Rule* rule) override;
@@ -150,8 +97,6 @@ class StagedTssEngine final : public ClassifierBackend {
       override;
   const Rule* lookup(const FlowKey& pkt, FlowWildcards* wc,
                      uint32_t* n_searched) const noexcept override;
-  void lookup_batch(const FlowKey* keys, size_t n, const Rule** out,
-                    FlowWildcards* wcs) const noexcept override;
 
   size_t rule_count() const noexcept override { return n_rules_; }
   size_t mask_count() const noexcept override { return tuples_.size(); }
@@ -163,8 +108,6 @@ class StagedTssEngine final : public ClassifierBackend {
 
  private:
   struct TrieCtx;  // per-lookup lazily computed trie results
-
-  static constexpr size_t kBatchBlock = 16;
 
   Tuple* find_tuple(const FlowMask& mask) const noexcept;
   Tuple* get_tuple(const FlowMask& mask);
@@ -181,20 +124,14 @@ class StagedTssEngine final : public ClassifierBackend {
   // so that lookup never writes anything but its atomic counters.
   void sort_tuples_if_dirty() noexcept;
 
-  // One <= kBatchBlock slice of the SoA batch pipeline (gated engine).
-  void batch_block(const FlowKey* keys, size_t m, const Rule** out,
-                   FlowWildcards* wcs) const noexcept;
-
   struct AtomicStats {
     std::atomic<uint64_t> lookups{0};
     std::atomic<uint64_t> tuples_searched{0};
     std::atomic<uint64_t> tuples_skipped{0};
     std::atomic<uint64_t> stage_terminations{0};
-    std::atomic<uint64_t> gate_probes{0};
   };
 
   ClassifierConfig cfg_;
-  bool gated_ = false;
   std::vector<std::unique_ptr<Tuple>> tuples_;       // owned
   std::vector<Tuple*> sorted_;                       // by pri_max desc
   bool sort_dirty_ = false;

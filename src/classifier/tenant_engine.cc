@@ -128,7 +128,6 @@ ClassifierStats TenantPartitionEngine::stats() const noexcept {
     sum.tuples_searched += s.tuples_searched;
     sum.tuples_skipped += s.tuples_skipped;
     sum.stage_terminations += s.stage_terminations;
-    sum.gate_probes += s.gate_probes;
     sum.guide_probes += s.guide_probes;
   };
   add(shared_->stats());

@@ -20,8 +20,8 @@
 // being shared across tenants.
 //
 // The wrapper composes with any inner engine: the factory builds inner
-// backends from the same config with tenant_partition cleared, so staged,
-// chained, and bloom-gated engines all honor the partition semantics.
+// backends from the same config with tenant_partition cleared, so the
+// staged and chained engines both honor the partition semantics.
 #pragma once
 
 #include <atomic>

@@ -179,7 +179,7 @@ void Fabric::tick(uint64_t now_ns) {
 size_t Fabric::total_flows() const {
   size_t n = 0;
   for (const auto& sw : switches_)
-    n += const_cast<Switch&>(*sw).datapath().flow_count();
+    n += sw->backend().flow_count();
   return n;
 }
 

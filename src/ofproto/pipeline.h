@@ -79,7 +79,7 @@ class Pipeline {
 
   // Translates a miss burst as a batch: the table-0 classification for all
   // packets runs through the classifier engine's lookup_batch (one
-  // structure-of-arrays probe sweep with prefetching under kBloomGated)
+  // structure-of-arrays probe sweep with prefetching under kChainedTuple)
   // before the per-packet action walks run sequentially. Results are
   // element-for-element identical to calling translate() in order: the
   // batched stage only precomputes the first lookup each translation would

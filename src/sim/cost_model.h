@@ -72,7 +72,6 @@ struct CostModel {
   //          + (tuples_searched - stage_terminations) * cls_tuple_probe
   //          + stage_terminations * cls_stage_term
   //          + tuples_skipped * cls_tuple_skip
-  //          + gate_probes * cls_gate_probe
   //          + guide_probes * cls_guide_probe
   //
   // Anchors: §7.2's ~294 cycles/tuple search covers the full staged walk of
@@ -82,15 +81,13 @@ struct CostModel {
   // trie-plen/partition metadata — with hundreds of subtables that is a
   // likely cache miss per skip, so it prices like an L2/L3 hit rather than
   // register arithmetic (exactly the per-subtable tax the chained engine
-  // amortizes into one guide probe per chain); a gate test is one hash +
-  // one uint16 load (cheaper than any hash-table walk); a chain guide
-  // probe is one full-mask hash + counting-set probe, cheaper than a
-  // rule-table search because it never walks a bucket chain.
+  // amortizes into one guide probe per chain); a chain guide probe is one
+  // full-mask hash + counting-set probe, cheaper than a rule-table search
+  // because it never walks a bucket chain.
   double cls_lookup_fixed = 80;   // per-lookup setup/teardown
   double cls_tuple_probe = 260;   // full staged walk + rule-table search
   double cls_stage_term = 90;     // staged lookup cut short at a stage set
   double cls_tuple_skip = 30;     // trie/partition/priority skip
-  double cls_gate_probe = 14;     // bloom-gate hash + counter test
   double cls_guide_probe = 70;    // chain guide full-mask hash + set probe
 
   // Crash/restart recovery (DESIGN.md §9). A daemon restart pays a fixed

@@ -65,32 +65,29 @@ std::vector<DiffConfig> standard_configs() {
 
 std::vector<DiffConfig> engine_configs() {
   std::vector<DiffConfig> out;
-  for (ClassifierEngine e :
-       {ClassifierEngine::kChainedTuple, ClassifierEngine::kBloomGated}) {
-    for (size_t rx : {size_t{1}, size_t{8}}) {
-      DiffConfig c;
-      c.name = std::string("engine-") + classifier_engine_name(e) +
-               (rx == 1 ? "/per-pkt" : "/batched");
-      c.rx_batch = rx;
-      c.engine = e;
-      out.push_back(std::move(c));
-    }
-    // One sharded point per engine: the engines' lookups must stay sound
-    // under the multi-worker datapath's upcall interleavings too.
+  const ClassifierEngine chained = ClassifierEngine::kChainedTuple;
+  for (size_t rx : {size_t{1}, size_t{8}}) {
     DiffConfig c;
-    c.name = std::string("engine-") + classifier_engine_name(e) +
-             "/sharded/batched";
-    c.datapath_workers = 4;
-    c.rx_batch = 8;
-    c.engine = e;
+    c.name = std::string("engine-") + classifier_engine_name(chained) +
+             (rx == 1 ? "/per-pkt" : "/batched");
+    c.rx_batch = rx;
+    c.engine = chained;
     out.push_back(std::move(c));
   }
+  // One sharded point: the engine's lookups must stay sound under the
+  // multi-worker datapath's upcall interleavings too.
+  DiffConfig sharded;
+  sharded.name = std::string("engine-") + classifier_engine_name(chained) +
+                 "/sharded/batched";
+  sharded.datapath_workers = 4;
+  sharded.rx_batch = 8;
+  sharded.engine = chained;
+  out.push_back(std::move(sharded));
   // Tenant-partitioned points (DESIGN.md §14), one per engine including the
   // reference: partitioning must be semantics-preserving against the flat
   // oracle no matter which engine runs inside the partitions.
   for (ClassifierEngine e :
-       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple,
-        ClassifierEngine::kBloomGated}) {
+       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple}) {
     DiffConfig c;
     c.name = std::string("engine-") + classifier_engine_name(e) +
              "/partitioned";

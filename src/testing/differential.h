@@ -72,10 +72,10 @@ struct DiffConfig {
 // x {kFull, kTwoTier}, plus one offload-on point per backend.
 std::vector<DiffConfig> standard_configs();
 
-// Non-reference classifier engines (chained-tuple, bloom-gated) crossed
-// with the datapath/batching variants that exercise their distinct lookup
-// paths: batched rx drives lookup_batch through translate_batch, per-pkt
-// drives the scalar path.
+// The non-reference classifier engine (chained-tuple) crossed with the
+// datapath/batching variants that exercise its distinct lookup paths:
+// batched rx drives lookup_batch through translate_batch, per-pkt drives
+// the scalar path. Plus one tenant-partitioned point per engine.
 std::vector<DiffConfig> engine_configs();
 
 // The deliberately unsound configuration: historical kTags revalidation,

@@ -50,12 +50,6 @@ class MiniflowSchema {
       }
     }
     stage_off_[kNumStages] = static_cast<uint8_t>(words_.size());
-    first_active_stage_ = kNumStages - 1;
-    for (size_t s = 0; s < kNumStages; ++s)
-      if (stage_off_[s + 1] > stage_off_[s]) {
-        first_active_stage_ = s;
-        break;
-      }
   }
 
   // Hash of stage `stage`'s masked words, chained onto `basis` (the hash of
@@ -86,27 +80,16 @@ class MiniflowSchema {
   }
 
   // Flat (word index, mask word) access for structure-of-arrays batch
-  // hashing: callers iterate [stage_begin(s), stage_end(s)) with the key
-  // loop innermost, so one mask word is applied to a whole batch at a time.
-  size_t stage_begin(size_t stage) const noexcept { return stage_off_[stage]; }
-  size_t stage_end(size_t stage) const noexcept {
-    return stage_off_[stage + 1];
-  }
+  // hashing: callers iterate [0, n_words()) with the key loop innermost, so
+  // one mask word is applied to a whole batch at a time.
   uint8_t word(size_t i) const noexcept { return words_[i]; }
   uint64_t mask_word(size_t i) const noexcept { return mask_w_[i]; }
-
   size_t n_words() const noexcept { return words_.size(); }
-  bool stage_empty(size_t stage) const noexcept {
-    return stage_off_[stage + 1] == stage_off_[stage];
-  }
-  // First stage with any masked word (kNumStages-1 for an empty mask).
-  size_t first_active_stage() const noexcept { return first_active_stage_; }
 
  private:
   std::vector<uint8_t> words_;    // ascending indices of mask-active words
   std::vector<uint64_t> mask_w_;  // parallel mask words
   std::array<uint8_t, kNumStages + 1> stage_off_;
-  size_t first_active_stage_ = 0;
 };
 
 }  // namespace ovs

@@ -664,7 +664,7 @@ void Switch::revalidate(uint64_t now_ns) {
     if (pass_ns > static_cast<double>(cfg_.max_revalidation_ns)) {
       ++counters_.reval_overruns;
       apply_limit_backoff();
-    } else if (!mask_explosion_ && !ct_pressure_) {
+    } else if (!mask_explosion_.on && !ct_pressure_.on) {
       // Additive recovery pauses while the tuple-explosion or conntrack
       // pressure detector is engaged: a clean pass under attack only means
       // the shrunken table fits the deadline, not that growing it back is
@@ -834,15 +834,14 @@ void Switch::update_emc_policy() {
   // normal insertion — and a quiet interval counts as subsided).
   const double ratio =
       static_cast<double>(attempts) / static_cast<double>(hits + 1);
-  if (!emc_degraded_) {
-    if (attempts >= d.emc_min_inserts && ratio > d.emc_thrash_ratio) {
-      be_->set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
-      emc_degraded_ = true;
-      ++counters_.emc_degrade_engaged;
-    }
-  } else if (ratio < d.emc_thrash_ratio / 2) {
+  const bool hot = attempts >= d.emc_min_inserts && ratio > d.emc_thrash_ratio;
+  const Valve::Step step =
+      emc_degraded_.step(hot, ratio < d.emc_thrash_ratio / 2);
+  if (step == Valve::Step::kEngage) {
+    be_->set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
+    ++counters_.emc_degrade_engaged;
+  } else if (step == Valve::Step::kRelease) {
     be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
-    emc_degraded_ = false;
   }
 }
 
@@ -876,22 +875,15 @@ void Switch::update_cls_policy() {
                           masks < d.mask_explosion_subtables / 2;
   const bool probe_cool = d.mask_probe_ewma_threshold <= 0.0 ||
                           probe_ewma_ < d.mask_probe_ewma_threshold / 2;
-  if (!mask_explosion_) {
-    if (count_hot || probe_hot) {
-      mask_explosion_ = true;
-      ++counters_.mask_explosion_engaged;
-      apply_limit_backoff();
-    }
-  } else if (count_cool && probe_cool) {
-    // Hysteresis: both signals must fall to half their engage thresholds —
-    // the attack subsiding, not one quiet interval — before recovery
-    // resumes (revalidate()'s additive increase takes over from here).
-    mask_explosion_ = false;
-  } else if (count_hot || probe_hot) {
-    // Signal persisting at engage level: keep ratcheting the table down
-    // until eviction sheds enough attacker masks to cool the probes.
+  // Release needs both signals at half their engage thresholds — the attack
+  // subsiding — before revalidate()'s additive recovery resumes. While
+  // either stays hot, keep ratcheting the table down until eviction sheds
+  // enough attacker masks to cool the probes.
+  const Valve::Step step =
+      mask_explosion_.step(count_hot || probe_hot, count_cool && probe_cool);
+  if (step == Valve::Step::kEngage) ++counters_.mask_explosion_engaged;
+  if (step == Valve::Step::kEngage || step == Valve::Step::kPersist)
     apply_limit_backoff();
-  }
 }
 
 void Switch::update_ct_policy() {
@@ -901,23 +893,14 @@ void Switch::update_ct_policy() {
   const double occupancy =
       static_cast<double>(pipeline_.conntrack().size()) /
       static_cast<double>(cfg_.ct_max_entries);
-  const bool hot = occupancy >= d.ct_pressure_ratio;
-  const bool cool = occupancy < d.ct_pressure_ratio / 2;
-  if (!ct_pressure_) {
-    if (hot) {
-      ct_pressure_ = true;
-      ++counters_.ct_pressure_engaged;
-      apply_limit_backoff();
-    }
-  } else if (cool) {
-    // Hysteresis: occupancy must fall to half the engage ratio — the churn
-    // subsiding, not one eviction — before additive recovery resumes.
-    ct_pressure_ = false;
-  } else if (hot) {
-    // Pressure persisting at engage level: keep ratcheting the megaflow
-    // table down (per-connection megaflows are the product of ct churn).
+  // Release at half the engage ratio — the churn subsiding, not one
+  // eviction. While pressure persists, keep ratcheting the megaflow table
+  // down (per-connection megaflows are the product of ct churn).
+  const Valve::Step step = ct_pressure_.step(
+      occupancy >= d.ct_pressure_ratio, occupancy < d.ct_pressure_ratio / 2);
+  if (step == Valve::Step::kEngage) ++counters_.ct_pressure_engaged;
+  if (step == Valve::Step::kEngage || step == Valve::Step::kPersist)
     apply_limit_backoff();
-  }
 }
 
 size_t Switch::cls_subtables() const noexcept {
@@ -982,16 +965,16 @@ void Switch::crash() {
   offload_state_.clear();
   limit_scale_ = 1.0;
   effective_limit_ = cfg_.flow_limit;
-  emc_degraded_ = false;
+  emc_degraded_ = Valve{};
   be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
   const Datapath::Stats s = be_->stats();
   emc_attempts_seen_ = s.emc_inserts + s.emc_insert_skips;
   emc_hits_seen_ = s.microflow_hits;
-  mask_explosion_ = false;
+  mask_explosion_ = Valve{};
   probe_ewma_ = 0.0;
   dp_tuples_seen_ = s.tuples_searched;
   dp_packets_seen_ = s.packets;
-  ct_pressure_ = false;
+  ct_pressure_ = Valve{};
   tenant_masks_.clear();
   tenant_masks_valid_ = false;
   tenant_masks_gen_ = 0;

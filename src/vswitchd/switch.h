@@ -470,12 +470,12 @@ class Switch {
   // AIMD multiplier on the dynamic flow limit (1.0 = no backoff active).
   double flow_limit_scale() const noexcept { return limit_scale_; }
   // True while the EMC thrash detector holds probabilistic insertion on.
-  bool emc_degraded() const noexcept { return emc_degraded_; }
+  bool emc_degraded() const noexcept { return emc_degraded_.on; }
   // True while the tuple-explosion detector holds the AIMD backoff engaged
   // (recovery suspended; one backoff per interval the signal persists).
-  bool mask_explosion_active() const noexcept { return mask_explosion_; }
+  bool mask_explosion_active() const noexcept { return mask_explosion_.on; }
   // True while the conntrack pressure detector holds the backoff engaged.
-  bool ct_pressure_active() const noexcept { return ct_pressure_; }
+  bool ct_pressure_active() const noexcept { return ct_pressure_.on; }
   // Userspace classifier shape (DESIGN.md §14): subtables maintained summed
   // across tables, and the per-lookup probe bound of the worst table.
   size_t cls_subtables() const noexcept;
@@ -500,6 +500,28 @@ class Switch {
 
  private:
   enum class InstallResult : uint8_t { kInstalled, kDup, kFailed };
+
+  // The engage/hysteresis state machine shared by the three overload
+  // detectors (EMC thrash, tuple explosion, conntrack pressure). Once per
+  // maintenance interval each detector reduces its own signal to `hot` (at
+  // its engage threshold) and `cool` (below half of it) and acts on the
+  // step; an engaged valve that is neither hot nor cool holds (kIdle).
+  struct Valve {
+    enum class Step : uint8_t { kIdle, kEngage, kPersist, kRelease };
+    bool on = false;
+
+    Step step(bool hot, bool cool) noexcept {
+      if (!on) {
+        on = hot;
+        return hot ? Step::kEngage : Step::kIdle;
+      }
+      if (cool) {
+        on = false;
+        return Step::kRelease;
+      }
+      return hot ? Step::kPersist : Step::kIdle;
+    }
+  };
 
   void execute_actions(const DpActions& actions, const Packet& pkt);
   void execute_actions_batch(std::span<const Packet> pkts,
@@ -596,15 +618,15 @@ class Switch {
   // Entry faults bypass the pipeline generation, so the next revalidation
   // must re-translate everything to repair them.
   bool reval_force_full_ = false;
-  bool emc_degraded_ = false;
+  Valve emc_degraded_;
   uint64_t emc_attempts_seen_ = 0;  // insert attempts at last policy check
   uint64_t emc_hits_seen_ = 0;      // microflow hits at last policy check
 
   // Conntrack pressure detector state (DESIGN.md §15).
-  bool ct_pressure_ = false;
+  Valve ct_pressure_;
 
   // Tuple-explosion detector state (DESIGN.md §14).
-  bool mask_explosion_ = false;
+  Valve mask_explosion_;
   double probe_ewma_ = 0.0;         // smoothed megaflow probes per packet
   uint64_t dp_tuples_seen_ = 0;     // tuples_searched at last policy check
   uint64_t dp_packets_seen_ = 0;    // packets at last policy check

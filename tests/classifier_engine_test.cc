@@ -1,5 +1,5 @@
 // Engine-equivalence property tests for the classifier backend seam: every
-// engine (staged TSS reference, chained-tuple, bloom-gated) must produce
+// engine (staged TSS reference, chained-tuple) must produce
 // identical winners under identical rule churn, generate sound wildcards,
 // and return batch results byte-identical to its own scalar path. The
 // scripted-operation approach builds ONE deterministic op sequence and
@@ -24,9 +24,8 @@ namespace {
 using testutil::RuleSet;
 using testutil::TestRule;
 
-constexpr std::array<ClassifierEngine, 3> kEngines = {
-    ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple,
-    ClassifierEngine::kBloomGated};
+constexpr std::array<ClassifierEngine, 2> kEngines = {
+    ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple};
 
 bool same_mask(const Match& a, const Match& b) {
   for (size_t w = 0; w < kFlowWords; ++w)
@@ -319,12 +318,12 @@ TEST(ClassifierEngineFirstMatchTest, DisjointRulesAgreeAcrossEngines) {
   }
 }
 
-// The bloom-gated SoA batch path must agree with its own scalar path on
-// sizes that are not multiples of the internal block, with and without
-// wildcard accumulation, and the gates must actually skip work.
+// The chained-tuple SoA batch path must agree with its own scalar path on
+// sizes that are not multiples of its kBatchBlock slice, with and without
+// wildcard accumulation, and the chain guides must actually skip work.
 TEST(ClassifierEngineBatchTest, SoABatchMatchesScalarOnOddSizes) {
   ClassifierConfig cfg;
-  cfg.engine = ClassifierEngine::kBloomGated;
+  cfg.engine = ClassifierEngine::kChainedTuple;
   RuleSet rs(cfg);
   Rng rng(31337);
   int32_t prio = 1;
@@ -353,7 +352,6 @@ TEST(ClassifierEngineBatchTest, SoABatchMatchesScalarOnOddSizes) {
       ASSERT_EQ(batch2[q], scalar[q]) << "n=" << n << " q=" << q;
   }
   const ClassifierStats st = rs.classifier().stats();
-  EXPECT_GT(st.gate_probes, 0u);
   EXPECT_GT(st.tuples_skipped, 0u);
 }
 

@@ -148,5 +148,24 @@ TEST_F(FabricTest, FabricScalesToManyHypervisors) {
   EXPECT_GT(fab.total_flows(), 0u);
 }
 
+// Sharded hypervisors (datapath_workers >= 2) have no single Datapath, so
+// total_flows() must count through the backend seam.
+TEST_F(FabricTest, TotalFlowsCountsShardedHypervisors) {
+  Fabric::Config cfg;
+  cfg.switch_config.datapath_workers = 2;
+  Fabric fab(cfg);
+  VirtualClock clock;
+  const Fabric::Vm* a = vm_on(fab, 1, 0);
+  const Fabric::Vm* b = vm_on(fab, 1, 1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(fab.send(*a, *b, 40000, 443, clock.now()).delivered);
+  size_t per_hv = 0;
+  for (size_t h = 0; h < fab.n_hypervisors(); ++h)
+    per_hv += fab.hypervisor(h).backend().flow_count();
+  EXPECT_GT(fab.total_flows(), 0u);
+  EXPECT_EQ(fab.total_flows(), per_hv);
+}
+
 }  // namespace
 }  // namespace ovs

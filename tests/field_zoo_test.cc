@@ -122,6 +122,10 @@ struct StageCase {
   Stage expected_stage;
 };
 
+// Without a printer gtest dumps the raw bytes (a pointer plus padding) into
+// the listed test name, which then changes from build to build.
+void PrintTo(const StageCase& sc, std::ostream* os) { *os << sc.name; }
+
 class StageBoundaryTest : public ::testing::TestWithParam<StageCase> {};
 
 TEST_P(StageBoundaryTest, MissTerminatesAtFieldStage) {
