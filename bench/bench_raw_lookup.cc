@@ -25,6 +25,7 @@
 #include "datapath/concurrent_emc.h"
 #include "datapath/datapath.h"
 #include "util/cuckoo.h"
+#include "util/miniflow.h"
 #include "util/prefix_trie.h"
 #include "workload/table_gen.h"
 
@@ -302,6 +303,24 @@ int bench_main(int argc, char** argv) {
     const size_t iters = 2000000 * mult;
     const double rate = measure(iters, [&](size_t) { keep(k.hash()); });
     report_row(report, "full_key_hashes", rate, {}, iters);
+  }
+
+  // --- Subtable probe hash (a 4-active-word mask, like an L3/L4 megaflow) ----
+  {
+    Rng rng(6);
+    FlowKey k;
+    for (auto& w : k.w) w = rng.next();
+    FlowMask mask;
+    mask.set_exact(FieldId::kInPort);
+    mask.set_exact(FieldId::kEthType);
+    mask.set_prefix(FieldId::kNwDst, 24);
+    mask.set_exact(FieldId::kTpDst);
+    const MiniflowSchema schema(mask);
+    const size_t iters = 2000000 * mult;
+    const double rate =
+        measure(iters, [&](size_t) { keep(schema.full_hash(k)); });
+    report_row(report, "miniflow_full_hashes", rate,
+               {{"active_words", "4"}}, iters);
   }
 
   // --- Full NVP-style translation (userspace miss cost) ----------------------

@@ -308,17 +308,11 @@ void ChainedTupleEngine::batch_block(const FlowKey* keys, size_t m,
       n_live = keep;
       if (n_live == 0) break;
 
-      // Round 1: SoA level hashes (full_hash, word loop outermost), then
+      // Round 1: SoA level hashes (MiniflowSchema::full_hash_batch), then
       // guide prefetch + membership for the block. The wildcard union and
       // the guide-probe tally happen for every probed key, hit or miss,
       // exactly as in the scalar walk.
-      for (size_t j = 0; j < n_live; ++j) gh[j] = 0;
-      for (size_t wi = 0; wi < sch.n_words(); ++wi) {
-        const size_t w = sch.word(wi);
-        const uint64_t mw = sch.mask_word(wi);
-        for (size_t j = 0; j < n_live; ++j)
-          gh[j] = hash_add64(gh[j], keys[live[j]].w[w] & mw);
-      }
+      sch.full_hash_batch(keys, live.data(), n_live, gh.data());
       for (size_t j = 0; j < n_live; ++j) s->guide.prefetch(gh[j]);
       keep = 0;
       for (size_t j = 0; j < n_live; ++j) {

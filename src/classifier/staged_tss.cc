@@ -73,10 +73,10 @@ void Tuple::insert(Rule* rule) {
   RuleLinks::key_hash(*rule) = full_hash(rule->match().key);
 
   // Intermediate stage sets.
-  uint64_t h = 0;
+  uint64_t acc = 0;
   for (size_t s = 0; s + 1 < n_stages_; ++s) {
-    h = hash_stage(rule->match().key, s, h);
-    stage_sets_[s].add(h);
+    acc = hash_stage(rule->match().key, s, acc);
+    stage_sets_[s].add(hash_finish(acc));
   }
 
   if (partitions_metadata_)
@@ -95,10 +95,10 @@ void Tuple::remove(Rule* rule) noexcept {
   RuleLinks::chain_remove(rules_, rule);
   RuleLinks::sub(*rule) = nullptr;
 
-  uint64_t h = 0;
+  uint64_t acc = 0;
   for (size_t s = 0; s + 1 < n_stages_; ++s) {
-    h = hash_stage(rule->match().key, s, h);
-    stage_sets_[s].remove(h);
+    acc = hash_stage(rule->match().key, s, acc);
+    stage_sets_[s].remove(hash_finish(acc));
   }
   if (partitions_metadata_)
     metadata_values_.remove(hash_mix64(rule->match().key.metadata()));
@@ -117,16 +117,17 @@ const Rule* Tuple::lookup(const FlowKey& pkt, bool staged,
                           size_t* stage_searched) const noexcept {
   uint64_t h;
   if (staged) {
-    h = schema_.hash_stage(pkt, 0, 0);
+    uint64_t acc = schema_.hash_stage(pkt, 0, 0);
     for (size_t s = 0; s + 1 < n_stages_; ++s) {
-      if (!stage_sets_[s].contains(h)) {
+      if (!stage_sets_[s].contains(hash_finish(acc))) {
         *stage_searched = s;
         return nullptr;
       }
-      h = schema_.hash_stage(pkt, s + 1, h);
+      acc = schema_.hash_stage(pkt, s + 1, acc);
     }
-    // h now covers stages [0, n_stages_-1]; later stages are empty for this
-    // mask, so h equals the full hash.
+    // acc now covers stages [0, n_stages_-1]; later stages are empty for
+    // this mask, so its finished value equals the full hash.
+    h = hash_finish(acc);
   } else {
     h = schema_.full_hash(pkt);
   }
@@ -177,6 +178,11 @@ void StagedTssEngine::sort_tuples_if_dirty() noexcept {
 
 void StagedTssEngine::trie_update(const Rule& rule, bool add) {
   for (size_t i = 0; i < kNumTrieFields; ++i) {
+    // check_tries never reads a disabled field's trie (and the config is
+    // fixed at construction), so don't maintain it: the kernel classifier
+    // runs with every trie off and would otherwise pay trie upkeep on each
+    // megaflow install and removal.
+    if (!trie_enabled(kTrieFields[i])) continue;
     const int plen = rule.match().mask.prefix_len(kTrieFields[i]);
     if (plen <= 0) continue;
     const PrefixBits p =
@@ -237,13 +243,18 @@ Rule* StagedTssEngine::find_exact(const Match& match,
   return nullptr;
 }
 
+bool StagedTssEngine::trie_enabled(FieldId f) const noexcept {
+  return is_port_trie_field(f) ? cfg_.port_prefix_tracking
+                               : cfg_.prefix_tracking;
+}
+
 bool StagedTssEngine::check_tries(const Tuple& tuple, const FlowKey& pkt,
                                   TrieCtx& ctx,
                                   FlowWildcards* wc) const noexcept {
   for (size_t i = 0; i < kNumTrieFields; ++i) {
     const FieldId f = kTrieFields[i];
+    if (!trie_enabled(f)) continue;
     const bool port = is_port_trie_field(f);
-    if (port ? !cfg_.port_prefix_tracking : !cfg_.prefix_tracking) continue;
     const int plen = tuple.trie_plen(i);
     if (plen <= 0) continue;  // field unmatched, or a non-prefix mask
     // §7.1 outlier bug injection: ICMP rules poison the port tries.

@@ -112,7 +112,11 @@ class StagedTssEngine final : public ClassifierBackend {
   Tuple* find_tuple(const FlowMask& mask) const noexcept;
   Tuple* get_tuple(const FlowMask& mask);
 
-  // Trie bookkeeping on rule insert/remove.
+  // Is the trie of field `f` in use under this config (ports and addresses
+  // are switched separately)? Disabled tries are neither kept nor read.
+  bool trie_enabled(FieldId f) const noexcept;
+
+  // Trie bookkeeping on rule insert/remove, for enabled tries only.
   void trie_update(const Rule& rule, bool add);
 
   // Returns true if `tuple` can be skipped for `pkt` per the tries; updates
@@ -131,7 +135,7 @@ class StagedTssEngine final : public ClassifierBackend {
     std::atomic<uint64_t> stage_terminations{0};
   };
 
-  ClassifierConfig cfg_;
+  const ClassifierConfig cfg_;  // fixed: trie upkeep depends on it
   std::vector<std::unique_ptr<Tuple>> tuples_;       // owned
   std::vector<Tuple*> sorted_;                       // by pri_max desc
   bool sort_dirty_ = false;

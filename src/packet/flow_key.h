@@ -102,6 +102,19 @@ constexpr const FieldInfo& field_info(FieldId f) noexcept {
   return kFieldTable[static_cast<size_t>(f)];
 }
 
+// Lane keys for hashing flow words (hash_lane in util/hash.h), one per word
+// position, so the same value in two positions lands on different lanes.
+inline constexpr std::array<uint64_t, kFlowWords> kWordLaneKey = [] {
+  std::array<uint64_t, kFlowWords> k{};
+  for (size_t i = 0; i < kFlowWords; ++i) k[i] = hash_mix64(i);
+  return k;
+}();
+
+// Lane of flow word `i` with (already masked) value `word`.
+constexpr uint64_t flow_word_lane(size_t i, uint64_t word) noexcept {
+  return hash_lane(word, kWordLaneKey[i]);
+}
+
 // Generic word-array container shared by FlowKey and FlowMask.
 struct FlowWords {
   std::array<uint64_t, kFlowWords> w{};
@@ -228,9 +241,12 @@ struct FlowKey : FlowWords {
     set(FieldId::kTcpFlags, v);
   }
 
-  // Full-key hash (used by the microflow cache).
-  uint64_t hash(uint64_t basis = 0) const noexcept {
-    return hash_words(w.data(), kFlowWords, basis);
+  // Full-key hash (the microflow cache key): every word's lane, summed and
+  // finished once.
+  uint64_t hash() const noexcept {
+    uint64_t acc = 0;
+    for (size_t i = 0; i < kFlowWords; ++i) acc += flow_word_lane(i, w[i]);
+    return hash_finish(acc);
   }
 
   std::string to_string() const;
@@ -356,14 +372,16 @@ inline bool masked_equal(const FlowKey& pkt, const FlowWords& value,
   return diff == 0;
 }
 
-// Hash of `pkt & mask` over words [from, to). Incremental: pass the result
-// of hashing [0, from) as `basis` to extend (staged lookup, §5.3).
+// Lane accumulator of `pkt & mask` over words [from, to) (finish it with
+// hash_finish). Incremental: pass the accumulator of [0, from) as `acc` to
+// extend (staged lookup, §5.3). Words the mask zeroes add no lane, so the
+// finished value over [0, kFlowWords) equals MiniflowSchema(mask).full_hash.
 inline uint64_t hash_masked_range(const FlowKey& pkt, const FlowMask& mask,
                                   size_t from, size_t to,
-                                  uint64_t basis) noexcept {
-  uint64_t h = basis;
-  for (size_t i = from; i < to; ++i) h = hash_add64(h, pkt.w[i] & mask.w[i]);
-  return h;
+                                  uint64_t acc) noexcept {
+  for (size_t i = from; i < to; ++i)
+    if (mask.w[i] != 0) acc += flow_word_lane(i, pkt.w[i] & mask.w[i]);
+  return acc;
 }
 
 // Applies a mask to a key in place (used to canonicalize rule keys).

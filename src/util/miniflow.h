@@ -7,8 +7,11 @@
 //
 // The schema stores (word index, mask word) pairs in ascending word order,
 // with per-stage offsets so the classifier's staged lookup (§5.3) can hash
-// stage k incrementally on top of stage k-1 — iterating the flat array from
-// the start to a stage boundary is exactly the chained per-stage hash.
+// stage k incrementally on top of stage k-1. Hashing is lane-parallel
+// (util/hash.h): each active word contributes one independent lane to a
+// summed accumulator, and a probe finishes the accumulator once. Stage k's
+// accumulator is stage k-1's plus stage k's lanes, so summing hash_stage
+// over every stage and finishing gives exactly full_hash.
 #pragma once
 
 #include <array>
@@ -52,22 +55,22 @@ class MiniflowSchema {
     stage_off_[kNumStages] = static_cast<uint8_t>(words_.size());
   }
 
-  // Hash of stage `stage`'s masked words, chained onto `basis` (the hash of
-  // the preceding stages). Empty stages return `basis` unchanged.
+  // Accumulator of stage `stage`'s masked words added onto `acc` (the
+  // accumulator of the preceding stages). Empty stages return `acc`
+  // unchanged. Probe or store hash_finish(acc), never `acc` itself.
   uint64_t hash_stage(const FlowWords& src, size_t stage,
-                      uint64_t basis) const noexcept {
-    uint64_t h = basis;
+                      uint64_t acc) const noexcept {
     for (size_t i = stage_off_[stage]; i < stage_off_[stage + 1]; ++i)
-      h = hash_add64(h, src.w[words_[i]] & mask_w_[i]);
-    return h;
+      acc += lane(i, src);
+    return acc;
   }
 
-  // Hash over every masked word; equals chaining hash_stage over all stages.
+  // Finished hash over every masked word; equals hash_finish of hash_stage
+  // summed over all stages.
   uint64_t full_hash(const FlowWords& src) const noexcept {
-    uint64_t h = 0;
-    for (size_t i = 0; i < words_.size(); ++i)
-      h = hash_add64(h, src.w[words_[i]] & mask_w_[i]);
-    return h;
+    uint64_t acc = 0;
+    for (size_t i = 0; i < words_.size(); ++i) acc += lane(i, src);
+    return hash_finish(acc);
   }
 
   // Does `pkt` match `stored` under this mask? `stored` must be pre-masked
@@ -79,14 +82,28 @@ class MiniflowSchema {
     return true;
   }
 
-  // Flat (word index, mask word) access for structure-of-arrays batch
-  // hashing: callers iterate [0, n_words()) with the key loop innermost, so
-  // one mask word is applied to a whole batch at a time.
-  uint8_t word(size_t i) const noexcept { return words_[i]; }
-  uint64_t mask_word(size_t i) const noexcept { return mask_w_[i]; }
-  size_t n_words() const noexcept { return words_.size(); }
+  // Structure-of-arrays full_hash over a batch: out[j] =
+  // full_hash(keys[idx[j]]) for j < n. The word loop is outermost and the
+  // key loop innermost, so one mask word is applied to the whole batch at a
+  // time and the lanes of different keys are independent.
+  void full_hash_batch(const FlowKey* keys, const uint8_t* idx, size_t n,
+                       uint64_t* out) const noexcept {
+    for (size_t j = 0; j < n; ++j) out[j] = 0;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      const size_t w = words_[i];
+      const uint64_t mw = mask_w_[i];
+      for (size_t j = 0; j < n; ++j)
+        out[j] += flow_word_lane(w, keys[idx[j]].w[w] & mw);
+    }
+    for (size_t j = 0; j < n; ++j) out[j] = hash_finish(out[j]);
+  }
 
  private:
+  // Lane of active word `i` (the i-th entry of the flat array) for `src`.
+  uint64_t lane(size_t i, const FlowWords& src) const noexcept {
+    return flow_word_lane(words_[i], src.w[words_[i]] & mask_w_[i]);
+  }
+
   std::vector<uint8_t> words_;    // ascending indices of mask-active words
   std::vector<uint64_t> mask_w_;  // parallel mask words
   std::array<uint8_t, kNumStages + 1> stage_off_;

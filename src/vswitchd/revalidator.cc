@@ -73,13 +73,15 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
     }
     if (covers && xr.actions == be.flow_actions(f)) {
       d.kind = RevalDecision::Kind::kKeepFresh;
-      d.xr = std::move(xr);
     } else if (xr.megaflow.mask == inst_mask) {
       d.kind = RevalDecision::Kind::kUpdateActions;
-      d.xr = std::move(xr);
+      d.actions = std::move(xr.actions);
     } else {
       d.kind = RevalDecision::Kind::kDeleteStale;
+      continue;
     }
+    d.tags = xr.tags;
+    d.matched_rules = std::move(xr.matched_rules);
   }
   return ps;
 }

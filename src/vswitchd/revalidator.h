@@ -8,9 +8,13 @@
 //     threads; each thread re-translates its flows with side_effects=false
 //     (translation is read-only against the pipeline: classifier lookups,
 //     MAC lookups, conntrack lookups) and records a per-flow verdict plus
-//     the captured XlateResult. A two-tier fast path consults the pipeline
-//     generation counters and the per-flow Bloom tags first, skipping the
-//     full re-translation for flows whose inputs cannot have changed.
+//     the parts of the fresh translation apply installs — tags, matched
+//     rules and, for an action update, the new actions. The fresh megaflow
+//     match is only compared during plan, never kept, so a decision stays
+//     small however many flows a pass dumps. A two-tier fast path consults
+//     the pipeline generation counters and the per-flow Bloom tags first,
+//     skipping the full re-translation for flows whose inputs cannot have
+//     changed.
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, RCU action swaps
 //     (update_actions), attribution refresh, statistics pushes. Keeping all
@@ -36,12 +40,15 @@ struct RevalDecision {
     kDeleteIdle,     // past the idle timeout: evict
     kSkipClean,      // nothing in the pipeline changed since the last pass
     kSkipTags,       // tag fast path: this flow's inputs did not change
-    kKeepFresh,      // re-translated; actions unchanged (xr captured)
-    kUpdateActions,  // re-translated; same shape, new actions (xr captured)
+    kKeepFresh,      // re-translated; actions unchanged
+    kUpdateActions,  // re-translated; same shape, new actions
     kDeleteStale,    // re-translated; megaflow shape changed: evict
   };
   Kind kind = Kind::kSkipClean;
-  XlateResult xr;  // valid for kKeepFresh / kUpdateActions only
+  // From the fresh translation, for kKeepFresh / kUpdateActions only.
+  uint64_t tags = 0;                         // Bloom tags to store
+  std::vector<const OfRule*> matched_rules;  // new attribution list
+  DpActions actions;                         // kUpdateActions only
 };
 
 struct RevalPassStats {

@@ -206,14 +206,9 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
     return false;
   };
 
-  struct Group {
-    const DpActions* actions;
-    uint64_t pkts;
-    uint64_t bytes;
-  };
   // Bursts match a handful of megaflows; linear scan beats a hash map.
-  std::vector<Group> groups;
-  groups.reserve(8);
+  std::vector<TxGroup>& groups = tx_groups_;
+  groups.clear();
 
   for (size_t i = 0; i < pkts.size(); ++i) {
     const DpActions* a = rx[i].actions;
@@ -223,8 +218,8 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
       execute_actions(*a, pkts[i]);
       continue;
     }
-    Group* g = nullptr;
-    for (Group& cand : groups) {
+    TxGroup* g = nullptr;
+    for (TxGroup& cand : groups) {
       if (cand.actions == a) {
         g = &cand;
         break;
@@ -248,7 +243,7 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
     }
   }
 
-  for (const Group& g : groups) {
+  for (const TxGroup& g : groups) {
     for (const DpAction& act : g.actions->list) {
       if (const auto* o = std::get_if<OutputAction>(&act)) {
         counters_.tx_packets += g.pkts;
@@ -600,19 +595,17 @@ void Switch::revalidate(uint64_t now_ns) {
       case RevalDecision::Kind::kKeepFresh:
         // Refresh the attribution (rule pointers may have been replaced)
         // and push pending stats against the CURRENT rules.
-        be_->set_flow_tags(f, d.xr.tags);
-        refresh_attribution(f, std::move(d.xr));
+        be_->set_flow_tags(f, d.tags);
+        refresh_attribution(f, std::move(d.matched_rules));
         push_flow_stats(f, now_ns);
         break;
-      case RevalDecision::Kind::kUpdateActions: {
-        DpActions fresh = d.xr.actions;
-        be_->update_actions(f, std::move(fresh));  // RCU swap on sharded
-        be_->set_flow_tags(f, d.xr.tags);
-        refresh_attribution(f, std::move(d.xr));
+      case RevalDecision::Kind::kUpdateActions:
+        be_->update_actions(f, std::move(d.actions));  // RCU swap on sharded
+        be_->set_flow_tags(f, d.tags);
+        refresh_attribution(f, std::move(d.matched_rules));
         push_flow_stats(f, now_ns);
         ++counters_.reval_updated_actions;
         break;
-      }
       case RevalDecision::Kind::kDeleteStale:
         attribution_.erase(f);
         be_->remove(f);  // shape changed: let traffic re-establish it
@@ -917,15 +910,17 @@ size_t Switch::cls_max_probe_depth() const noexcept {
   return n;
 }
 
-void Switch::refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
+void Switch::refresh_attribution(DpBackend::FlowRef f,
+                                 std::vector<const OfRule*>&& rules) {
   Attribution& at = attribution_[f];
-  at.rules = std::move(xr.matched_rules);
+  at.rules = std::move(rules);
   at.captured_gen = pipeline_.tables_generation();
 }
 
-void Switch::adopt_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
+void Switch::adopt_attribution(DpBackend::FlowRef f,
+                               std::vector<const OfRule*>&& rules) {
   Attribution& at = attribution_[f];
-  at.rules = std::move(xr.matched_rules);
+  at.rules = std::move(rules);
   at.captured_gen = pipeline_.tables_generation();
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
@@ -1053,18 +1048,16 @@ bool Switch::restart(uint64_t now_ns) {
       case RevalDecision::Kind::kSkipTags:
         break;  // unreachable: maybe_stale && !use_tags
       case RevalDecision::Kind::kKeepFresh:
-        be_->set_flow_tags(f, d.xr.tags);
-        adopt_attribution(f, std::move(d.xr));
+        be_->set_flow_tags(f, d.tags);
+        adopt_attribution(f, std::move(d.matched_rules));
         ++counters_.flows_adopted;
         break;
-      case RevalDecision::Kind::kUpdateActions: {
-        DpActions fresh = d.xr.actions;
-        be_->update_actions(f, std::move(fresh));
-        be_->set_flow_tags(f, d.xr.tags);
-        adopt_attribution(f, std::move(d.xr));
+      case RevalDecision::Kind::kUpdateActions:
+        be_->update_actions(f, std::move(d.actions));
+        be_->set_flow_tags(f, d.tags);
+        adopt_attribution(f, std::move(d.matched_rules));
         ++counters_.flows_repaired;
         break;
-      }
       case RevalDecision::Kind::kDeleteStale:
         be_->remove(f);
         ++counters_.reval_deleted_stale;

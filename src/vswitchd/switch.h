@@ -568,12 +568,14 @@ class Switch {
     uint64_t captured_gen = 0;
   };
   void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
-  void refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr);
+  void refresh_attribution(DpBackend::FlowRef f,
+                           std::vector<const OfRule*>&& rules);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(DpBackend::FlowRef f, XlateResult&& xr);
+  void adopt_attribution(DpBackend::FlowRef f,
+                         std::vector<const OfRule*>&& rules);
 
   struct RetryEntry {
     Packet pkt;
@@ -592,6 +594,14 @@ class Switch {
   std::unordered_map<uint32_t, PortStats> port_stats_;
   CpuAccounting cpu_;
   std::vector<Datapath::RxResult> results_;  // inject_batch scratch
+  // execute_actions_batch scratch: one entry per distinct non-rewriting
+  // action list in the burst, with its tx totals.
+  struct TxGroup {
+    const DpActions* actions;
+    uint64_t pkts;
+    uint64_t bytes;
+  };
+  std::vector<TxGroup> tx_groups_;
   std::vector<RevalDecision> decisions_;     // revalidation plan scratch
   RevalPassStats last_pass_;
   size_t effective_limit_;

@@ -53,6 +53,18 @@ std::vector<ConfigCase> all_configs() {
     c.icmp_port_trie_bug = true;  // the bug must still be *correct*
     cases.push_back({"all_with_icmp_bug", c});
   }
+  {
+    // Address and port tries are kept only when their tracking is on, so
+    // each half alone must stay exact under insert/remove churn.
+    ClassifierConfig c = ClassifierConfig::all_disabled();
+    c.prefix_tracking = true;
+    cases.push_back({"addr_prefix_only", c});
+  }
+  {
+    ClassifierConfig c = ClassifierConfig::all_disabled();
+    c.port_prefix_tracking = true;
+    cases.push_back({"port_prefix_only", c});
+  }
   return cases;
 }
 
@@ -129,7 +141,7 @@ TEST_P(ClassifierPropertyTest, AgreesWithOracleAndWildcardsAreSound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ClassifierPropertyTest,
-    ::testing::Combine(::testing::Range<size_t>(0, 7),
+    ::testing::Combine(::testing::Range<size_t>(0, all_configs().size()),
                        ::testing::Values(11, 22, 33, 44)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, uint64_t>>& p) {
       return std::string(all_configs()[std::get<0>(p.param)].name) + "_s" +

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "datapath/dp_shared.h"
 #include "packet/match.h"
+#include "util/miniflow.h"
 #include "util/rng.h"
 
 namespace ovs {
@@ -193,6 +198,93 @@ TEST(MaskedOpsTest, IncrementalHashEqualsOneShot) {
     from = kStageEnd[s];
   }
   EXPECT_EQ(h, one_shot);
+}
+
+// Random mask with some all-zero words, so stages come out empty, sparse
+// and full across iterations.
+FlowMask random_sparse_mask(Rng& rng) {
+  FlowMask mask;
+  for (size_t w = 0; w < kFlowWords; ++w)
+    mask.w[w] = rng.chance(0.3) ? rng.next() : 0;
+  return mask;
+}
+
+TEST(FlowKeyHashTest, StageAccumulatorsFinishToFullHash) {
+  Rng rng(2024);
+  for (int i = 0; i < 500; ++i) {
+    const FlowMask mask = random_sparse_mask(rng);
+    const MiniflowSchema schema(mask);
+    FlowKey pkt;
+    for (uint64_t& w : pkt.w) w = rng.next();
+    uint64_t acc = 0;
+    for (size_t s = 0; s < kNumStages; ++s)
+      acc = schema.hash_stage(pkt, s, acc);
+    EXPECT_EQ(hash_finish(acc), schema.full_hash(pkt));
+    EXPECT_EQ(acc, hash_masked_range(pkt, mask, 0, kFlowWords, 0));
+    // Bits outside the mask do not reach the hash.
+    FlowKey masked = pkt;
+    apply_mask(masked, mask);
+    EXPECT_EQ(schema.full_hash(masked), schema.full_hash(pkt));
+  }
+}
+
+TEST(FlowKeyHashTest, SoABatchHashEqualsFullHash) {
+  // The chained engine's batch path probes with full_hash_batch; its values
+  // must be the ones insert stored via full_hash.
+  Rng rng(77);
+  std::vector<FlowKey> keys(16);
+  for (int i = 0; i < 200; ++i) {
+    const MiniflowSchema schema(random_sparse_mask(rng));
+    for (FlowKey& k : keys)
+      for (uint64_t& w : k.w) w = rng.next();
+    // A live subset in shuffled order, as the engine's survivors are.
+    std::vector<uint8_t> idx;
+    for (uint8_t j = 0; j < keys.size(); ++j)
+      if (rng.chance(0.7)) idx.push_back(j);
+    for (size_t j = idx.size(); j > 1; --j)
+      std::swap(idx[j - 1], idx[rng.uniform(j)]);
+    std::vector<uint64_t> out(idx.size());
+    schema.full_hash_batch(keys.data(), idx.data(), idx.size(), out.data());
+    for (size_t j = 0; j < idx.size(); ++j)
+      EXPECT_EQ(out[j], schema.full_hash(keys[idx[j]]));
+  }
+}
+
+TEST(FlowKeyHashTest, EmcSetLoadNearUniformOnSequentialTuples) {
+  // 64k 5-tuples that differ in one field by +1 each, spread over the EMC's
+  // sets by (hash >> 32). The mean load is 16. A uniformly random placement
+  // already reaches a max of 32 (its median max; it exceeds 32 in ~40% of
+  // draws), so the bound is 2x that max. The chi-square bound (expected
+  // 4095 +- 91 for random placement) catches clumping that a max alone
+  // misses, such as half the sets left empty (chi-square ~65k).
+  constexpr size_t kSets = dpdefault::kEmcSets;
+  constexpr size_t kKeys = 65536;
+  constexpr double kMean = static_cast<double>(kKeys) / kSets;
+  const FlowKey base = [] {
+    FlowKey k;
+    k.set_in_port(1);
+    k.set_eth_type(ethertype::kIpv4);
+    k.set_nw_proto(ipproto::kTcp);
+    k.set_nw_src(Ipv4(10, 0, 0, 1));
+    k.set_nw_dst(Ipv4(10, 1, 0, 1));
+    k.set_tp_src(40000);
+    k.set_tp_dst(80);
+    return k;
+  }();
+  for (const FieldId f :
+       {FieldId::kTpSrc, FieldId::kTpDst, FieldId::kNwSrc, FieldId::kNwDst}) {
+    const char* name = field_info(f).name;
+    std::vector<size_t> load(kSets, 0);
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      FlowKey k = base;
+      k.set(f, k.get(f) + i);
+      ++load[(k.hash() >> 32) & (kSets - 1)];
+    }
+    double chi2 = 0;
+    for (size_t l : load) chi2 += (l - kMean) * (l - kMean) / kMean;
+    EXPECT_LE(*std::max_element(load.begin(), load.end()), 2 * 32u) << name;
+    EXPECT_LT(chi2, 2.0 * (kSets - 1)) << name;
+  }
 }
 
 TEST(MatchBuilderTest, BuildsNormalizedMatch) {

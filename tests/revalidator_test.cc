@@ -345,7 +345,7 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
     for (size_t i = 0; i < flows.size(); ++i) {
       RevalDecision& d = decisions[i];
       if (d.kind == RevalDecision::Kind::kUpdateActions) {
-        be->update_actions(flows[i], std::move(d.xr.actions));
+        be->update_actions(flows[i], std::move(d.actions));
       } else if (d.kind == RevalDecision::Kind::kDeleteStale) {
         be->remove(flows[i]);
       }
