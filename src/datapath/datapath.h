@@ -57,22 +57,25 @@ class MegaflowEntry : public Rule {
   uint64_t created_ns() const noexcept { return created_ns_; }
   bool dead() const noexcept { return dead_; }
 
-  // Userspace annotation: Bloom tags of the soft state this flow's actions
-  // depend on (the historical tag-based invalidation scheme of §6, kept as
-  // an ablation). The datapath itself never reads this.
-  uint64_t tags = 0;
+  // Userspace record (tags, attribution, offload placement); the datapath
+  // itself never reads it.
+  FlowRecord& record() noexcept { return record_; }
+  const FlowRecord& record() const noexcept { return record_; }
 
  private:
   friend class Datapath;
 
+  // Cold, and first on purpose: the hot fields after it keep the offsets
+  // the fast-path benchmarks were measured with.
+  uint64_t created_ns_ = 0;
   DpActions actions_;
   FlowKey full_key_;  // set at install; immutable afterwards
   size_t index_ = 0;  // position in Datapath::entries_ (swap-remove)
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
   uint64_t used_ns_ = 0;     // last hit time
-  uint64_t created_ns_ = 0;
   bool dead_ = false;
+  FlowRecord record_;  // cold tail: nothing on the fast path reads it
 };
 
 struct DatapathConfig {

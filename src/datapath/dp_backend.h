@@ -13,11 +13,14 @@
 // control-plane (one thread at a time) EXCEPT the fast path
 // (receive / process_batch), which on the sharded backend may also be driven
 // concurrently by its worker pool around the seam. The per-flow read
-// accessors (flow_actions / flow_packets / ... / flow_tags) are additionally
-// safe to call from revalidator plan threads while workers stream, because
-// on the sharded backend they read RCU-published pointers and atomics; the
-// single backend simply must not be planned against concurrently with
-// mutation, which the serial control thread guarantees by construction.
+// accessors (flow_actions / flow_packets / ... / flow_used_ns) are
+// additionally safe to call from revalidator plan threads while workers
+// stream, because on the sharded backend they read RCU-published pointers
+// and atomics; the single backend simply must not be planned against
+// concurrently with mutation, which the serial control thread guarantees by
+// construction. flow_record() is userspace state no worker touches: only
+// the control thread writes it, and plan threads read its `tags` while no
+// write can happen (the apply phase starts after the plan joins).
 #pragma once
 
 #include <memory>
@@ -77,8 +80,10 @@ class DpBackend {
   virtual uint64_t flow_packets(FlowRef flow) const = 0;
   virtual uint64_t flow_bytes(FlowRef flow) const = 0;
   virtual uint64_t flow_used_ns(FlowRef flow) const = 0;
-  virtual uint64_t flow_tags(FlowRef flow) const = 0;
-  virtual void set_flow_tags(FlowRef flow, uint64_t tags) = 0;
+  // The flow's userspace record (dp_shared.h), born zeroed at install and
+  // freed with the entry.
+  virtual FlowRecord& flow_record(FlowRef flow) = 0;
+  virtual const FlowRecord& flow_record(FlowRef flow) const = 0;
 
   // --- Simulated NIC offload tier (DESIGN.md §13) --------------------------
   //
@@ -216,9 +221,9 @@ class SingleDpBackend final : public DpBackend {
   uint64_t flow_used_ns(FlowRef flow) const override {
     return as(flow)->used_ns();
   }
-  uint64_t flow_tags(FlowRef flow) const override { return as(flow)->tags; }
-  void set_flow_tags(FlowRef flow, uint64_t tags) override {
-    as(flow)->tags = tags;
+  FlowRecord& flow_record(FlowRef flow) override { return as(flow)->record(); }
+  const FlowRecord& flow_record(FlowRef flow) const override {
+    return as(flow)->record();
   }
 
   std::vector<Packet> take_upcalls(size_t max_batch) override {
@@ -334,9 +339,9 @@ class MtDpBackend final : public DpBackend {
   uint64_t flow_used_ns(FlowRef flow) const override {
     return as(flow)->used_ns();
   }
-  uint64_t flow_tags(FlowRef flow) const override { return as(flow)->tags; }
-  void set_flow_tags(FlowRef flow, uint64_t tags) override {
-    as(flow)->tags = tags;
+  FlowRecord& flow_record(FlowRef flow) override { return as(flow)->record(); }
+  const FlowRecord& flow_record(FlowRef flow) const override {
+    return as(flow)->record();
   }
 
   std::vector<Packet> take_upcalls(size_t max_batch) override {

@@ -22,7 +22,7 @@
 // and as the post-reconciliation gate in Switch::restart(). Offending
 // entries are listed for quarantine (delete + count) rather than left to
 // misdeliver; quarantine_flows() applies the list for raw-backend callers,
-// Switch::self_check() applies it with attribution cleanup.
+// Switch::self_check() applies it with its own counters and costs.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +89,7 @@ struct DpCheckReport {
 DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg = {});
 
 // Deletes every entry in report.quarantine. Returns the number removed.
-// Callers that keep per-flow state keyed on FlowRef (vswitchd attribution)
-// must drop it themselves; see Switch::self_check().
+// Each entry's FlowRecord dies with it.
 size_t quarantine_flows(DpBackend& be, const DpCheckReport& report);
 
 }  // namespace ovs

@@ -74,8 +74,10 @@ class MtMegaflow {
   }
   uint64_t created_ns() const noexcept { return created_ns_; }
 
-  // Control-thread annotation (tag-based invalidation ablation, §6).
-  uint64_t tags = 0;
+  // Userspace record (tags, attribution, offload placement): written by the
+  // control thread only, never touched by workers.
+  FlowRecord& record() noexcept { return record_; }
+  const FlowRecord& record() const noexcept { return record_; }
 
   ~MtMegaflow() { delete actions_.load(std::memory_order_relaxed); }
 
@@ -94,6 +96,9 @@ class MtMegaflow {
     }
   }
 
+  // Cold, and first on purpose: the hot fields after it keep the offsets
+  // the fast-path benchmarks were measured with.
+  uint64_t created_ns_ = 0;
   const Match match_;
   FlowKey full_key_;  // set by the writer before the publication point
   std::atomic<const DpActions*> actions_{nullptr};
@@ -102,10 +107,10 @@ class MtMegaflow {
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> used_ns_{0};
   std::atomic<bool> dead_{false};
-  uint64_t created_ns_ = 0;
   uint64_t hash_ = 0;       // full masked-key hash (writer bookkeeping)
   uint32_t tuple_idx_ = 0;  // directory slot of the owning tuple
   size_t index_ = 0;        // position in entries_ (swap-remove)
+  FlowRecord record_;       // cold tail: nothing on the fast path reads it
 };
 
 struct ShardedDatapathConfig {

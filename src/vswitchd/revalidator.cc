@@ -36,7 +36,7 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
-    if (cfg.use_tags && (be.flow_tags(f) & cfg.changed_tags) == 0) {
+    if (cfg.use_tags && (be.flow_record(f).tags & cfg.changed_tags) == 0) {
       // Tier 1 (§4.3): untouched tags mean this flow's translation inputs
       // cannot have changed — modulo Bloom false positives, which only cost
       // an unnecessary re-translation, never a missed repair.

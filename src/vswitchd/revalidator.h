@@ -17,9 +17,11 @@
 //     changed.
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, RCU action swaps
-//     (update_actions), attribution refresh, statistics pushes. Keeping all
-//     writes on one thread preserves the backends' single-writer contract
-//     and makes the pass outcome independent of the thread count.
+//     (update_actions), tags and attribution written into each flow's
+//     FlowRecord, statistics pushes. Keeping all writes on one thread
+//     preserves the backends' single-writer contract and makes the pass
+//     outcome independent of the thread count. Plan threads read only the
+//     record's tags.
 //
 // Cycle accounting separates *work* (total_cycles, summed over partitions —
 // what the CPU pools are charged) from *latency* (makespan_cycles, the max

@@ -340,13 +340,14 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     cpu_.user_cycles += cfg_.cost.install_fail;
     return InstallResult::kFailed;
   }
-  be_->set_flow_tags(e, xr.tags);
+  FlowRecord& rec = be_->flow_record(e);
+  rec.tags = xr.tags;
   InstallResult res;
   if (be_->flow_count() > before) {
     ++counters_.flow_setups;
-    Attribution& at = attribution_[e];
-    at.rules = xr.matched_rules;
-    at.captured_gen = pipeline_.tables_generation();
+    rec.rules = xr.matched_rules;
+    rec.captured_gen = pipeline_.tables_generation();
+    rec.captured = true;
     res = InstallResult::kInstalled;
   } else {
     ++counters_.setup_dups;
@@ -577,7 +578,6 @@ void Switch::revalidate(uint64_t now_ns) {
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         push_flow_stats(f, now_ns);  // final stats (validated internally)
-        attribution_.erase(f);
         be_->remove(f);
         ++counters_.reval_deleted_idle;
         break;
@@ -595,19 +595,20 @@ void Switch::revalidate(uint64_t now_ns) {
       case RevalDecision::Kind::kKeepFresh:
         // Refresh the attribution (rule pointers may have been replaced)
         // and push pending stats against the CURRENT rules.
-        be_->set_flow_tags(f, d.tags);
-        refresh_attribution(f, std::move(d.matched_rules));
+        refresh_attribution(f, std::move(d));
         push_flow_stats(f, now_ns);
         break;
       case RevalDecision::Kind::kUpdateActions:
         be_->update_actions(f, std::move(d.actions));  // RCU swap on sharded
-        be_->set_flow_tags(f, d.tags);
-        refresh_attribution(f, std::move(d.matched_rules));
+        refresh_attribution(f, std::move(d));
         push_flow_stats(f, now_ns);
         ++counters_.reval_updated_actions;
         break;
       case RevalDecision::Kind::kDeleteStale:
-        attribution_.erase(f);
+        // Final stats against the rules the flow was attributed to (they
+        // carried its traffic since the last pass); refused internally when
+        // a table change may have freed them.
+        push_flow_stats(f, now_ns);
         be_->remove(f);  // shape changed: let traffic re-establish it
         ++counters_.reval_deleted_stale;
         break;
@@ -630,7 +631,6 @@ void Switch::revalidate(uint64_t now_ns) {
               });
     size_t excess = be_->flow_count() - effective_limit_;
     for (size_t i = 0; i < excess; ++i) {
-      attribution_.erase(live[i]);
       be_->remove(live[i]);
       ++counters_.evicted_flow_limit;
     }
@@ -676,31 +676,15 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
 
   // Fold this dump interval's per-flow packet deltas into the EWMAs. A
   // flow first seen this pass scores its lifetime count (it has exactly one
-  // interval of history). The delta guard covers FlowRef address reuse: a
-  // recycled pointer inheriting a stale record must not wrap.
+  // interval of history: its record was born with last_packets == 0).
   for (DpBackend::FlowRef f : flows) {
+    FlowRecord& rec = be_->flow_record(f);
     const uint64_t pkts = be_->flow_packets(f);
-    auto [it, fresh] = offload_state_.try_emplace(f);
-    OffloadState& st = it->second;
-    const uint64_t delta =
-        fresh || pkts < st.last_packets ? pkts : pkts - st.last_packets;
-    st.ewma = fresh ? static_cast<double>(delta)
-                    : alpha * static_cast<double>(delta) +
-                          (1.0 - alpha) * st.ewma;
-    st.last_packets = pkts;
-    st.offloaded = be_->offload_contains(f);
-  }
-  // Drop records for flows that died since the last pass (idle/stale
-  // deletion, limit eviction, quarantine); the backend already invalidated
-  // their slots when it removed them.
-  {
-    std::unordered_set<DpBackend::FlowRef> live(flows.begin(), flows.end());
-    for (auto it = offload_state_.begin(); it != offload_state_.end();) {
-      if (live.count(it->first) == 0)
-        it = offload_state_.erase(it);
-      else
-        ++it;
-    }
+    const double delta = static_cast<double>(pkts - rec.last_packets);
+    rec.ewma = rec.seen ? alpha * delta + (1.0 - alpha) * rec.ewma : delta;
+    rec.last_packets = pkts;
+    rec.seen = true;
+    rec.offloaded = be_->offload_contains(f);
   }
 
   struct Ranked {
@@ -709,30 +693,28 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   };
   std::vector<Ranked> incumbents, challengers;
 
-  // Rank by walking the dump (deterministic order), not the pointer-keyed
-  // state map: with EWMA ties — common in a long Zipf tail — the map's
-  // iteration order would leak heap-address noise into which flows win
-  // slots, and identical runs would place differently.
+  // Rank in dump order (deterministic): with EWMA ties — common in a long
+  // Zipf tail — the stable sorts below keep identical runs placing alike.
   //
   // Decayed-cold incumbents lose their slot even with no challenger: a slot
   // earning fewer than offload_min_ewma packets per interval is dead NIC
   // capacity.
   for (DpBackend::FlowRef f : flows) {
-    OffloadState& st = offload_state_[f];
-    if (st.offloaded && st.ewma < cfg_.offload_min_ewma) {
+    FlowRecord& rec = be_->flow_record(f);
+    if (rec.offloaded && rec.ewma < cfg_.offload_min_ewma) {
       if (be_->offload_evict(f)) {
-        st.offloaded = false;
+        rec.offloaded = false;
         ++counters_.offload_evicts;
         cpu_.user_cycles += m.offload_evict;
       }
     }
   }
   for (DpBackend::FlowRef f : flows) {
-    const OffloadState& st = offload_state_[f];
-    if (st.offloaded)
-      incumbents.push_back({f, st.ewma});
-    else if (st.ewma >= cfg_.offload_min_ewma)
-      challengers.push_back({f, st.ewma});
+    const FlowRecord& rec = be_->flow_record(f);
+    if (rec.offloaded)
+      incumbents.push_back({f, rec.ewma});
+    else if (rec.ewma >= cfg_.offload_min_ewma)
+      challengers.push_back({f, rec.ewma});
   }
   std::stable_sort(
       challengers.begin(), challengers.end(),
@@ -743,7 +725,7 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   while (ci < challengers.size() &&
          be_->offload_size() < be_->offload_capacity()) {
     if (be_->offload_install(challengers[ci].f, now_ns)) {
-      offload_state_[challengers[ci].f].offloaded = true;
+      be_->flow_record(challengers[ci].f).offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
     }
@@ -764,12 +746,12 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
         incumbents[ii].ewma * cfg_.offload_challenge_factor)
       break;  // sorted: no later pair can succeed either
     if (be_->offload_evict(incumbents[ii].f)) {
-      offload_state_[incumbents[ii].f].offloaded = false;
+      be_->flow_record(incumbents[ii].f).offloaded = false;
       ++counters_.offload_evicts;
       cpu_.user_cycles += m.offload_evict;
     }
     if (be_->offload_install(challengers[ci].f, now_ns)) {
-      offload_state_[challengers[ci].f].offloaded = true;
+      be_->flow_record(challengers[ci].f).offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
     }
@@ -795,10 +777,11 @@ void Switch::offload_reconcile() {
     const bool coherent = live.count(s.owner) != 0 &&
                           *s.actions == be_->flow_actions(s.owner);
     if (coherent) {
-      OffloadState& st = offload_state_[s.owner];
-      st.offloaded = true;
-      st.last_packets = be_->flow_packets(s.owner);
-      st.ewma = std::max(st.ewma, static_cast<double>(s.hits));
+      FlowRecord& rec = be_->flow_record(s.owner);
+      rec.offloaded = true;
+      rec.last_packets = be_->flow_packets(s.owner);
+      rec.ewma = std::max(rec.ewma, static_cast<double>(s.hits));
+      rec.seen = true;
       ++counters_.offload_adopted;
     } else {
       be_->offload_evict(s.owner);
@@ -910,22 +893,27 @@ size_t Switch::cls_max_probe_depth() const noexcept {
   return n;
 }
 
-void Switch::refresh_attribution(DpBackend::FlowRef f,
-                                 std::vector<const OfRule*>&& rules) {
-  Attribution& at = attribution_[f];
-  at.rules = std::move(rules);
-  at.captured_gen = pipeline_.tables_generation();
+size_t Switch::attribution_count() const {
+  size_t n = 0;
+  for (DpBackend::FlowRef f : be_->dump()) n += be_->flow_record(f).captured;
+  return n;
 }
 
-void Switch::adopt_attribution(DpBackend::FlowRef f,
-                               std::vector<const OfRule*>&& rules) {
-  Attribution& at = attribution_[f];
-  at.rules = std::move(rules);
-  at.captured_gen = pipeline_.tables_generation();
+void Switch::refresh_attribution(DpBackend::FlowRef f, RevalDecision&& d) {
+  FlowRecord& rec = be_->flow_record(f);
+  rec.tags = d.tags;
+  rec.rules = std::move(d.matched_rules);
+  rec.captured_gen = pipeline_.tables_generation();
+  rec.captured = true;
+}
+
+void Switch::adopt_attribution(DpBackend::FlowRef f, RevalDecision&& d) {
+  refresh_attribution(f, std::move(d));
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
-  at.pushed_packets = be_->flow_packets(f);
-  at.pushed_bytes = be_->flow_bytes(f);
+  FlowRecord& rec = be_->flow_record(f);
+  rec.pushed_packets = be_->flow_packets(f);
+  rec.pushed_bytes = be_->flow_bytes(f);
 }
 
 void Switch::crash() {
@@ -945,7 +933,7 @@ void Switch::crash() {
     counters_.upcalls_dropped += lost.size();
   }
   // Tear down userspace: fresh pipeline (tables rebuilt from config on
-  // restart), no attribution, degradation detectors back to defaults. The
+  // restart), blank flow records, degradation detectors back to defaults. The
   // EMC insertion knob is kernel state the dead daemon had set — a restart
   // restores the configured policy, like a fresh daemon would. Conntrack
   // lives in the pipeline and dies with it (userspace state, unlike the
@@ -953,11 +941,11 @@ void Switch::crash() {
   // restart, and reconciliation repairs megaflows stamped with the stale
   // ct_state.
   pipeline_ = Pipeline(cfg_.n_tables, cfg_.classifier, ct_config(cfg_));
-  attribution_.clear();
-  // Placement memory is process state; the offload table itself is NIC
-  // state and survives, still forwarding, until restart() adopts or
-  // flushes it.
-  offload_state_.clear();
+  // Each surviving flow's record (tags, attribution, placement memory) is
+  // process state; the entries and the offload table are kernel and NIC
+  // state and survive, still forwarding, until restart() adopts or
+  // flushes them.
+  for (DpBackend::FlowRef f : be_->dump()) be_->flow_record(f) = FlowRecord{};
   limit_scale_ = 1.0;
   effective_limit_ = cfg_.flow_limit;
   emc_degraded_ = Valve{};
@@ -1048,14 +1036,12 @@ bool Switch::restart(uint64_t now_ns) {
       case RevalDecision::Kind::kSkipTags:
         break;  // unreachable: maybe_stale && !use_tags
       case RevalDecision::Kind::kKeepFresh:
-        be_->set_flow_tags(f, d.tags);
-        adopt_attribution(f, std::move(d.matched_rules));
+        adopt_attribution(f, std::move(d));
         ++counters_.flows_adopted;
         break;
       case RevalDecision::Kind::kUpdateActions:
         be_->update_actions(f, std::move(d.actions));
-        be_->set_flow_tags(f, d.tags);
-        adopt_attribution(f, std::move(d.matched_rules));
+        adopt_attribution(f, std::move(d));
         ++counters_.flows_repaired;
         break;
       case RevalDecision::Kind::kDeleteStale:
@@ -1105,8 +1091,10 @@ DpCheckReport Switch::self_check() {
     }
   }
   if (!rep.offload_flush.empty()) be_->offload_commit();
+  // No final statistics push: a quarantined entry broke the megaflow
+  // invariants (misdelivering, overlapping, or corrupted), so the traffic
+  // it counted cannot be trusted to belong to its attributed rules.
   for (DpBackend::FlowRef f : rep.quarantine) {
-    attribution_.erase(f);
     be_->remove(f);
     ++counters_.flows_quarantined;
   }
@@ -1115,23 +1103,22 @@ DpCheckReport Switch::self_check() {
 }
 
 void Switch::push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns) {
-  auto it = attribution_.find(f);
-  if (it == attribution_.end()) return;
-  Attribution& at = it->second;
+  FlowRecord& rec = be_->flow_record(f);
   // Rule pointers are only safe while no flow-table change happened since
   // capture. Keying on the TABLES generation (not the full pipeline
   // generation) lets MAC-learning churn — which cannot invalidate OfRule
   // pointers — leave statistics flowing; this is what makes the kTwoTier
   // skip path able to push stats for flows it never re-translated.
-  if (at.captured_gen != pipeline_.tables_generation()) return;
+  if (!rec.captured || rec.captured_gen != pipeline_.tables_generation())
+    return;
   const uint64_t dp_pkts = be_->flow_packets(f);
   const uint64_t dp_bytes = be_->flow_bytes(f);
-  if (dp_pkts == at.pushed_packets) return;
-  const uint64_t dpkts = dp_pkts - at.pushed_packets;
-  const uint64_t dbytes = dp_bytes - at.pushed_bytes;
-  for (const OfRule* r : at.rules) r->add_stats(dpkts, dbytes, now_ns);
-  at.pushed_packets = dp_pkts;
-  at.pushed_bytes = dp_bytes;
+  if (dp_pkts == rec.pushed_packets) return;
+  const uint64_t dpkts = dp_pkts - rec.pushed_packets;
+  const uint64_t dbytes = dp_bytes - rec.pushed_bytes;
+  for (const OfRule* r : rec.rules) r->add_stats(dpkts, dbytes, now_ns);
+  rec.pushed_packets = dp_pkts;
+  rec.pushed_bytes = dp_bytes;
 }
 
 void Switch::run_maintenance(uint64_t now_ns) {

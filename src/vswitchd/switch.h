@@ -54,7 +54,8 @@ enum class RevalidationMode : uint8_t {
 
 // Crash/restart lifecycle (DESIGN.md §9). The kernel datapath — the backend
 // — survives a userspace crash and keeps forwarding its cached megaflows;
-// the daemon's own state (tables, queues, attribution, degradation) dies.
+// the daemon's own state (tables, queues, flow records, degradation)
+// dies.
 //
 //   kServing ──crash()──▶ kCrashed ──restart()──▶ kReconciling ──▶ kServing
 //
@@ -376,7 +377,7 @@ class Switch {
   LifecycleState lifecycle() const noexcept { return state_; }
 
   // Megaflow invariant checker (datapath/dp_check.h) with quarantine:
-  // violating entries are deleted, their attribution dropped, and
+  // violating entries are deleted (their records die with them) and
   // counters().flows_quarantined bumped. Runs from tests, from the fleet
   // sim's periodic background self-check, and as the post-reconciliation
   // gate inside restart().
@@ -483,9 +484,10 @@ class Switch {
 
   size_t upcall_queue_depth() const noexcept { return queue_.depth(); }
   size_t retry_queue_depth() const noexcept { return retry_q_.size(); }
-  // Live per-megaflow attribution records; every entry must reference an
-  // installed flow (leak oracle for crash/reval interleavings).
-  size_t attribution_count() const noexcept { return attribution_.size(); }
+  // Installed flows carrying captured attribution (their FlowRecord holds
+  // a translation's rule list); crash() clears every record, reconciliation
+  // re-captures one per adopted flow.
+  size_t attribution_count() const;
   const FairUpcallQueue& upcall_queue() const noexcept { return queue_; }
 
   // Slow-path service received per ingress port (the fairness metric).
@@ -553,29 +555,18 @@ class Switch {
   // hardware flows keep their slots); the rest are flushed.
   void offload_reconcile();
 
-  // Per-megaflow attribution for OpenFlow flow statistics (§6): which
-  // rules this cache entry's traffic counts against, and how much has
-  // already been pushed to them. Refreshed whenever the entry is
-  // (re-)translated; entries removed when the flow dies.
-  struct Attribution {
-    std::vector<const OfRule*> rules;
-    uint64_t pushed_packets = 0;
-    uint64_t pushed_bytes = 0;
-    // Pipeline *tables* generation when `rules` was captured; the pointers
-    // are only dereferenced while it is unchanged (OfRule objects can only
-    // be deleted by a table modification, which bumps it — MAC moves and
-    // port changes leave the pointers intact).
-    uint64_t captured_gen = 0;
-  };
+  // Per-megaflow attribution for OpenFlow flow statistics (§6) lives in
+  // the flow's FlowRecord: captured at install, refreshed whenever the
+  // entry is (re-)translated, and gone with the entry. push_flow_stats
+  // credits the rules with the traffic since the last push.
   void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
-  void refresh_attribution(DpBackend::FlowRef f,
-                           std::vector<const OfRule*>&& rules);
+  // Stores a fresh translation's tags and rule list in the record.
+  void refresh_attribution(DpBackend::FlowRef f, RevalDecision&& d);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(DpBackend::FlowRef f,
-                         std::vector<const OfRule*>&& rules);
+  void adopt_attribution(DpBackend::FlowRef f, RevalDecision&& d);
 
   struct RetryEntry {
     Packet pkt;
@@ -586,7 +577,6 @@ class Switch {
   SwitchConfig cfg_;
   Pipeline pipeline_;
   std::unique_ptr<DpBackend> be_;
-  std::unordered_map<DpBackend::FlowRef, Attribution> attribution_;
   OutputFn output_;
   ControllerFn controller_hook_;
   TraceFn trace_;
@@ -646,16 +636,6 @@ class Switch {
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> tenant_masks_;
   uint64_t tenant_masks_gen_ = 0;
   bool tenant_masks_valid_ = false;
-
-  // Offload placement state (userspace — dies with the daemon on crash()).
-  // One record per live megaflow once the flow has been seen by a dump;
-  // erased when the flow is removed.
-  struct OffloadState {
-    double ewma = 0.0;          // smoothed packets per dump interval
-    uint64_t last_packets = 0;  // flow_packets() at the previous dump
-    bool offloaded = false;     // mirror of backend offload_contains()
-  };
-  std::unordered_map<DpBackend::FlowRef, OffloadState> offload_state_;
 };
 
 }  // namespace ovs

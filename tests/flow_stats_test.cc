@@ -22,8 +22,19 @@ Packet pkt_to(Ipv4 dst, uint16_t dport, uint32_t size = 100) {
   return p;
 }
 
-class FlowStatsTest : public ::testing::Test {
+SwitchConfig with_workers(size_t workers) {
+  SwitchConfig cfg;
+  cfg.datapath_workers = workers;
+  return cfg;
+}
+
+// Every case runs on both backends, so the per-flow record is exercised on
+// both entry types: FlowStatsTest drives the single-threaded datapath
+// (MegaflowEntry), ShardedFlowStatsTest a four-worker sharded one
+// (MtMegaflow). The case bodies are fixture members shared by the two.
+class FlowStatsFixture : public ::testing::Test {
  protected:
+  explicit FlowStatsFixture(size_t workers) : sw_(with_workers(workers)) {}
   void SetUp() override {
     sw_.add_port(1);
     sw_.add_port(2);
@@ -32,11 +43,36 @@ class FlowStatsTest : public ::testing::Test {
     return static_cast<const OfRule*>(
         sw_.table(table).classifier().find_exact(m, prio));
   }
+
+  void StatsAttributedAfterPoll();
+  void StatsAccumulateAcrossPolls();
+  void MultiTableAttribution();
+  void StatsSurviveFlowEviction();
+  void StatsSurviveStaleDeletion();
+  void IdleTimeoutExpiresRule();
+  void HardTimeoutExpiresRegardlessOfTraffic();
+  void RuleReplacementResetsAttribution();
+
   Switch sw_;
   VirtualClock clock_;
 };
 
-TEST_F(FlowStatsTest, StatsAttributedAfterPoll) {
+class FlowStatsTest : public FlowStatsFixture {
+ protected:
+  FlowStatsTest() : FlowStatsFixture(0) {}
+};
+
+class ShardedFlowStatsTest : public FlowStatsFixture {
+ protected:
+  ShardedFlowStatsTest() : FlowStatsFixture(4) {}
+};
+
+#define FLOW_STATS_TEST(name)                      \
+  TEST_F(FlowStatsTest, name) { name(); }          \
+  TEST_F(ShardedFlowStatsTest, name) { name(); }   \
+  void FlowStatsFixture::name()
+
+FLOW_STATS_TEST(StatsAttributedAfterPoll) {
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
   sw_.table(0).add_flow(m, 10, OfActions().output(2));
   const OfRule* rule = find_rule(0, m, 10);
@@ -55,7 +91,7 @@ TEST_F(FlowStatsTest, StatsAttributedAfterPoll) {
   EXPECT_EQ(rule->bytes(), 5u * 150);
 }
 
-TEST_F(FlowStatsTest, StatsAccumulateAcrossPolls) {
+FLOW_STATS_TEST(StatsAccumulateAcrossPolls) {
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
   sw_.table(0).add_flow(m, 10, OfActions().output(2));
   const OfRule* rule = find_rule(0, m, 10);
@@ -70,7 +106,7 @@ TEST_F(FlowStatsTest, StatsAccumulateAcrossPolls) {
   }
 }
 
-TEST_F(FlowStatsTest, MultiTableAttribution) {
+FLOW_STATS_TEST(MultiTableAttribution) {
   // A packet matching rules in two tables counts against both (OpenFlow
   // semantics: each traversed flow's counters tick).
   Match m0 = MatchBuilder().ip();
@@ -90,7 +126,7 @@ TEST_F(FlowStatsTest, MultiTableAttribution) {
   EXPECT_EQ(r1->packets(), 3u);
 }
 
-TEST_F(FlowStatsTest, StatsSurviveFlowEviction) {
+FLOW_STATS_TEST(StatsSurviveFlowEviction) {
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
   sw_.table(0).add_flow(m, 10, OfActions().output(2));
   const OfRule* rule = find_rule(0, m, 10);
@@ -100,11 +136,53 @@ TEST_F(FlowStatsTest, StatsSurviveFlowEviction) {
   // the final poll, not lost.
   clock_.advance(11 * kSecond);
   sw_.run_maintenance(clock_.now());
-  EXPECT_EQ(sw_.datapath().flow_count(), 0u);
+  EXPECT_EQ(sw_.backend().flow_count(), 0u);
   EXPECT_EQ(rule->packets(), 1u);
 }
 
-TEST_F(FlowStatsTest, IdleTimeoutExpiresRule) {
+FLOW_STATS_TEST(StatsSurviveStaleDeletion) {
+  // The established-state route commits (which consults tcp_flags); the
+  // new-state route does not. Tearing the connection down is a conntrack
+  // change with no table change: the fresh translation takes the new-state
+  // route with a narrower mask and other actions, so the flow is deleted
+  // as stale — and the packets it carried since the last poll must still
+  // reach the established-state rules, whose pointers are still valid.
+  sw_.add_port(3);
+  ASSERT_EQ("", sw_.add_flow("priority=35, tcp, tp_dst=80, actions=ct(table=1)",
+                             clock_.now()));
+  ASSERT_EQ("", sw_.add_flow("table=1, priority=30, ct_state=1, "
+                             "actions=output:2",
+                             clock_.now()));
+  ASSERT_EQ("", sw_.add_flow("table=1, priority=30, ct_state=2, "
+                             "actions=ct(commit,table=2)",
+                             clock_.now()));
+  ASSERT_EQ("", sw_.add_flow("table=2, priority=10, tcp, actions=output:3",
+                             clock_.now()));
+  const OfRule* est = find_rule(1, MatchBuilder().ct_state(2), 30);
+  ASSERT_NE(est, nullptr);
+
+  const Packet p = pkt_to(Ipv4(10, 0, 0, 7), 80, 120);
+  ASSERT_TRUE(sw_.ct_commit(p.key, 0, clock_.now()));
+  sw_.inject(p, clock_.now());
+  sw_.handle_upcalls(clock_.now());
+  ASSERT_EQ(sw_.backend().flow_count(), 1u);
+  clock_.advance(kSecond);
+  sw_.run_maintenance(clock_.now());
+  ASSERT_EQ(est->packets(), 1u);
+  ASSERT_EQ(sw_.backend().flow_count(), 1u);
+
+  for (int i = 0; i < 3; ++i) sw_.inject(p, clock_.now());
+  ASSERT_TRUE(sw_.ct_remove(p.key, 0));
+  const uint64_t stale_before = sw_.counters().reval_deleted_stale;
+  clock_.advance(kSecond);
+  sw_.run_maintenance(clock_.now());
+  EXPECT_EQ(sw_.counters().reval_deleted_stale, stale_before + 1);
+  EXPECT_EQ(sw_.backend().flow_count(), 0u);
+  EXPECT_EQ(est->packets(), 4u);
+  EXPECT_EQ(est->bytes(), 4u * 120);
+}
+
+FLOW_STATS_TEST(IdleTimeoutExpiresRule) {
   ASSERT_EQ(sw_.add_flow("table=0, priority=10, ip, idle_timeout=5, "
                          "actions=output:2",
                          clock_.now()),
@@ -136,7 +214,7 @@ TEST_F(FlowStatsTest, IdleTimeoutExpiresRule) {
   EXPECT_EQ(sw_.port_stats(2).tx_packets, tx_before);
 }
 
-TEST_F(FlowStatsTest, HardTimeoutExpiresRegardlessOfTraffic) {
+FLOW_STATS_TEST(HardTimeoutExpiresRegardlessOfTraffic) {
   ASSERT_EQ(sw_.add_flow("table=0, priority=10, ip, hard_timeout=3, "
                          "actions=output:2",
                          clock_.now()),
@@ -150,7 +228,7 @@ TEST_F(FlowStatsTest, HardTimeoutExpiresRegardlessOfTraffic) {
   EXPECT_EQ(sw_.table(0).flow_count(), 0u);
 }
 
-TEST_F(FlowStatsTest, RuleReplacementResetsAttribution) {
+FLOW_STATS_TEST(RuleReplacementResetsAttribution) {
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
   sw_.table(0).add_flow(m, 10, OfActions().output(2));
   sw_.inject(pkt_to(Ipv4(10, 0, 0, 6), 80), clock_.now());
