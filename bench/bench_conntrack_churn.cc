@@ -87,6 +87,10 @@ struct Outcome {
   double cpu_cycles = 0;       // user+kernel delta over the storm
   uint64_t pressure_engaged = 0;
   uint64_t flows_at_end = 0;
+  // Precise ct revalidation, summed over passes: flows whose connection
+  // changed, and the tracker's changed-set size (DESIGN.md §15).
+  uint64_t reval_ct_changed = 0;
+  uint64_t ct_changed_keys = 0;
   std::vector<uint64_t> fingerprint;
 
   double goodput(const CostModel& cost) const {
@@ -206,6 +210,8 @@ Outcome run_churn(Config config, const Params& P) {
 
   const Switch::Counters& c = sw.counters();
   const Datapath::Stats& dp = sw.datapath().stats();
+  out.reval_ct_changed = c.reval_ct_changed;
+  out.ct_changed_keys = c.ct_changed_keys;
   out.fingerprint = {cs.committed,
                      cs.refreshed,
                      cs.removed,
@@ -219,6 +225,8 @@ Outcome run_churn(Config config, const Params& P) {
                      c.flow_limit_backoffs,
                      c.ct_pressure_engaged,
                      c.evicted_flow_limit,
+                     c.reval_ct_changed,
+                     c.ct_changed_keys,
                      c.tx_packets,
                      dp.packets,
                      dp.misses,
@@ -230,15 +238,18 @@ Outcome run_churn(Config config, const Params& P) {
 }
 
 void print_row(Config cfg, const Outcome& o, const CostModel& cost) {
-  std::printf("%-7s %10llu %10llu %8llu %7s %9zu %12.0f %8llu %7llu\n",
-              config_name(cfg),
+  std::printf(
+      "%-7s %10llu %10llu %8llu %7s %9zu %12.0f %8llu %7llu %9llu %9llu\n",
+      config_name(cfg),
               static_cast<unsigned long long>(o.committed),
               static_cast<unsigned long long>(o.evicted),
               static_cast<unsigned long long>(o.ct_size_peak),
               o.bounded ? "yes" : "NO",
               o.victim_survivors, o.goodput(cost),
               static_cast<unsigned long long>(o.pressure_engaged),
-              static_cast<unsigned long long>(o.flows_at_end));
+              static_cast<unsigned long long>(o.flows_at_end),
+              static_cast<unsigned long long>(o.reval_ct_changed),
+              static_cast<unsigned long long>(o.ct_changed_keys));
 }
 
 void report_run(BenchReport& report, Config cfg, const Outcome& o,
@@ -253,6 +264,10 @@ void report_run(BenchReport& report, Config cfg, const Outcome& o,
   report.add("victim_goodput_pps", o.goodput(cost), params,
              o.victim_est_delivered);
   report.add("pressure_engaged", static_cast<double>(o.pressure_engaged),
+             params);
+  report.add("reval_ct_changed", static_cast<double>(o.reval_ct_changed),
+             params);
+  report.add("ct_changed_keys", static_cast<double>(o.ct_changed_keys),
              params);
 }
 
@@ -281,11 +296,11 @@ int main(int argc, char** argv) {
               "%zu victim conns, %zu ticks x %zu commits\n",
               P.conn_universe, P.zipf_alpha, P.ct_cap, P.victim_conns,
               P.ticks, P.attack_per_tick);
-  print_rule('=');
-  std::printf("%-7s %10s %10s %8s %7s %9s %12s %8s %7s\n", "config",
+  print_rule('=', 98);
+  std::printf("%-7s %10s %10s %8s %7s %9s %12s %8s %7s %9s %9s\n", "config",
               "committed", "evicted", "ct_peak", "bounded", "survivors",
-              "goodput_pps", "engaged", "flows");
-  print_rule();
+              "goodput_pps", "engaged", "flows", "ct_chg", "chg_keys");
+  print_rule('-', 98);
 
   const Outcome off = run_churn(Config::kOff, P);
   print_row(Config::kOff, off, cost);
@@ -297,7 +312,7 @@ int main(int argc, char** argv) {
   print_row(Config::kUnfair, unfair, cost);
   report_run(report, Config::kUnfair, unfair, cost);
   const Outcome replay = run_churn(Config::kOn, P);
-  print_rule();
+  print_rule('-', 98);
 
   const bool gate_bounded = off.bounded && on.bounded && unfair.bounded &&
                             replay.bounded;

@@ -18,7 +18,8 @@ class OfRule;
 // Userspace state of one datapath flow (the udpif key's bookkeeping in real
 // OVS), embedded in the flow's entry so it is born zeroed with the flow and
 // dies with it. The datapath never reads it: vswitchd writes it on the
-// control thread; revalidator plan threads read `tags` only.
+// control thread; revalidator plan threads read `tags`, `ct_key` and
+// `ct_lookups` only.
 struct FlowRecord {
   // Bloom tags of the soft state this flow's actions depend on (the
   // historical tag-based invalidation scheme of §6, and the kTwoTier fast
@@ -42,10 +43,19 @@ struct FlowRecord {
   double ewma = 0.0;          // smoothed packets per dump interval
   uint64_t last_packets = 0;  // flow packets at the previous dump
 
+  // Conntrack dependency of the flow's current translation (XlateResult's
+  // fields of the same names, DESIGN.md §15): re-translate when ct_key is in
+  // the tracker's changed set, or on any ct change when ct_lookups > 1.
+  uint32_t ct_key = 0;
+  uint8_t ct_lookups = 0;
+
   bool captured = false;   // `rules` holds a translation's attribution
   bool seen = false;       // placement has scored this flow at least once
   bool offloaded = false;  // mirror of the backend's offload_contains()
 };
+// Both entry types embed a record; the ct fields live in what was tail
+// padding.
+static_assert(sizeof(FlowRecord) == 80);
 
 }  // namespace ovs
 

@@ -1,60 +1,73 @@
 #include "ofproto/conntrack.h"
 
+#include <algorithm>
+
 namespace ovs {
 
-ConnTracker::ConnKey ConnTracker::conn_key(const FlowKey& k,
-                                           uint16_t zone) noexcept {
+// Endpoint (addr, port) pairs sorted so both directions map to one key.
+ConnTracker::ConnRef ConnTracker::ref(const FlowKey& k,
+                                      uint16_t zone) noexcept {
   const uint64_t a_addr = k.nw_src().value(), b_addr = k.nw_dst().value();
   const uint32_t a_port = k.tp_src(), b_port = k.tp_dst();
-  ConnKey ck;
-  ck.proto = k.nw_proto();
-  ck.zone = zone;
-  if (a_addr < b_addr || (a_addr == b_addr && a_port <= b_port)) {
-    ck.lo_addr = a_addr;
-    ck.hi_addr = b_addr;
-    ck.lo_port = a_port;
-    ck.hi_port = b_port;
+  ConnRef r;
+  r.key.proto = k.nw_proto();
+  r.key.zone = zone;
+  r.lo_dir = a_addr < b_addr || (a_addr == b_addr && a_port <= b_port);
+  if (r.lo_dir) {
+    r.key.lo_addr = a_addr;
+    r.key.hi_addr = b_addr;
+    r.key.lo_port = a_port;
+    r.key.hi_port = b_port;
   } else {
-    ck.lo_addr = b_addr;
-    ck.hi_addr = a_addr;
-    ck.lo_port = b_port;
-    ck.hi_port = a_port;
+    r.key.lo_addr = b_addr;
+    r.key.hi_addr = a_addr;
+    r.key.lo_port = b_port;
+    r.key.hi_port = a_port;
   }
-  return ck;
+  r.hash = r.key.hash();
+  return r;
 }
 
-bool ConnTracker::is_lo_direction(const FlowKey& k) noexcept {
-  const uint64_t a = k.nw_src().value(), b = k.nw_dst().value();
-  return a < b || (a == b && k.tp_src() <= k.tp_dst());
-}
-
-const ConnTracker::Entry* ConnTracker::find(const FlowKey& key,
-                                            uint16_t zone) const noexcept {
-  auto it = table_.find(conn_key(key, zone));
-  return it == table_.end() ? nullptr : &it->second;
-}
-
-uint8_t ConnTracker::lookup(const FlowKey& key,
-                            uint16_t zone) const noexcept {
-  const Entry* e = find(key, zone);
-  if (e == nullptr) return ct_state::kNew;
+uint8_t ConnTracker::lookup(const ConnRef& r) const noexcept {
+  auto it = table_.find(r);
+  if (it == table_.end()) return ct_state::kNew;
+  const Entry& e = it->second;
   uint8_t s = ct_state::kEstablished;
-  if (e->symmetric)
+  if (e.symmetric)
     s |= ct_state::kSymmetric;
-  else if (is_lo_direction(key) != e->orig_is_lo)
+  else if (r.lo_dir != e.orig_is_lo)
     s |= ct_state::kReply;
   return s;
 }
 
 std::optional<ConnTracker::NatRewrite> ConnTracker::nat_lookup(
-    const FlowKey& key, uint16_t zone) const noexcept {
-  const Entry* e = find(key, zone);
-  if (e == nullptr || !e->has_nat) return std::nullopt;
+    const ConnRef& r) const noexcept {
+  auto it = table_.find(r);
+  if (it == table_.end() || !it->second.has_nat) return std::nullopt;
+  const Entry& e = it->second;
   // Symmetric connections have no reply direction; their binding applies as
   // if every packet were forward.
-  const bool fwd = e->symmetric || is_lo_direction(key) == e->orig_is_lo;
-  if (e->nat_on_reply ? fwd : !fwd) return std::nullopt;
-  return e->nat;
+  const bool fwd = e.symmetric || r.lo_dir == e.orig_is_lo;
+  if (e.nat_on_reply ? fwd : !fwd) return std::nullopt;
+  return e.nat;
+}
+
+void ConnTracker::note_changed(uint64_t hash) {
+  if (changed_overflow_) return;
+  if (changed_.size() == kMaxChangedKeys) {
+    changed_overflow_ = true;
+    changed_.clear();
+    return;
+  }
+  changed_.push_back(dep_of(hash));
+}
+
+const std::vector<uint32_t>* ConnTracker::seal_changed() {
+  if (changed_overflow_) return nullptr;
+  std::sort(changed_.begin(), changed_.end());
+  changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                 changed_.end());
+  return &changed_;
 }
 
 ConnTracker::Entry& ConnTracker::insert(const ConnKey& ck, uint64_t now_ns) {
@@ -117,6 +130,8 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
   if (it == table_.end()) return 0;
   const bool has_pair = it->second.has_pair;
   const ConnKey pair = it->second.pair;
+  // Before the erase: ck may be the LRU list node it frees.
+  note_changed(ck.hash());
   zones_[ck.zone].erase(it->second.lru);
   table_.erase(it);
   size_t n = 1;
@@ -125,6 +140,7 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
     if (pit != table_.end()) {
       zones_[pair.zone].erase(pit->second.lru);
       table_.erase(pit);
+      note_changed(pair.hash());
       ++n;
     }
   }
@@ -133,8 +149,9 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
 
 bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
                          uint64_t now_ns) {
-  const ConnKey ck = conn_key(key, zone);
-  auto it = table_.find(ck);
+  const ConnRef r = ref(key, zone);
+  const ConnKey& ck = r.key;
+  auto it = table_.find(r);
   if (it != table_.end()) {
     // Idempotent refresh: timestamp and LRU position only; the table's
     // answer to every lookup is unchanged, so generation stays put.
@@ -154,8 +171,9 @@ bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
     return false;
   }
   Entry& e = insert(ck, now_ns);
-  e.orig_is_lo = is_lo_direction(key);
+  e.orig_is_lo = r.lo_dir;
   e.symmetric = ck.lo_addr == ck.hi_addr && ck.lo_port == ck.hi_port;
+  note_changed(r.hash);
   ++stats_.committed;
   ++generation_;
   return true;
@@ -163,7 +181,7 @@ bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
 
 bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
                              uint16_t zone, uint64_t now_ns) {
-  const ConnKey ck = conn_key(key, zone);
+  const ConnKey ck = ref(key, zone).key;
   if (table_.find(ck) != table_.end()) {
     // Existing connection: refresh only. Bindings are immutable once
     // committed (rebinding mid-connection would break replies in flight).
@@ -178,7 +196,8 @@ bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
     rewritten.set_nw_dst(Ipv4(nat.addr));
     rewritten.set_tp_dst(nat.port);
   }
-  const ConnKey rk = conn_key(rewritten, zone);
+  const ConnRef rr = ref(rewritten, zone);
+  const ConnKey& rk = rr.key;
   if (rk == ck) {
     // No-op rewrite: a plain commit tracks it fine.
     return commit(key, zone, now_ns);
@@ -201,7 +220,8 @@ bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
   // Reverse entry: keyed on the post-NAT tuple, carrying the inverse
   // rewrite for reply-direction packets.
   Entry& rev = insert(rk, now_ns);
-  rev.orig_is_lo = is_lo_direction(rewritten);
+  note_changed(rr.hash);
+  rev.orig_is_lo = rr.lo_dir;
   rev.symmetric = rk.lo_addr == rk.hi_addr && rk.lo_port == rk.hi_port;
   rev.has_nat = true;
   rev.nat_on_reply = true;
@@ -223,7 +243,7 @@ bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
 }
 
 bool ConnTracker::remove(const FlowKey& key, uint16_t zone) {
-  const size_t n = remove_conn(conn_key(key, zone));
+  const size_t n = remove_conn(ref(key, zone).key);
   if (n == 0) return false;
   stats_.removed += n;
   ++generation_;
@@ -261,6 +281,8 @@ void ConnTracker::flush() {
   if (table_.empty()) return;
   table_.clear();
   zones_.clear();
+  changed_overflow_ = true;
+  changed_.clear();
   ++generation_;
 }
 

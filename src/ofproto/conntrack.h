@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "packet/flow_key.h"
 #include "util/hash.h"
@@ -72,14 +73,54 @@ struct ConnTrackerConfig {
 
 class ConnTracker {
  public:
+  // A connection's identity: both directions of a 5-tuple in one zone map
+  // to one key (endpoints in canonical order).
+  struct ConnKey {
+    uint64_t lo_addr = 0, hi_addr = 0;  // normalized endpoint order
+    uint32_t lo_port = 0, hi_port = 0;
+    uint8_t proto = 0;
+    uint16_t zone = 0;
+
+    bool operator==(const ConnKey&) const noexcept = default;
+    // Lane-parallel (util/hash.h): the four words mix independently.
+    uint64_t hash() const noexcept {
+      return hash_finish(
+          flow_word_lane(0, lo_addr) + flow_word_lane(1, hi_addr) +
+          flow_word_lane(2, (uint64_t{lo_port} << 32) | hi_port) +
+          flow_word_lane(3, (uint64_t{zone} << 8) | proto));
+    }
+  };
+
+  // One ct action's view of the packet, built and hashed once: lookup,
+  // nat_lookup and the translation's revalidation dependency all reuse it.
+  struct ConnRef {
+    ConnKey key;
+    uint64_t hash = 0;    // key.hash()
+    bool lo_dir = true;   // (src, sport) is the canonically-low endpoint
+    // The 32-bit key a megaflow records and the changed set holds (one
+    // function for both, so a collision only costs a re-translation).
+    uint32_t dep() const noexcept { return dep_of(hash); }
+  };
+  static ConnRef ref(const FlowKey& key, uint16_t zone) noexcept;
+
   ConnTracker() = default;
   explicit ConnTracker(const ConnTrackerConfig& cfg) : cfg_(cfg) {}
+  // Not copyable: each Entry::lru is an iterator into this tracker's own
+  // zones_ lists, so a memberwise copy would point into the original.
+  // Moves keep the list nodes, and with them every iterator.
+  ConnTracker(const ConnTracker&) = delete;
+  ConnTracker& operator=(const ConnTracker&) = delete;
+  ConnTracker(ConnTracker&&) = default;
+  ConnTracker& operator=(ConnTracker&&) = default;
 
   // Connection state of the packet's 5-tuple (direction-normalized). Const
   // and time-free by design: state transitions happen only via commit /
   // remove / expire_idle, so two trackers fed the same mutation sequence
   // answer identically regardless of when lookups happened in between.
-  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const noexcept;
+  uint8_t lookup(const ConnRef& r) const noexcept;
+  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const noexcept {
+    return lookup(ref(key, zone));
+  }
 
   // The NAT rewrite this packet should receive, if its connection carries a
   // binding applying in the packet's direction: forward packets get the
@@ -89,8 +130,11 @@ class ConnTracker {
     uint32_t addr = 0;
     uint16_t port = 0;
   };
+  std::optional<NatRewrite> nat_lookup(const ConnRef& r) const noexcept;
   std::optional<NatRewrite> nat_lookup(const FlowKey& key,
-                                       uint16_t zone = 0) const noexcept;
+                                       uint16_t zone = 0) const noexcept {
+    return nat_lookup(ref(key, zone));
+  }
 
   // Commits the connection (the `ct(commit)` action or an explicit
   // controller write). Inserting a NEW connection bumps generation() and
@@ -119,7 +163,27 @@ class ConnTracker {
   bool has_expirable(uint64_t now_ns) const noexcept;
 
   // Drops everything (userspace restart: conntrack is process state).
+  // Overflows the changed set.
   void flush();
+
+  // Changed set (DESIGN.md §15): the dep() keys whose lookup answer may
+  // have changed since clear_changed() — every entry a commit created and
+  // every entry removed (teardown, NAT-pair cascade, eviction, expiry).
+  // Append-only and bounded: past kMaxChangedKeys appends, or on flush(),
+  // it is marked overflowed and stops recording, and revalidation falls
+  // back to a full pass.
+  static constexpr size_t kMaxChangedKeys = size_t{64} * 1024;
+  // Sorts and deduplicates the set for binary search and returns it; null
+  // when overflowed. Plan threads read the result; nothing may mutate the
+  // tracker until they are done.
+  const std::vector<uint32_t>* seal_changed();
+  bool changed_overflowed() const noexcept { return changed_overflow_; }
+  // Keys recorded since the last clear (duplicates count until sealed).
+  size_t changed_size() const noexcept { return changed_.size(); }
+  void clear_changed() noexcept {
+    changed_.clear();
+    changed_overflow_ = false;
+  }
 
   size_t size() const noexcept { return table_.size(); }
   size_t zone_size(uint16_t zone) const noexcept;
@@ -138,23 +202,26 @@ class ConnTracker {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct ConnKey {
-    uint64_t lo_addr = 0, hi_addr = 0;  // normalized endpoint order
-    uint32_t lo_port = 0, hi_port = 0;
-    uint8_t proto = 0;
-    uint16_t zone = 0;
-
-    bool operator==(const ConnKey&) const noexcept = default;
-    uint64_t hash() const noexcept {
-      uint64_t h = hash_mix64(lo_addr);
-      h = hash_add64(h, hi_addr);
-      h = hash_add64(h, (uint64_t{lo_port} << 32) | hi_port);
-      return hash_add64(h, (uint64_t{zone} << 8) | proto);
-    }
-  };
+  // Transparent hashing: find(ConnRef) reuses the ref's precomputed hash.
   struct ConnKeyHash {
+    using is_transparent = void;
     size_t operator()(const ConnKey& k) const noexcept {
       return static_cast<size_t>(k.hash());
+    }
+    size_t operator()(const ConnRef& r) const noexcept {
+      return static_cast<size_t>(r.hash);
+    }
+  };
+  struct ConnKeyEq {
+    using is_transparent = void;
+    bool operator()(const ConnKey& a, const ConnKey& b) const noexcept {
+      return a == b;
+    }
+    bool operator()(const ConnRef& a, const ConnKey& b) const noexcept {
+      return a.key == b;
+    }
+    bool operator()(const ConnKey& a, const ConnRef& b) const noexcept {
+      return a == b.key;
     }
   };
 
@@ -170,12 +237,10 @@ class ConnTracker {
     std::list<ConnKey>::iterator lru;  // position in the zone's LRU list
   };
 
-  // Endpoint (addr, port) pairs sorted so both directions map to one key.
-  static ConnKey conn_key(const FlowKey& k, uint16_t zone) noexcept;
-  // True when (src, sport) is the canonically-low endpoint.
-  static bool is_lo_direction(const FlowKey& k) noexcept;
-
-  const Entry* find(const FlowKey& key, uint16_t zone) const noexcept;
+  static uint32_t dep_of(uint64_t hash) noexcept {
+    return static_cast<uint32_t>(hash >> 32);
+  }
+  void note_changed(uint64_t hash);
   // Inserts a fresh entry after making room; returns it (never fails).
   Entry& insert(const ConnKey& ck, uint64_t now_ns);
   // Removes the connection under ck plus its NAT pair; returns entries
@@ -185,12 +250,14 @@ class ConnTracker {
   void evict_lru_of_zone(uint16_t zone, bool zone_cap);
 
   ConnTrackerConfig cfg_;
-  std::unordered_map<ConnKey, Entry, ConnKeyHash> table_;
+  std::unordered_map<ConnKey, Entry, ConnKeyHash, ConnKeyEq> table_;
   // Per-zone LRU order (front = least recently committed). std::map keyed
   // by zone id keeps the largest-zone scan deterministic.
   std::map<uint16_t, std::list<ConnKey>> zones_;
   uint64_t generation_ = 0;
   Stats stats_;
+  std::vector<uint32_t> changed_;
+  bool changed_overflow_ = false;
 };
 
 }  // namespace ovs

@@ -61,6 +61,8 @@ struct Pipeline::XlateCtx {
   bool error = false;
   uint32_t table_lookups = 0;
   uint64_t tags = 0;
+  uint32_t ct_key = 0;
+  uint8_t ct_lookups = 0;
   std::vector<const OfRule*> matched_rules;
 
   // Merge a lookup's consulted bits, suppressing rewritten ones: reads of a
@@ -119,7 +121,14 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // lookup-only ct rules keep megaflows flag-wildcarded.
   if (ct.commit && is_tcp) ctx.consult_field(FieldId::kTcpFlags);
 
-  const uint8_t state = ct_.lookup(ctx.key, ct.zone);
+  // The lookup key is the current (possibly rewritten) tuple; every packet
+  // this megaflow covers looks up the same one, because the tuple's
+  // original bits are consulted above and any rewrite is a function of
+  // consulted bits.
+  const ConnTracker::ConnRef conn = ConnTracker::ref(ctx.key, ct.zone);
+  ctx.ct_key = conn.dep();
+  ++ctx.ct_lookups;
+  const uint8_t state = ct_.lookup(conn);
   const bool teardown =
       ct.commit && is_tcp &&
       (ctx.key.tcp_flags() & (tcpflags::kFin | tcpflags::kRst)) != 0 &&
@@ -144,7 +153,7 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // controller writes — and the rewrite is a set-field like any other, so
   // rewritten bits stop contributing to the megaflow mask.
   if (ct.nat != OfCt::Nat::kNone && !teardown) {
-    if (auto rw = ct_.nat_lookup(ctx.key, ct.zone)) {
+    if (auto rw = ct_.nat_lookup(conn)) {
       const FieldId addr_f = rw->to_src ? FieldId::kNwSrc : FieldId::kNwDst;
       const FieldId port_f = rw->to_src ? FieldId::kTpSrc : FieldId::kTpDst;
       ctx.set_field(addr_f, rw->addr);
@@ -328,6 +337,8 @@ XlateResult Pipeline::translate_one(const FlowKey& pkt, uint64_t now_ns,
   res.to_controller = ctx.to_controller;
   res.table_lookups = ctx.table_lookups;
   res.tags = ctx.tags;
+  res.ct_key = ctx.ct_key;
+  res.ct_lookups = ctx.ct_lookups;
   res.matched_rules = std::move(ctx.matched_rules);
   return res;
 }

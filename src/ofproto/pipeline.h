@@ -16,9 +16,11 @@
 //     stamped during xlate and the consulted 5-tuple becomes part of the
 //     megaflow, so ct-using pipelines produce per-connection megaflows.
 //     Because ct_state feeds classification, megaflows DEPEND on conntrack
-//     state: the Switch layer tracks ConnTracker::generation() as a
-//     revalidation dirtiness source (ct_reval_dirty) so commits, teardowns
-//     and idle expiry repair stale ct_state megaflows on the next pass.
+//     state. Each translation records the connection its ct lookup
+//     consulted (XlateResult::ct_key), and the tracker records the
+//     connections that changed (ConnTracker's changed set), so the next
+//     revalidation pass re-translates exactly the flows whose connection
+//     was committed, torn down, evicted or expired (ct_reval_dirty).
 #pragma once
 
 #include <array>
@@ -40,8 +42,14 @@ struct XlateResult {
   DpActions actions;       // flattened datapath actions
   bool to_controller = false;
   bool error = false;      // resubmit depth exceeded
+  // Conntrack dependency (DESIGN.md §15): how many ct lookups the
+  // translation made, and (ct_key) the ConnRef::dep() key of the last one.
+  // One lookup makes the result depend on that connection alone; more make
+  // it depend on any ct change.
+  uint8_t ct_lookups = 0;
   uint32_t table_lookups = 0;  // classifier lookups performed (§3.2: ~15
                                // for network-virtualization pipelines)
+  uint32_t ct_key = 0;
   uint64_t tags = 0;       // Bloom tags of consulted soft state (§6 ablation)
   // Every OpenFlow rule the packet matched, in order: the attribution list
   // for per-flow statistics (§6). Pointers are valid until the next flow

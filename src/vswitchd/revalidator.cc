@@ -11,8 +11,17 @@ struct PartStats {
   uint64_t examined = 0;
   uint64_t retranslated = 0;
   uint64_t skipped_by_tags = 0;
+  uint64_t ct_changed = 0;
   double cycles = 0;
 };
+
+// Did a connection this flow's translation looked up change? One lookup
+// depends on its own key only; several depend on any ct change.
+bool ct_stale(const FlowRecord& rec, const std::vector<uint32_t>& changed) {
+  if (rec.ct_lookups == 0) return false;
+  return rec.ct_lookups > 1 ||
+         std::binary_search(changed.begin(), changed.end(), rec.ct_key);
+}
 
 // One partition of the plan phase. Read-only against the backend and the
 // pipeline (translate with side_effects=false), so partitions are
@@ -36,10 +45,15 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
-    if (cfg.use_tags && (be.flow_record(f).tags & cfg.changed_tags) == 0) {
-      // Tier 1 (§4.3): untouched tags mean this flow's translation inputs
-      // cannot have changed — modulo Bloom false positives, which only cost
-      // an unnecessary re-translation, never a missed repair.
+    const FlowRecord& rec = be.flow_record(f);
+    const bool conn_changed =
+        cfg.ct_changed != nullptr && ct_stale(rec, *cfg.ct_changed);
+    ps.ct_changed += conn_changed;
+    if (cfg.use_tags && !conn_changed && (rec.tags & cfg.changed_tags) == 0) {
+      // Tier 1 (§4.3): untouched tags and an unchanged connection mean this
+      // flow's translation inputs cannot have changed — modulo Bloom false
+      // positives and dep-key collisions, which only cost an unnecessary
+      // re-translation, never a missed repair.
       d.kind = RevalDecision::Kind::kSkipTags;
       ++ps.skipped_by_tags;
       continue;
@@ -80,6 +94,8 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kDeleteStale;
       continue;
     }
+    d.ct_lookups = xr.ct_lookups;
+    d.ct_key = xr.ct_key;
     d.tags = xr.tags;
     d.matched_rules = std::move(xr.matched_rules);
   }
@@ -123,10 +139,12 @@ RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
 
   RevalPassStats out;
   out.threads_used = n_threads;
+  if (cfg.ct_changed != nullptr) out.ct_changed_keys = cfg.ct_changed->size();
   for (const PartStats& ps : parts) {
     out.examined += ps.examined;
     out.retranslated += ps.retranslated;
     out.skipped_by_tags += ps.skipped_by_tags;
+    out.ct_changed += ps.ct_changed;
     out.total_cycles += ps.cycles;
     out.makespan_cycles = std::max(out.makespan_cycles, ps.cycles);
   }

@@ -345,6 +345,10 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
   InstallResult res;
   if (be_->flow_count() > before) {
     ++counters_.flow_setups;
+    // A duplicate keeps the ct dependency of the translation whose actions
+    // the entry carries.
+    rec.ct_key = xr.ct_key;
+    rec.ct_lookups = xr.ct_lookups;
     rec.rules = xr.matched_rules;
     rec.captured_gen = pipeline_.tables_generation();
     rec.captured = true;
@@ -523,7 +527,8 @@ void Switch::revalidate(uint64_t now_ns) {
   // ct_state feeds classification, so conntrack mutations are a dirtiness
   // source of their own. Gated by ct_reval_dirty: the ablation the
   // differential fuzzer must catch serves stale ct_state megaflows here.
-  const uint64_t ct_gen = pipeline_.conntrack().generation();
+  ConnTracker& ct = pipeline_.conntrack();
+  const uint64_t ct_gen = ct.generation();
   const bool ct_dirty =
       cfg_.ct_reval_dirty && ct_gen != ct_gen_at_last_reval_;
   const bool maybe_stale =
@@ -537,20 +542,25 @@ void Switch::revalidate(uint64_t now_ns) {
   rc.idle_ns = idle_ns;
   rc.maybe_stale = maybe_stale;
   // kTags (historical): tags gate re-translation even when a full pass was
-  // forced — its documented weakness. kTwoTier drops the fast path when a
-  // full pass is forced (entry corruption bypasses the generation
-  // counters), so faulted entries are always repaired; and because tags
-  // track only MAC bindings, it also drops it whenever the tables or ports
-  // generation moved — a rule or port change can invalidate flows whose
-  // tags never change, so only MAC-driven staleness may take the tier-1
-  // skip (the soundness condition behind making kTwoTier the default).
-  // Conntrack staleness likewise never shows up in tags, so ct-generation
-  // movement drops the fast path for the pass.
+  // forced — its documented weakness — and conntrack never gates it. kTwoTier
+  // drops the fast path when a full pass is forced (entry corruption
+  // bypasses the generation counters), so faulted entries are always
+  // repaired; and because tags track only MAC bindings, it also drops it
+  // whenever the tables or ports generation moved — a rule or port change
+  // can invalidate flows whose tags never change, so only MAC- and
+  // conntrack-driven staleness may take the tier-1 skip (the soundness
+  // condition behind making kTwoTier the default). Conntrack staleness is
+  // per flow: a flow skips only if no connection its translation looked up
+  // is in the tracker's changed set. An overflowed set names no
+  // connections, so it drops the fast path for the pass.
+  const bool two_tier = cfg_.reval_mode == RevalidationMode::kTwoTier;
+  if (two_tier && ct_dirty) rc.ct_changed = ct.seal_changed();
   rc.use_tags =
       cfg_.reval_mode == RevalidationMode::kTags ||
-      (cfg_.reval_mode == RevalidationMode::kTwoTier && !reval_force_full_ &&
+      (two_tier && !reval_force_full_ &&
        tables_gen == tables_gen_at_last_reval_ &&
-       ports_gen == ports_gen_at_last_reval_ && !ct_dirty);
+       ports_gen == ports_gen_at_last_reval_ &&
+       !(ct_dirty && rc.ct_changed == nullptr));
   rc.changed_tags = changed_tags;
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
@@ -560,6 +570,8 @@ void Switch::revalidate(uint64_t now_ns) {
                                  &decisions_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
+  counters_.reval_ct_changed += last_pass_.ct_changed;
+  counters_.ct_changed_keys += last_pass_.ct_changed_keys;
 
   // Work vs latency: every partition's cycles are CPU work; the deadline
   // below compares against the modeled pass latency (slowest partition
@@ -618,6 +630,7 @@ void Switch::revalidate(uint64_t now_ns) {
   tables_gen_at_last_reval_ = tables_gen;
   ports_gen_at_last_reval_ = ports_gen;
   ct_gen_at_last_reval_ = ct_gen;
+  ct.clear_changed();
   reval_force_full_ = false;
 
   // Hard eviction if still above the limit: oldest-used first, like
@@ -902,6 +915,8 @@ size_t Switch::attribution_count() const {
 void Switch::refresh_attribution(DpBackend::FlowRef f, RevalDecision&& d) {
   FlowRecord& rec = be_->flow_record(f);
   rec.tags = d.tags;
+  rec.ct_key = d.ct_key;
+  rec.ct_lookups = d.ct_lookups;
   rec.rules = std::move(d.matched_rules);
   rec.captured_gen = pipeline_.tables_generation();
   rec.captured = true;
@@ -1069,6 +1084,7 @@ bool Switch::restart(uint64_t now_ns) {
   tables_gen_at_last_reval_ = pipeline_.tables_generation();
   ports_gen_at_last_reval_ = pipeline_.ports_generation();
   ct_gen_at_last_reval_ = pipeline_.conntrack().generation();
+  pipeline_.conntrack().clear_changed();
   reval_force_full_ = false;
   cpu_.user_cycles += blackout_cycles;
   counters_.reconcile_blackout_cycles +=

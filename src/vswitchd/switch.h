@@ -196,10 +196,11 @@ struct SwitchConfig {
   uint64_t ct_idle_timeout_ns = 0;
   bool ct_fair_eviction = true;
   // ct_state feeds classification, so megaflows depend on conntrack state;
-  // this makes ConnTracker::generation() a revalidation dirtiness source
-  // (and suspends the kTwoTier tag fast path while it moves — tags track
-  // MAC learning only). false is DELIBERATELY UNSOUND: stale ct_state
-  // megaflows survive revalidation. It exists as the differential fuzzer's
+  // this makes ConnTracker::generation() a revalidation dirtiness source,
+  // and under kTwoTier a flow whose connection is in the tracker's changed
+  // set leaves the tag fast path (an overflowed set suspends it for the
+  // pass). false is DELIBERATELY UNSOUND: stale ct_state megaflows survive
+  // revalidation. It exists as the differential fuzzer's
   // ablation gate, same pattern as the kTags reval mode.
   bool ct_reval_dirty = true;
 
@@ -289,8 +290,9 @@ class Switch {
   // "ct-commit"/"ct-delete" analogues, and what the differential harness
   // drives in lockstep on the switch and its oracle (translate-time
   // ct(commit) timing is cache-state-dependent, so fuzz scenarios mutate
-  // the connection table explicitly). ct-generation movement makes the next
-  // revalidation repair any megaflow stamped with the old ct_state.
+  // the connection table explicitly). Each write records the connections
+  // it changed, and the next revalidation repairs exactly the megaflows
+  // that looked them up.
   bool ct_commit(const FlowKey& key, uint16_t zone, uint64_t now_ns) {
     return pipeline_.conntrack().commit(key, zone, now_ns);
   }
@@ -396,6 +398,10 @@ class Switch {
     uint64_t reval_deleted_stale = 0;
     uint64_t reval_updated_actions = 0;
     uint64_t reval_skipped_by_tags = 0;
+    // Conntrack-precise revalidation (DESIGN.md §15), summed over passes:
+    // flows whose ct dependency changed, and the changed set's size.
+    uint64_t reval_ct_changed = 0;
+    uint64_t ct_changed_keys = 0;
     uint64_t evicted_flow_limit = 0;
     // NIC offload tier (DESIGN.md §13): slots programmed / invalidated by
     // the placement policy (backend-internal evictions on megaflow removal
@@ -597,12 +603,16 @@ class Switch {
   size_t effective_limit_;
   uint64_t pipeline_gen_at_last_reval_ = 0;
   // Per-source generations at the last pass: the kTwoTier tag fast path is
-  // only sound for MAC-driven staleness (tags track nothing else), so it
-  // engages only while the tables and ports generations are unchanged.
+  // only sound for MAC- and conntrack-driven staleness (tags track MAC
+  // bindings, the per-flow ct key tracks connections, nothing tracks rules
+  // or ports), so it engages only while the tables and ports generations
+  // are unchanged.
   uint64_t tables_gen_at_last_reval_ = 0;
   uint64_t ports_gen_at_last_reval_ = 0;
   // Conntrack generation at the last pass: a separate dirtiness source so
   // the ct_reval_dirty ablation can ignore it without touching the rest.
+  // The tracker's changed set covers the same interval: it is cleared
+  // exactly when this is updated.
   uint64_t ct_gen_at_last_reval_ = 0;
 
   // Crash/restart lifecycle (DESIGN.md §9).

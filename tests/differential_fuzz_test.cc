@@ -328,7 +328,7 @@ TEST(DifferentialFuzz, CorpusOverbroadDropMegaflowReplays) {
     EXPECT_FALSE(dv.has_value()) << cfg.name << ": " << dv->to_string();
   }
 }
-// The three minimized stateful reproducers: each must still diverge under
+// The minimized stateful reproducers: each must still diverge under
 // the CT ablation — with the expected probe signature — and replay cleanly
 // under every sound configuration (standard + engine matrix).
 class CorpusCtScenario : public ::testing::TestWithParam<const char*> {};
@@ -361,7 +361,9 @@ INSTANTIATE_TEST_SUITE_P(
     StatefulCorpus, CorpusCtScenario,
     ::testing::Values("ct_stale_ctstate.scenario",
                       "ct_expiry_reval.scenario",
-                      "ct_nat_rebinding.scenario"),
+                      "ct_nat_rebinding.scenario",
+                      "ct_nat_pair_teardown.scenario",
+                      "ct_zone_evict_reval.scenario"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       name = name.substr(0, name.find('.'));
