@@ -123,7 +123,7 @@ Totals run_measurement(const Params& p) {
     rc.n_threads = 1;
     rc.idle_ns = cfg.idle_timeout_ns;
     rc.maybe_stale = true;
-    std::vector<RevalDecision> tags_plan, full_plan;
+    RevalPlan tags_plan, full_plan;
     rc.use_tags = true;
     rc.changed_tags = changed;
     Revalidator::plan(sw.backend(), sw.pipeline(), flows, now, rc,
@@ -135,8 +135,9 @@ Totals run_measurement(const Params& p) {
     for (size_t i = 0; i < flows.size(); ++i) {
       ++t.examined;
       const bool skipped =
-          tags_plan[i].kind == RevalDecision::Kind::kSkipTags;
-      const bool changed_oracle = oracle_changed(full_plan[i].kind);
+          tags_plan.decisions[i].kind == RevalDecision::Kind::kSkipTags;
+      const bool changed_oracle =
+          oracle_changed(full_plan.decisions[i].kind);
       t.skipped += skipped;
       t.retranslated += !skipped;
       t.necessary += changed_oracle;

@@ -355,7 +355,7 @@ void Datapath::process_batch(std::span<const Packet> pkts, uint64_t now_ns,
   if (summary != nullptr) *summary += local;
 }
 
-MegaflowEntry* Datapath::install(const Match& match, DpActions actions,
+MegaflowEntry* Datapath::install(const Match& match, DpActions&& actions,
                                  uint64_t now_ns, const FlowKey* full_key) {
   if (Rule* existing = mega_.find_exact(match, 0))
     return static_cast<MegaflowEntry*>(existing);

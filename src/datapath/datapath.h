@@ -65,17 +65,18 @@ class MegaflowEntry : public Rule {
  private:
   friend class Datapath;
 
-  // Cold, and first on purpose: the hot fields after it keep the offsets
-  // the fast-path benchmarks were measured with.
   uint64_t created_ns_ = 0;
+  // A hit reads the match (in Rule), the inline action list and dead_, and
+  // bumps the counters: they sit together right after the match.
   DpActions actions_;
-  FlowKey full_key_;  // set at install; immutable afterwards
   size_t index_ = 0;  // position in Datapath::entries_ (swap-remove)
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
   uint64_t used_ns_ = 0;     // last hit time
   bool dead_ = false;
-  FlowRecord record_;  // cold tail: nothing on the fast path reads it
+  // Cold tail: nothing on the fast path reads these.
+  FlowKey full_key_;  // set at install; immutable afterwards
+  FlowRecord record_;
 };
 
 struct DatapathConfig {
@@ -182,10 +183,17 @@ class Datapath {
   // full_key, when given, is the unmasked key of the packet that triggered
   // the install; it is stored on the entry for full-fidelity revalidation.
   // Defaults to match.key (already masked) for callers that install
-  // synthetic flows directly.
-  MegaflowEntry* install(const Match& match, DpActions actions,
+  // synthetic flows directly. `actions` is moved from only when a new entry
+  // is created; a duplicate or a failure leaves it untouched. The const&
+  // overload installs a copy.
+  MegaflowEntry* install(const Match& match, DpActions&& actions,
                          uint64_t now_ns,
                          const FlowKey* full_key = nullptr);
+  MegaflowEntry* install(const Match& match, const DpActions& actions,
+                         uint64_t now_ns,
+                         const FlowKey* full_key = nullptr) {
+    return install(match, DpActions(actions), now_ns, full_key);
+  }
 
   // Removes a flow; the entry stays valid until purge_dead().
   void remove(MegaflowEntry* entry);

@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "packet/flow_key.h"
+#include "util/inline_vec.h"
 
 namespace ovs {
 
@@ -45,9 +45,13 @@ struct UserspaceAction {
 using DpAction =
     std::variant<OutputAction, SetFieldAction, TunnelAction, UserspaceAction>;
 
-// An empty action list means drop.
+// An empty action list means drop. The list keeps the common length inline
+// (the NVP pipelines flatten to three actions), so an entry carries its
+// actions without a second heap block and a translation's list moves into
+// the entry without allocating.
 struct DpActions {
-  std::vector<DpAction> list;
+  static constexpr size_t kInline = 3;
+  InlineVec<DpAction, kInline> list;
 
   // True if the packet is forwarded nowhere (no output/tunnel/userspace).
   bool drops() const noexcept {

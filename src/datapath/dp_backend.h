@@ -53,9 +53,16 @@ class DpBackend {
   // by watching flow_count().
   // full_key, when given, is the unmasked key of the packet that triggered
   // the install; defaults to match.key (masked) for synthetic installs.
-  virtual FlowRef install(const Match& match, DpActions actions,
+  // `actions` is moved from only when a new flow is created (the slow path
+  // moves a translation's actions in and, on a duplicate or a failure,
+  // still forwards with them); the const& overload installs a copy.
+  virtual FlowRef install(const Match& match, DpActions&& actions,
                           uint64_t now_ns,
                           const FlowKey* full_key = nullptr) = 0;
+  FlowRef install(const Match& match, const DpActions& actions,
+                  uint64_t now_ns, const FlowKey* full_key = nullptr) {
+    return install(match, DpActions(actions), now_ns, full_key);
+  }
   virtual void remove(FlowRef flow) = 0;
   virtual void update_actions(FlowRef flow, DpActions actions) = 0;
   virtual void credit_packet(FlowRef flow, const Packet& pkt,
@@ -164,7 +171,8 @@ class SingleDpBackend final : public DpBackend {
     dp_.process_batch(pkts, now_ns, results, summary);
   }
 
-  FlowRef install(const Match& match, DpActions actions, uint64_t now_ns,
+  using DpBackend::install;
+  FlowRef install(const Match& match, DpActions&& actions, uint64_t now_ns,
                   const FlowKey* full_key = nullptr) override {
     return dp_.install(match, std::move(actions), now_ns, full_key);
   }
@@ -282,7 +290,8 @@ class MtDpBackend final : public DpBackend {
                      Datapath::RxResult* results,
                      Datapath::BatchSummary* summary) override;
 
-  FlowRef install(const Match& match, DpActions actions, uint64_t now_ns,
+  using DpBackend::install;
+  FlowRef install(const Match& match, DpActions&& actions, uint64_t now_ns,
                   const FlowKey* full_key = nullptr) override {
     return dp_.install(match, std::move(actions), now_ns, full_key);
   }

@@ -9,17 +9,23 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "util/inline_vec.h"
 
 namespace ovs {
 
 class OfRule;
 
+// The OpenFlow rules a translation matched, in order (one per table it
+// visited): a translation's attribution list and the copy a flow's record
+// keeps. The NVP pipelines match four, so four live inline.
+using RuleRefs = InlineVec<const OfRule*, 4>;
+
 // Userspace state of one datapath flow (the udpif key's bookkeeping in real
 // OVS), embedded in the flow's entry so it is born zeroed with the flow and
 // dies with it. The datapath never reads it: vswitchd writes it on the
-// control thread; revalidator plan threads read `tags`, `ct_key` and
-// `ct_lookups` only.
+// control thread; revalidator plan threads read `tags`, `rules`, `ct_key`
+// and `ct_lookups` only.
 struct FlowRecord {
   // Bloom tags of the soft state this flow's actions depend on (the
   // historical tag-based invalidation scheme of §6, and the kTwoTier fast
@@ -29,8 +35,9 @@ struct FlowRecord {
   // Attribution for OpenFlow flow statistics (§6): which rules this flow's
   // traffic counts against, and how much has already been pushed to them.
   // A flow that was never (re-)translated has no attribution (`captured`
-  // false) and pushes nothing.
-  std::vector<const OfRule*> rules;
+  // false, `rules` empty) and pushes nothing. Inline up to four rules, so
+  // the record needs no heap block of its own on the NVP pipelines.
+  RuleRefs rules;
   uint64_t pushed_packets = 0;
   uint64_t pushed_bytes = 0;
   // Pipeline *tables* generation when `rules` was captured; the pointers
@@ -53,9 +60,10 @@ struct FlowRecord {
   bool seen = false;       // placement has scored this flow at least once
   bool offloaded = false;  // mirror of the backend's offload_contains()
 };
-// Both entry types embed a record; the ct fields live in what was tail
-// padding.
-static_assert(sizeof(FlowRecord) == 80);
+// Both entry types embed a record; the ct fields sit in the tail padding.
+// 96 bytes, 40 of them the inline attribution list, with no heap chunk
+// beside it for the common depth.
+static_assert(sizeof(FlowRecord) == 96);
 
 }  // namespace ovs
 

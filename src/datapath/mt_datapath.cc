@@ -371,7 +371,7 @@ ShardedDatapath::MtTuple* ShardedDatapath::writer_find_tuple(
   return t;
 }
 
-MtMegaflow* ShardedDatapath::install(const Match& match, DpActions actions,
+MtMegaflow* ShardedDatapath::install(const Match& match, DpActions&& actions,
                                      uint64_t now_ns,
                                      const FlowKey* full_key) {
   Match m = match;

@@ -163,9 +163,15 @@ class ShardedDatapath {
   // directory is full.
   // full_key, when given, is the unmasked key of the packet that triggered
   // the install (stored for full-fidelity revalidation); defaults to the
-  // already-masked match.key for direct/synthetic installs.
-  MtMegaflow* install(const Match& match, DpActions actions, uint64_t now_ns,
-                      const FlowKey* full_key = nullptr);
+  // already-masked match.key for direct/synthetic installs. `actions` is
+  // moved from only when a new entry is created; the const& overload
+  // installs a copy.
+  MtMegaflow* install(const Match& match, DpActions&& actions,
+                      uint64_t now_ns, const FlowKey* full_key = nullptr);
+  MtMegaflow* install(const Match& match, const DpActions& actions,
+                      uint64_t now_ns, const FlowKey* full_key = nullptr) {
+    return install(match, DpActions(actions), now_ns, full_key);
+  }
 
   // Marks dead, unlinks, and parks the entry; freed by purge_dead().
   void remove(MtMegaflow* entry);

@@ -73,11 +73,25 @@ const std::vector<uint32_t>* ConnTracker::seal_changed() {
 ConnTracker::Entry& ConnTracker::insert(const ConnKey& ck, uint64_t now_ns) {
   make_room(ck.zone);
   std::list<ConnKey>& lru = zones_[ck.zone];
-  lru.push_back(ck);
-  Entry& e = table_[ck];
-  e.last_seen_ns = now_ns;
-  e.lru = std::prev(lru.end());
-  return e;
+  if (spare_lru_.empty()) {
+    lru.push_back(ck);
+  } else {
+    lru.splice(lru.end(), spare_lru_, spare_lru_.begin());
+    lru.back() = ck;
+  }
+  Entry* e;
+  if (spare_nodes_.empty()) {
+    e = &table_[ck];
+  } else {
+    Table::node_type node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.key() = ck;
+    node.mapped() = Entry{};
+    e = &table_.insert(std::move(node)).position->second;
+  }
+  e->last_seen_ns = now_ns;
+  e->lru = std::prev(lru.end());
+  return *e;
 }
 
 void ConnTracker::make_room(uint16_t zone) {
@@ -130,21 +144,25 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
   if (it == table_.end()) return 0;
   const bool has_pair = it->second.has_pair;
   const ConnKey pair = it->second.pair;
-  // Before the erase: ck may be the LRU list node it frees.
+  // Before the unlink: ck may be the LRU list node it recycles.
   note_changed(ck.hash());
-  zones_[ck.zone].erase(it->second.lru);
-  table_.erase(it);
+  recycle(it);
   size_t n = 1;
   if (has_pair) {
     auto pit = table_.find(pair);
     if (pit != table_.end()) {
-      zones_[pair.zone].erase(pit->second.lru);
-      table_.erase(pit);
+      recycle(pit);
       note_changed(pair.hash());
       ++n;
     }
   }
   return n;
+}
+
+void ConnTracker::recycle(Table::iterator it) {
+  spare_lru_.splice(spare_lru_.end(), zones_[it->first.zone],
+                    it->second.lru);
+  spare_nodes_.push_back(table_.extract(it));
 }
 
 bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
@@ -278,6 +296,8 @@ bool ConnTracker::has_expirable(uint64_t now_ns) const noexcept {
 }
 
 void ConnTracker::flush() {
+  spare_nodes_.clear();
+  spare_lru_.clear();
   if (table_.empty()) return;
   table_.clear();
   zones_.clear();

@@ -236,6 +236,7 @@ class ConnTracker {
     ConnKey pair;
     std::list<ConnKey>::iterator lru;  // position in the zone's LRU list
   };
+  using Table = std::unordered_map<ConnKey, Entry, ConnKeyHash, ConnKeyEq>;
 
   static uint32_t dep_of(uint64_t hash) noexcept {
     return static_cast<uint32_t>(hash >> 32);
@@ -246,14 +247,22 @@ class ConnTracker {
   // Removes the connection under ck plus its NAT pair; returns entries
   // removed (0, 1 or 2).
   size_t remove_conn(const ConnKey& ck);
+  // Unlinks one entry and keeps its nodes for reuse.
+  void recycle(Table::iterator it);
   void make_room(uint16_t zone);
   void evict_lru_of_zone(uint16_t zone, bool zone_cap);
 
   ConnTrackerConfig cfg_;
-  std::unordered_map<ConnKey, Entry, ConnKeyHash, ConnKeyEq> table_;
+  Table table_;
   // Per-zone LRU order (front = least recently committed). std::map keyed
   // by zone id keeps the largest-zone scan deterministic.
   std::map<uint16_t, std::list<ConnKey>> zones_;
+  // Nodes of removed connections, reused by the next inserts, so steady
+  // connection churn (a commit per new connection on the upcall path)
+  // allocates nothing. Never more than the table's peak size; flush()
+  // frees them.
+  std::vector<Table::node_type> spare_nodes_;
+  std::list<ConnKey> spare_lru_;
   uint64_t generation_ = 0;
   Stats stats_;
   std::vector<uint32_t> changed_;

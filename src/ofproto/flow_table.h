@@ -93,14 +93,13 @@ class FlowTable {
 
   // Batched lookup: out[i] (and wcs[i], if given) receive exactly what
   // lookup(keys[i], &wcs[i]) would produce, through the classifier engine's
-  // batch path. The temporary Rule* array exists because casting an
-  // OfRule** to Rule** would be UB; the per-element downcast is free.
-  void lookup_batch(const FlowKey* keys, size_t n, const OfRule** out,
+  // batch path. Results are the classifier's Rule pointers (every rule in
+  // a flow table is an OfRule; casting an OfRule** to Rule** would be UB),
+  // so the caller downcasts each one — for free — and no temporary array
+  // is needed.
+  void lookup_batch(const FlowKey* keys, size_t n, const Rule** out,
                     FlowWildcards* wcs = nullptr) const {
-    std::vector<const Rule*> tmp(n);
-    cls_.lookup_batch(keys, n, tmp.data(), wcs);
-    for (size_t i = 0; i < n; ++i)
-      out[i] = static_cast<const OfRule*>(tmp[i]);
+    cls_.lookup_batch(keys, n, out, wcs);
   }
 
   size_t flow_count() const noexcept { return cls_.rule_count(); }

@@ -49,21 +49,22 @@ uint64_t Pipeline::tables_generation() const noexcept {
   return g;
 }
 
+// Per-translation state. The outputs (actions, attribution, flags) are
+// written straight into the caller's result, so a reused result's buffers
+// carry over and nothing is copied out at the end.
 struct Pipeline::XlateCtx {
   FlowKey key;              // current (possibly rewritten) headers
   const FlowKey* original;  // the packet as received
   FlowWildcards wc;         // consulted ORIGINAL packet bits
   FlowMask modified;        // bits overwritten by set-field actions
-  DpActions out;
+  XlateResult& res;
+  DpActions& out;           // res.actions
   uint64_t now_ns = 0;
   bool side_effects = true;
-  bool to_controller = false;
-  bool error = false;
-  uint32_t table_lookups = 0;
-  uint64_t tags = 0;
-  uint32_t ct_key = 0;
-  uint8_t ct_lookups = 0;
-  std::vector<const OfRule*> matched_rules;
+
+  XlateCtx(const FlowKey& pkt, uint64_t now, bool effects, XlateResult& r)
+      : key(pkt), original(&pkt), res(r), out(r.actions), now_ns(now),
+        side_effects(effects) {}
 
   // Merge a lookup's consulted bits, suppressing rewritten ones: reads of a
   // rewritten field observed the written value, not packet bits.
@@ -95,8 +96,8 @@ void Pipeline::do_normal(XlateCtx& ctx) {
   const uint16_t vlan = ctx.key.vlan_tci();
   if (ctx.side_effects)
     mac_.learn(ctx.key.eth_src(), vlan, ctx.key.in_port(), ctx.now_ns);
-  ctx.tags |= MacLearning::tag(ctx.key.eth_src(), vlan);
-  ctx.tags |= MacLearning::tag(ctx.key.eth_dst(), vlan);
+  ctx.res.tags |= MacLearning::tag(ctx.key.eth_src(), vlan);
+  ctx.res.tags |= MacLearning::tag(ctx.key.eth_dst(), vlan);
 
   if (!ctx.key.eth_dst().is_multicast()) {
     if (auto port = mac_.lookup(ctx.key.eth_dst(), vlan, ctx.now_ns)) {
@@ -126,8 +127,8 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // original bits are consulted above and any rewrite is a function of
   // consulted bits.
   const ConnTracker::ConnRef conn = ConnTracker::ref(ctx.key, ct.zone);
-  ctx.ct_key = conn.dep();
-  ++ctx.ct_lookups;
+  ctx.res.ct_key = conn.dep();
+  ++ctx.res.ct_lookups;
   const uint8_t state = ct_.lookup(conn);
   const bool teardown =
       ct.commit && is_tcp &&
@@ -173,7 +174,7 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
 void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth,
                            const Prefetched* pre) {
   if (depth > kMaxResubmitDepth || table_id >= tables_.size()) {
-    ctx.error = true;
+    ctx.res.error = true;
     return;
   }
   FlowTable& table = *tables_[table_id];
@@ -189,19 +190,19 @@ void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth,
     rule = table.lookup(ctx.key, &consulted);
   }
   ctx.absorb(consulted);
-  ++ctx.table_lookups;
+  ++ctx.res.table_lookups;
 
   if (rule == nullptr) {
     if (table.miss_behavior() == FlowTable::MissBehavior::kController) {
       ctx.out.userspace(/*reason=*/table_id);
-      ctx.to_controller = true;
+      ctx.res.to_controller = true;
     }
     return;  // table miss: drop (default)
   }
-  ctx.matched_rules.push_back(rule);
+  ctx.res.matched_rules.push_back(rule);
 
   for (const OfAction& act : rule->actions().list) {
-    if (ctx.error) return;
+    if (ctx.res.error) return;
     if (const auto* o = std::get_if<OfOutput>(&act)) {
       if (o->port != ctx.original->in_port()) ctx.out.output(o->port);
     } else if (std::get_if<OfDrop>(&act)) {
@@ -215,7 +216,7 @@ void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth,
       ctx.out.tunnel(t->port, t->tun_id);
     } else if (const auto* c = std::get_if<OfController>(&act)) {
       ctx.out.userspace(c->reason);
-      ctx.to_controller = true;
+      ctx.res.to_controller = true;
     } else if (std::get_if<OfNormal>(&act)) {
       do_normal(ctx);
     } else if (const auto* ct = std::get_if<OfCt>(&act)) {
@@ -281,66 +282,50 @@ void trim_wildcards_to_packet(const FlowKey& pkt, FlowWildcards& wc) {
 
 }  // namespace
 
+XlateResult& Pipeline::translate(const FlowKey& pkt, uint64_t now_ns,
+                                 XlateScratch& scratch, bool side_effects) {
+  translate_into(pkt, now_ns, side_effects, nullptr, scratch.result);
+  return scratch.result;
+}
+
 XlateResult Pipeline::translate(const FlowKey& pkt, uint64_t now_ns,
                                 bool side_effects) {
-  return translate_one(pkt, now_ns, side_effects, nullptr);
+  XlateResult res;
+  translate_into(pkt, now_ns, side_effects, nullptr, res);
+  return res;
 }
 
-std::vector<XlateResult> Pipeline::translate_batch(std::span<const Packet> pkts,
-                                                   uint64_t now_ns,
-                                                   bool side_effects) {
-  std::vector<XlateResult> out;
-  out.reserve(pkts.size());
-  if (pkts.empty()) return out;
-
-  std::vector<FlowKey> keys;
-  keys.reserve(pkts.size());
-  for (const Packet& p : pkts) keys.push_back(p.key);
-  std::vector<const OfRule*> rules(pkts.size());
-  std::vector<FlowWildcards> wcs(pkts.size());
-  tables_[0]->lookup_batch(keys.data(), keys.size(), rules.data(), wcs.data());
-
-  for (size_t i = 0; i < pkts.size(); ++i) {
-    const Prefetched pre{rules[i], &wcs[i]};
-    out.push_back(translate_one(keys[i], now_ns, side_effects, &pre));
-  }
-  return out;
-}
-
-XlateResult Pipeline::translate_one(const FlowKey& pkt, uint64_t now_ns,
-                                    bool side_effects, const Prefetched* pre) {
-  XlateCtx ctx;
-  ctx.key = pkt;
-  ctx.original = &pkt;
-  ctx.now_ns = now_ns;
-  ctx.side_effects = side_effects;
+void Pipeline::translate_into(const FlowKey& pkt, uint64_t now_ns,
+                              bool side_effects, const Prefetched* pre,
+                              XlateResult& res) {
+  // Every per-translation output starts over; the buffers keep their
+  // storage.
+  res.actions.list.clear();
+  res.matched_rules.clear();
+  res.to_controller = false;
+  res.error = false;
+  res.ct_lookups = 0;
+  res.table_lookups = 0;
+  res.ct_key = 0;
+  res.tags = 0;
+  XlateCtx ctx(pkt, now_ns, side_effects, res);
   // Datapath flows always match on the ingress port (as in OVS): output
   // actions suppress hairpinning back out of in_port, so the forwarding
   // decision inherently depends on it.
   ctx.consult_field(FieldId::kInPort);
   xlate_table(ctx, /*table_id=*/0, /*depth=*/0, pre);
 
-  XlateResult res;
   trim_wildcards_to_packet(pkt, ctx.wc);
   res.megaflow.mask = ctx.wc;
   res.megaflow.key = pkt;
   res.megaflow.normalize();
-  if (ctx.error) {
+  if (res.error) {
     // Depth exceeded: fail safe with a drop flow (the consulted bits fully
     // determine that the loop occurs, so the megaflow is still sound).
-    res.error = true;
-    res.actions = DpActions{};
+    res.actions.list.clear();
   } else {
-    res.actions = std::move(ctx.out);
     res.actions.normalize();
   }
-  res.to_controller = ctx.to_controller;
-  res.table_lookups = ctx.table_lookups;
-  res.tags = ctx.tags;
-  res.ct_key = ctx.ct_key;
-  res.ct_lookups = ctx.ct_lookups;
-  res.matched_rules = std::move(ctx.matched_rules);
-  return res;
 }
 
 XlateResult Pipeline::evaluate(const FlowKey& pkt, uint64_t now_ns) const {

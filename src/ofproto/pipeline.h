@@ -23,6 +23,7 @@
 //     was committed, torn down, evicted or expired (ct_reval_dirty).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "datapath/dp_actions.h"
+#include "datapath/dp_shared.h"
 #include "ofproto/conntrack.h"
 #include "ofproto/flow_table.h"
 #include "ofproto/mac_learning.h"
@@ -54,7 +56,20 @@ struct XlateResult {
   // Every OpenFlow rule the packet matched, in order: the attribution list
   // for per-flow statistics (§6). Pointers are valid until the next flow
   // table modification (which bumps Pipeline::generation()).
-  std::vector<const OfRule*> matched_rules;
+  RuleRefs matched_rules;
+};
+
+// Translation scratch, owned by the caller and reused from one translation
+// to the next (DESIGN.md §16): the result every translation writes into,
+// whose action and attribution lists keep their storage. Translating
+// through it allocates nothing once it has seen its deepest translation
+// (and nothing at all within the lists' inline depth). Each concurrent
+// translator owns its own — the Switch one for upcalls and retries, each
+// revalidator plan partition one — and none lives in the Pipeline, whose
+// read-only translations run on several threads at once.
+struct XlateScratch {
+  // Every field is reset by each translation.
+  XlateResult result;
 };
 
 class Pipeline {
@@ -78,25 +93,36 @@ class Pipeline {
   void remove_port(uint32_t port);
   const std::vector<uint32_t>& ports() const noexcept { return ports_; }
 
-  // Translates a packet through the pipeline starting at table 0.
-  // Non-const: NORMAL learns MACs; ct(commit) commits connections. Pass
-  // side_effects=false for revalidation re-translations, which must observe
-  // but not mutate soft state (§6).
+  // Translates a packet through the pipeline starting at table 0, into
+  // scratch.result, which it returns. Non-const: NORMAL learns MACs;
+  // ct(commit) commits connections. Pass side_effects=false for
+  // revalidation re-translations, which must observe but not mutate soft
+  // state (§6).
+  XlateResult& translate(const FlowKey& pkt, uint64_t now_ns,
+                         XlateScratch& scratch, bool side_effects = true);
+  // The same, into a fresh result (tests and tools; allocates only what a
+  // fresh result needs).
   XlateResult translate(const FlowKey& pkt, uint64_t now_ns,
                         bool side_effects = true);
 
-  // Translates a miss burst as a batch: the table-0 classification for all
-  // packets runs through the classifier engine's lookup_batch (one
-  // structure-of-arrays probe sweep with prefetching under kChainedTuple)
-  // before the per-packet action walks run sequentially. Results are
-  // element-for-element identical to calling translate() in order: the
-  // batched stage only precomputes the first lookup each translation would
-  // perform anyway (table-0 state cannot change mid-batch, and rewrites
-  // that would change the lookup key only happen after that first lookup),
-  // while MAC learning and conntrack side effects stay in packet order.
-  std::vector<XlateResult> translate_batch(std::span<const Packet> pkts,
-                                           uint64_t now_ns,
-                                           bool side_effects = true);
+  // Translates a miss burst as a batch: the table-0 classification runs
+  // through the classifier engine's lookup_batch a block of kBatchBlock
+  // packets at a time (one structure-of-arrays probe sweep with
+  // prefetching under kChainedTuple), then the block's per-packet action
+  // walks run in order, each into scratch.result, which `each(i, result)`
+  // consumes before the next packet is translated. Results are identical
+  // to calling translate() in order: the batched stage only precomputes
+  // the first lookup each translation would perform anyway (table-0 state
+  // cannot change mid-batch — `each` must not modify the tables — and
+  // rewrites that would change the lookup key only happen after that first
+  // lookup), while MAC learning and conntrack side effects stay in packet
+  // order. The block's keys and wildcards live on the stack, so the batch
+  // path holds no per-packet heap buffers between bursts.
+  static constexpr size_t kBatchBlock = 16;
+  template <typename F>
+  void translate_batch(std::span<const Packet> pkts, uint64_t now_ns,
+                       XlateScratch& scratch, F&& each,
+                       bool side_effects = true);
 
   // Side-effect-free single-packet evaluation: what would this pipeline do
   // with `pkt` right now? Exactly translate(pkt, now_ns, side_effects=false)
@@ -137,8 +163,8 @@ class Pipeline {
     const OfRule* rule;
     const FlowWildcards* consulted;
   };
-  XlateResult translate_one(const FlowKey& pkt, uint64_t now_ns,
-                            bool side_effects, const Prefetched* pre);
+  void translate_into(const FlowKey& pkt, uint64_t now_ns, bool side_effects,
+                      const Prefetched* pre, XlateResult& res);
   void xlate_table(XlateCtx& ctx, size_t table_id, int depth,
                    const Prefetched* pre = nullptr);
   void do_normal(XlateCtx& ctx);
@@ -150,5 +176,25 @@ class Pipeline {
   std::vector<uint32_t> ports_;
   uint64_t port_generation_ = 0;
 };
+
+template <typename F>
+void Pipeline::translate_batch(std::span<const Packet> pkts, uint64_t now_ns,
+                               XlateScratch& scratch, F&& each,
+                               bool side_effects) {
+  for (size_t lo = 0; lo < pkts.size(); lo += kBatchBlock) {
+    const size_t n = std::min(kBatchBlock, pkts.size() - lo);
+    FlowKey keys[kBatchBlock];
+    const Rule* rules[kBatchBlock];
+    FlowWildcards wcs[kBatchBlock];  // lookups accumulate into these
+    for (size_t i = 0; i < n; ++i) keys[i] = pkts[lo + i].key;
+    tables_[0]->lookup_batch(keys, n, rules, wcs);
+    for (size_t i = 0; i < n; ++i) {
+      // Every rule in a flow table is an OfRule.
+      const Prefetched pre{static_cast<const OfRule*>(rules[i]), &wcs[i]};
+      translate_into(keys[i], now_ns, side_effects, &pre, scratch.result);
+      each(lo + i, scratch.result);
+    }
+  }
+}
 
 }  // namespace ovs

@@ -7,14 +7,6 @@ namespace ovs {
 
 namespace {
 
-struct PartStats {
-  uint64_t examined = 0;
-  uint64_t retranslated = 0;
-  uint64_t skipped_by_tags = 0;
-  uint64_t ct_changed = 0;
-  double cycles = 0;
-};
-
 // Did a connection this flow's translation looked up change? One lookup
 // depends on its own key only; several depend on any ct change.
 bool ct_stale(const FlowRecord& rec, const std::vector<uint32_t>& changed) {
@@ -25,18 +17,21 @@ bool ct_stale(const FlowRecord& rec, const std::vector<uint32_t>& changed) {
 
 // One partition of the plan phase. Read-only against the backend and the
 // pipeline (translate with side_effects=false), so partitions are
-// embarrassingly parallel; each writes decisions only at its own indices.
-PartStats plan_range(DpBackend& be, Pipeline& pl,
-                     const std::vector<DpBackend::FlowRef>& flows, size_t lo,
-                     size_t hi, uint64_t now_ns,
-                     const Revalidator::Config& cfg,
-                     std::vector<RevalDecision>& decisions) {
-  PartStats ps;
+// embarrassingly parallel; each writes decisions only at its own indices
+// and updates only into its own scratch.
+void plan_range(DpBackend& be, Pipeline& pl,
+                const std::vector<DpBackend::FlowRef>& flows, size_t lo,
+                size_t hi, uint64_t now_ns, const Revalidator::Config& cfg,
+                std::vector<RevalDecision>& decisions, RevalPartition& part,
+                uint8_t part_id) {
+  RevalPassStats& ps = part.stats;
+  ps = RevalPassStats{};
+  part.updates.clear();
   for (size_t i = lo; i < hi; ++i) {
     DpBackend::FlowRef f = flows[i];
     RevalDecision& d = decisions[i];
     ++ps.examined;
-    ps.cycles += cfg.reval_per_flow;
+    ps.total_cycles += cfg.reval_per_flow;
     if (now_ns - be.flow_used_ns(f) > cfg.idle_ns) {
       d.kind = RevalDecision::Kind::kDeleteIdle;
       continue;
@@ -65,9 +60,9 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
     // classifier's prefix cuts the same wrong way), turning a stale
     // over-broad flow into a kKeepFresh fixed point that overlaps fresher
     // disjoint entries.
-    XlateResult xr =
-        pl.translate(be.flow_full_key(f), now_ns, /*side_effects=*/false);
-    ps.cycles += cfg.per_table_lookup * xr.table_lookups;
+    const XlateResult& xr = pl.translate(be.flow_full_key(f), now_ns,
+                                         part.xlate, /*side_effects=*/false);
+    ps.total_cycles += cfg.per_table_lookup * xr.table_lookups;
     ++ps.retranslated;
     // The installed mask must match every field the fresh translation
     // consulted; an entry broader than that (extra wildcards, in OVS
@@ -89,7 +84,6 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kKeepFresh;
     } else if (xr.megaflow.mask == inst_mask) {
       d.kind = RevalDecision::Kind::kUpdateActions;
-      d.actions = std::move(xr.actions);
     } else {
       d.kind = RevalDecision::Kind::kDeleteStale;
       continue;
@@ -97,9 +91,18 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
     d.ct_lookups = xr.ct_lookups;
     d.ct_key = xr.ct_key;
     d.tags = xr.tags;
-    d.matched_rules = std::move(xr.matched_rules);
+    // Compared in place: the attribution travels only when it changed (a
+    // record that never captured one holds no rules).
+    d.new_rules = xr.matched_rules != rec.rules;
+    const bool new_actions = d.kind == RevalDecision::Kind::kUpdateActions;
+    if (d.new_rules || new_actions) {
+      d.part = part_id;
+      d.update = static_cast<uint32_t>(part.updates.size());
+      RevalUpdate& u = part.updates.emplace_back();
+      if (d.new_rules) u.rules = xr.matched_rules;
+      if (new_actions) u.actions = xr.actions;
+    }
   }
-  return ps;
 }
 
 }  // namespace
@@ -107,48 +110,49 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
 RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
                                  const std::vector<DpBackend::FlowRef>& flows,
                                  uint64_t now_ns, const Config& cfg,
-                                 std::vector<RevalDecision>* decisions) {
-  decisions->assign(flows.size(), RevalDecision{});
+                                 RevalPlan* out) {
+  std::vector<RevalDecision>& decisions = out->decisions;
+  decisions.assign(flows.size(), RevalDecision{});
 
-  const size_t want = std::max<size_t>(1, cfg.n_threads);
+  // Decisions name their partition in 8 bits.
+  const size_t want = std::clamp<size_t>(cfg.n_threads, 1, 255);
   // Spawning a thread for a handful of flows costs more than it saves.
   const size_t n_threads =
       flows.empty() ? 1 : std::min(want, (flows.size() + 63) / 64);
 
-  std::vector<PartStats> parts(n_threads);
+  std::vector<RevalPartition>& parts = out->parts_;
+  if (parts.size() < n_threads) parts.resize(n_threads);
+  const size_t chunk = (flows.size() + n_threads - 1) / n_threads;
+  auto run = [&](size_t t) {
+    const size_t lo = std::min(flows.size(), t * chunk);
+    const size_t hi = std::min(flows.size(), lo + chunk);
+    plan_range(be, pl, flows, lo, hi, now_ns, cfg, decisions, parts[t],
+               static_cast<uint8_t>(t));
+  };
   if (n_threads == 1) {
-    parts[0] = plan_range(be, pl, flows, 0, flows.size(), now_ns, cfg,
-                          *decisions);
+    run(0);
   } else {
-    const size_t chunk = (flows.size() + n_threads - 1) / n_threads;
     std::vector<std::thread> pool;
     pool.reserve(n_threads - 1);
-    for (size_t t = 1; t < n_threads; ++t) {
-      const size_t lo = std::min(flows.size(), t * chunk);
-      const size_t hi = std::min(flows.size(), lo + chunk);
-      if (lo == hi) continue;
-      pool.emplace_back([&, t, lo, hi] {
-        parts[t] =
-            plan_range(be, pl, flows, lo, hi, now_ns, cfg, *decisions);
-      });
-    }
-    parts[0] = plan_range(be, pl, flows, 0, std::min(flows.size(), chunk),
-                          now_ns, cfg, *decisions);
+    for (size_t t = 1; t < n_threads; ++t) pool.emplace_back(run, t);
+    run(0);
     for (std::thread& th : pool) th.join();
   }
 
-  RevalPassStats out;
-  out.threads_used = n_threads;
-  if (cfg.ct_changed != nullptr) out.ct_changed_keys = cfg.ct_changed->size();
-  for (const PartStats& ps : parts) {
-    out.examined += ps.examined;
-    out.retranslated += ps.retranslated;
-    out.skipped_by_tags += ps.skipped_by_tags;
-    out.ct_changed += ps.ct_changed;
-    out.total_cycles += ps.cycles;
-    out.makespan_cycles = std::max(out.makespan_cycles, ps.cycles);
+  RevalPassStats stats;
+  stats.threads_used = n_threads;
+  if (cfg.ct_changed != nullptr)
+    stats.ct_changed_keys = cfg.ct_changed->size();
+  for (size_t t = 0; t < n_threads; ++t) {
+    const RevalPassStats& ps = parts[t].stats;
+    stats.examined += ps.examined;
+    stats.retranslated += ps.retranslated;
+    stats.skipped_by_tags += ps.skipped_by_tags;
+    stats.ct_changed += ps.ct_changed;
+    stats.total_cycles += ps.total_cycles;
+    stats.makespan_cycles = std::max(stats.makespan_cycles, ps.total_cycles);
   }
-  return out;
+  return stats;
 }
 
 }  // namespace ovs

@@ -7,11 +7,13 @@
 //   * plan — the dumped flow list is partitioned contiguously across N
 //     threads; each thread re-translates its flows with side_effects=false
 //     (translation is read-only against the pipeline: classifier lookups,
-//     MAC lookups, conntrack lookups) and records a per-flow verdict plus
-//     the parts of the fresh translation apply installs — tags, matched
-//     rules and, for an action update, the new actions. The fresh megaflow
-//     match is only compared during plan, never kept, so a decision stays
-//     small however many flows a pass dumps. A two-tier fast path consults
+//     MAC lookups, conntrack lookups) through its own reused scratch and
+//     records a per-flow verdict. The fresh actions and matched rules are
+//     compared against the installed ones in place; only a flow whose
+//     actions or attribution changed gets an update (in the partition's
+//     scratch) that apply moves into it. The fresh megaflow match is only
+//     compared, never kept, so a decision stays three words however many
+//     flows a pass dumps. A two-tier fast path consults
 //     the pipeline generation counters, the per-flow Bloom tags and the
 //     per-flow conntrack dependency (checked against the tracker's sealed
 //     changed set, DESIGN.md §15) first, skipping the full re-translation
@@ -22,7 +24,7 @@
 //     FlowRecord, statistics pushes. Keeping all writes on one thread
 //     preserves the backends' single-writer contract and makes the pass
 //     outcome independent of the thread count. Plan threads read only the
-//     record's tags and ct dependency, and the changed set.
+//     record's tags, attribution and ct dependency, and the changed set.
 //
 // Cycle accounting separates *work* (total_cycles, summed over partitions —
 // what the CPU pools are charged) from *latency* (makespan_cycles, the max
@@ -37,7 +39,10 @@
 
 namespace ovs {
 
-// One flow's planned outcome, indexed like the dumped flow list.
+// One flow's planned outcome, indexed like the dumped flow list. Owns no
+// heap memory: a decision only names the new attribution list or action
+// list it applies (RevalUpdate, in its partition's scratch), and only when
+// the fresh translation's differs from what the flow already has.
 struct RevalDecision {
   enum class Kind : uint8_t {
     kDeleteIdle,     // past the idle timeout: evict
@@ -49,14 +54,26 @@ struct RevalDecision {
   };
   Kind kind = Kind::kSkipClean;
   // From the fresh translation, for kKeepFresh / kUpdateActions only.
-  uint8_t ct_lookups = 0;                    // conntrack dependency to store
+  uint8_t ct_lookups = 0;  // conntrack dependency to store
+  // The fresh attribution differs from the record's: the update holds it.
+  bool new_rules = false;
+  uint8_t part = 0;        // partition whose updates hold this flow's update
   uint32_t ct_key = 0;
-  uint64_t tags = 0;                         // Bloom tags to store
-  std::vector<const OfRule*> matched_rules;  // new attribution list
-  DpActions actions;                         // kUpdateActions only
+  uint64_t tags = 0;       // Bloom tags to store
+  // Index into the partition's updates; meaningful for kUpdateActions (the
+  // new actions) and whenever new_rules is set.
+  uint32_t update = 0;
 };
-// The ct fields sit in the padding after `kind`.
-static_assert(sizeof(RevalDecision) == 64);
+// Three words, so a pass's decisions stay small however many flows it dumps.
+static_assert(sizeof(RevalDecision) == 24);
+
+// What a decision applies beyond its scalars: the fresh attribution list
+// (new_rules) and, for kUpdateActions, the fresh actions. Apply moves them
+// into the flow.
+struct RevalUpdate {
+  RuleRefs rules;
+  DpActions actions;
+};
 
 struct RevalPassStats {
   uint64_t examined = 0;
@@ -70,6 +87,32 @@ struct RevalPassStats {
   double total_cycles = 0;       // CPU work, summed over partitions
   double makespan_cycles = 0;    // modeled pass latency: max over partitions
   size_t threads_used = 1;
+};
+
+// One plan partition's scratch, reused from pass to pass: its translation
+// scratch and the updates its decisions name. Partitions translate
+// concurrently, so each owns its own (DESIGN.md §16).
+struct RevalPartition {
+  XlateScratch xlate;
+  std::vector<RevalUpdate> updates;
+  RevalPassStats stats;
+};
+
+// A pass's plan: one decision per dumped flow plus the partitions'
+// scratch. Kept by the caller across passes, so a steady-state pass
+// allocates nothing per flow.
+class RevalPlan {
+ public:
+  std::vector<RevalDecision> decisions;
+
+  // The update a decision names (kUpdateActions, or new_rules set).
+  RevalUpdate& update(const RevalDecision& d) {
+    return parts_[d.part].updates[d.update];
+  }
+
+ private:
+  friend class Revalidator;
+  std::vector<RevalPartition> parts_;
 };
 
 class Revalidator {
@@ -99,11 +142,12 @@ class Revalidator {
   // concurrent fast-path traffic on the sharded backend; the caller must
   // not mutate the backend or the pipeline until plan() returns. Decisions
   // land at the flow's dump index, so the serial apply is deterministic
-  // regardless of n_threads.
+  // regardless of n_threads. `out` is reused: its previous decisions and
+  // updates are discarded, its buffers kept.
   static RevalPassStats plan(DpBackend& be, Pipeline& pl,
                              const std::vector<DpBackend::FlowRef>& flows,
                              uint64_t now_ns, const Config& cfg,
-                             std::vector<RevalDecision>* decisions);
+                             RevalPlan* out);
 };
 
 }  // namespace ovs

@@ -318,9 +318,11 @@ Datapath::Path Switch::inject(const Packet& pkt, uint64_t now_ns) {
   return rx.path;
 }
 
-Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
+Switch::InstallResult Switch::install_from_xlate(XlateResult& xr,
                                                  const Packet& pkt,
-                                                 uint64_t now_ns) {
+                                                 uint64_t now_ns,
+                                                 const DpActions** forward) {
+  if (forward != nullptr) *forward = &xr.actions;
   Match match;
   if (cfg_.megaflows_enabled) {
     match = xr.megaflow;
@@ -331,7 +333,8 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     match.key = pkt.key;
   }
   const size_t before = be_->flow_count();
-  DpBackend::FlowRef e = be_->install(match, xr.actions, now_ns, &pkt.key);
+  DpBackend::FlowRef e =
+      be_->install(match, std::move(xr.actions), now_ns, &pkt.key);
   if (e == nullptr) {
     // Kernel refused the flow (table full, transient fault). The miss
     // packet was still forwarded by userspace; only the cache entry is
@@ -340,20 +343,28 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     cpu_.user_cycles += cfg_.cost.install_fail;
     return InstallResult::kFailed;
   }
-  FlowRecord& rec = be_->flow_record(e);
-  rec.tags = xr.tags;
   InstallResult res;
   if (be_->flow_count() > before) {
     ++counters_.flow_setups;
-    // A duplicate keeps the ct dependency of the translation whose actions
-    // the entry carries.
+    // The new flow took the actions; the record takes the rest of the
+    // same translation.
+    FlowRecord& rec = be_->flow_record(e);
+    rec.tags = xr.tags;
     rec.ct_key = xr.ct_key;
     rec.ct_lookups = xr.ct_lookups;
-    rec.rules = xr.matched_rules;
+    rec.rules = std::move(xr.matched_rules);
     rec.captured_gen = pipeline_.tables_generation();
     rec.captured = true;
+    if (forward != nullptr) *forward = &be_->flow_actions(e);
     res = InstallResult::kInstalled;
   } else {
+    // A duplicate leaves the whole record — tags, attribution, ct
+    // dependency — to the translation whose actions the entry carries.
+    // This translation's tags need not match that one's: the masked key is
+    // the same, but MAC learning or a conntrack change in between can steer
+    // the same key down another path, so overwriting them could let the tag
+    // fast path skip a flow whose actions depend on state the overwritten
+    // tags no longer name.
     ++counters_.setup_dups;
     res = InstallResult::kDup;
   }
@@ -392,8 +403,8 @@ size_t Switch::process_retries(uint64_t now_ns) {
     ++executed;
     // side_effects=false: MAC learning etc. already ran when the upcall
     // was first handled; this pass only re-attempts the cache install.
-    XlateResult xr =
-        pipeline_.translate(r.pkt.key, now_ns, /*side_effects=*/false);
+    XlateResult& xr = pipeline_.translate(r.pkt.key, now_ns, xlate_,
+                                          /*side_effects=*/false);
     cpu_.user_cycles +=
         m.upcall_requeue + m.per_table_lookup * xr.table_lookups;
     const InstallResult res = install_from_xlate(xr, r.pkt, now_ns);
@@ -432,32 +443,34 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
   while (handled < max_upcalls) {
     const size_t batch_size = std::min(
         cfg_.batching ? cfg_.upcall_batch : size_t{1}, max_upcalls - handled);
-    std::vector<Packet> batch = queue_.take(batch_size);
-    if (batch.empty()) break;
+    std::vector<Packet>& batch = upcall_batch_;
+    if (queue_.take(batch_size, &batch) == 0) break;
     // One kernel/user crossing per batch; batching amortizes it (§4.1).
     cpu_.user_cycles += m.upcall_syscall;
-    // The whole miss burst classifies against table 0 in one batched sweep
-    // (classifier lookup_batch); per-packet action translation, install,
-    // and side effects then run in arrival order as before.
-    std::vector<XlateResult> xrs = pipeline_.translate_batch(
-        std::span<const Packet>(batch.data(), batch.size()), now_ns);
-    for (size_t bi = 0; bi < batch.size(); ++bi) {
+    // The miss burst classifies against table 0 in batched sweeps
+    // (classifier lookup_batch); each packet's action translation, side
+    // effects, install and forwarding then run in arrival order, through
+    // the one reused translation scratch. Installing between translations
+    // is invisible to them: installs touch only the datapath.
+    auto handle = [&](size_t bi, XlateResult& xr) {
       const Packet& pkt = batch[bi];
-      XlateResult& xr = xrs[bi];
       cpu_.user_cycles +=
           m.upcall_fixed + m.per_table_lookup * xr.table_lookups;
       if (xr.error) ++counters_.xlate_errors;
-      const InstallResult res = install_from_xlate(xr, pkt, now_ns);
+      const DpActions* actions = nullptr;
+      const InstallResult res = install_from_xlate(xr, pkt, now_ns, &actions);
       PortUpcallStats& ps = port_upcall_stats_[pkt.key.in_port()];
       ++ps.handled;
       if (res == InstallResult::kInstalled) ++ps.installs;
       if (res == InstallResult::kFailed) schedule_retry(pkt, now_ns, 0);
-      // The queued packet itself is now forwarded.
-      if (trace_) trace_(pkt, xr.actions, Datapath::Path::kMiss);
-      execute_actions(xr.actions, pkt);
+      // The queued packet itself is now forwarded, with this translation's
+      // actions (held by the new flow when it installed).
+      if (trace_) trace_(pkt, *actions, Datapath::Path::kMiss);
+      execute_actions(*actions, pkt);
       ++handled;
       ++counters_.upcalls_handled;
-    }
+    };
+    pipeline_.translate_batch(batch, now_ns, xlate_, handle);
   }
   maybe_inject_entry_faults();
   // Delay-faulted upcalls surface into the fair queue now; they are
@@ -567,7 +580,7 @@ void Switch::revalidate(uint64_t now_ns) {
 
   std::vector<DpBackend::FlowRef> flows = be_->dump();
   last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
-                                 &decisions_);
+                                 &reval_plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
   counters_.reval_ct_changed += last_pass_.ct_changed;
@@ -586,7 +599,7 @@ void Switch::revalidate(uint64_t now_ns) {
   // control thread, so the outcome is independent of the thread count.
   for (size_t i = 0; i < flows.size(); ++i) {
     DpBackend::FlowRef f = flows[i];
-    RevalDecision& d = decisions_[i];
+    const RevalDecision& d = reval_plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         push_flow_stats(f, now_ns);  // final stats (validated internally)
@@ -607,12 +620,13 @@ void Switch::revalidate(uint64_t now_ns) {
       case RevalDecision::Kind::kKeepFresh:
         // Refresh the attribution (rule pointers may have been replaced)
         // and push pending stats against the CURRENT rules.
-        refresh_attribution(f, std::move(d));
+        refresh_attribution(f, d);
         push_flow_stats(f, now_ns);
         break;
       case RevalDecision::Kind::kUpdateActions:
-        be_->update_actions(f, std::move(d.actions));  // RCU swap on sharded
-        refresh_attribution(f, std::move(d));
+        // RCU swap on sharded.
+        be_->update_actions(f, std::move(reval_plan_.update(d).actions));
+        refresh_attribution(f, d);
         push_flow_stats(f, now_ns);
         ++counters_.reval_updated_actions;
         break;
@@ -912,18 +926,19 @@ size_t Switch::attribution_count() const {
   return n;
 }
 
-void Switch::refresh_attribution(DpBackend::FlowRef f, RevalDecision&& d) {
+void Switch::refresh_attribution(DpBackend::FlowRef f,
+                                 const RevalDecision& d) {
   FlowRecord& rec = be_->flow_record(f);
   rec.tags = d.tags;
   rec.ct_key = d.ct_key;
   rec.ct_lookups = d.ct_lookups;
-  rec.rules = std::move(d.matched_rules);
+  if (d.new_rules) rec.rules = std::move(reval_plan_.update(d).rules);
   rec.captured_gen = pipeline_.tables_generation();
   rec.captured = true;
 }
 
-void Switch::adopt_attribution(DpBackend::FlowRef f, RevalDecision&& d) {
-  refresh_attribution(f, std::move(d));
+void Switch::adopt_attribution(DpBackend::FlowRef f, const RevalDecision& d) {
+  refresh_attribution(f, d);
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
   FlowRecord& rec = be_->flow_record(f);
@@ -1030,7 +1045,7 @@ bool Switch::restart(uint64_t now_ns) {
 
   const std::vector<DpBackend::FlowRef> flows = be_->dump();
   last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
-                                 &decisions_);
+                                 &reval_plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   const double sync_cycles =
       last_pass_.threads_used > 1
@@ -1040,7 +1055,7 @@ bool Switch::restart(uint64_t now_ns) {
 
   for (size_t i = 0; i < flows.size(); ++i) {
     DpBackend::FlowRef f = flows[i];
-    RevalDecision& d = decisions_[i];
+    const RevalDecision& d = reval_plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         // Sat idle through the blackout; no attribution exists yet.
@@ -1051,12 +1066,12 @@ bool Switch::restart(uint64_t now_ns) {
       case RevalDecision::Kind::kSkipTags:
         break;  // unreachable: maybe_stale && !use_tags
       case RevalDecision::Kind::kKeepFresh:
-        adopt_attribution(f, std::move(d));
+        adopt_attribution(f, d);
         ++counters_.flows_adopted;
         break;
       case RevalDecision::Kind::kUpdateActions:
-        be_->update_actions(f, std::move(d.actions));
-        adopt_attribution(f, std::move(d));
+        be_->update_actions(f, std::move(reval_plan_.update(d).actions));
+        adopt_attribution(f, d);
         ++counters_.flows_repaired;
         break;
       case RevalDecision::Kind::kDeleteStale:

@@ -534,8 +534,12 @@ class Switch {
   void execute_actions(const DpActions& actions, const Packet& pkt);
   void execute_actions_batch(std::span<const Packet> pkts,
                              const Datapath::RxResult* rx);
-  InstallResult install_from_xlate(const XlateResult& xr, const Packet& pkt,
-                                   uint64_t now_ns);
+  // Installs xr's megaflow. A fresh flow takes xr's actions and
+  // attribution by move, so `*forward` then points at the flow's actions;
+  // on a duplicate or a failure xr keeps them and `*forward` points there.
+  InstallResult install_from_xlate(XlateResult& xr, const Packet& pkt,
+                                   uint64_t now_ns,
+                                   const DpActions** forward = nullptr);
   void schedule_retry(const Packet& pkt, uint64_t now_ns, uint32_t attempts);
   size_t process_retries(uint64_t now_ns);
   void maybe_inject_entry_faults();
@@ -566,13 +570,14 @@ class Switch {
   // entry is (re-)translated, and gone with the entry. push_flow_stats
   // credits the rules with the traffic since the last push.
   void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
-  // Stores a fresh translation's tags and rule list in the record.
-  void refresh_attribution(DpBackend::FlowRef f, RevalDecision&& d);
+  // Stores a fresh translation's tags, ct dependency and (when it changed)
+  // rule list in the record.
+  void refresh_attribution(DpBackend::FlowRef f, const RevalDecision& d);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(DpBackend::FlowRef f, RevalDecision&& d);
+  void adopt_attribution(DpBackend::FlowRef f, const RevalDecision& d);
 
   struct RetryEntry {
     Packet pkt;
@@ -598,7 +603,13 @@ class Switch {
     uint64_t bytes;
   };
   std::vector<TxGroup> tx_groups_;
-  std::vector<RevalDecision> decisions_;     // revalidation plan scratch
+  // Slow-path scratch, reused so steady-state upcalls and revalidation
+  // passes allocate nothing (DESIGN.md §16): the upcall batch, the
+  // translation scratch of upcalls and retries, and the revalidation plan
+  // with its per-partition translation scratch.
+  std::vector<Packet> upcall_batch_;
+  XlateScratch xlate_;
+  RevalPlan reval_plan_;
   RevalPassStats last_pass_;
   size_t effective_limit_;
   uint64_t pipeline_gen_at_last_reval_ = 0;

@@ -11,10 +11,12 @@
 // `fair = false` collapses the structure to the historical single FIFO
 // (global cap only, arrival order) — the ablation the storm bench compares
 // against. Per-port accounting is kept in both modes.
+//
+// Backlogs are ring buffers that keep their storage and take() fills a
+// caller-owned batch, so a steady miss stream allocates nothing here.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -37,10 +39,17 @@ class FairUpcallQueue {
   // global cap is exhausted.
   bool enqueue(Packet&& pkt);
 
-  // Dequeues up to `max` upcalls. Fair mode: one packet per backlogged port
+  // Dequeues up to `max` upcalls into `*out` (cleared first; its storage is
+  // reused) and returns how many. Fair mode: one packet per backlogged port
   // per round-robin pass, resuming after the last port served so no port is
   // systematically first. FIFO mode: arrival order.
-  std::vector<Packet> take(size_t max);
+  size_t take(size_t max, std::vector<Packet>* out);
+  // The same, into a fresh vector.
+  std::vector<Packet> take(size_t max) {
+    std::vector<Packet> out;
+    take(max, &out);
+    return out;
+  }
 
   size_t depth() const noexcept { return total_; }
 
@@ -59,8 +68,26 @@ class FairUpcallQueue {
   const UpcallQueueConfig& config() const noexcept { return cfg_; }
 
  private:
+  // FIFO over a ring buffer that grows to its deepest backlog and keeps
+  // that storage.
+  class Ring {
+   public:
+    bool empty() const noexcept { return size_ == 0; }
+    void push(Packet&& pkt);
+    Packet& front() noexcept { return buf_[head_]; }
+    void pop() noexcept {
+      head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
+      --size_;
+    }
+
+   private:
+    std::vector<Packet> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   struct PortState {
-    std::deque<Packet> q;  // unused in FIFO mode (fifo_ holds the packets)
+    Ring q;  // unused in FIFO mode (fifo_ holds the packets)
     PortCounters c;
   };
 
@@ -70,7 +97,7 @@ class FairUpcallQueue {
   std::unordered_map<uint32_t, PortState> per_port_;
   std::vector<uint32_t> rr_order_;  // ports in first-seen order
   size_t rr_cursor_ = 0;
-  std::deque<Packet> fifo_;  // FIFO-mode storage
+  Ring fifo_;  // FIFO-mode storage
   size_t total_ = 0;
   uint64_t enqueued_ = 0;
   uint64_t dropped_ = 0;

@@ -105,7 +105,7 @@ TEST_P(FlowRecordTest, DuplicateInstallKeepsFirstRecord) {
   ASSERT_NE(f, nullptr);
   ASSERT_TRUE(record(f).captured);
   ASSERT_EQ(record(f).pushed_packets, 3u);
-  const std::vector<const OfRule*> rules = record(f).rules;
+  const RuleRefs rules = record(f).rules;
   ASSERT_EQ(rules.size(), 1u);
 
   DpBackend::FlowRef dup = sw_->backend().install(

@@ -328,7 +328,7 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
   rc.idle_ns = ~uint64_t{0} / 2;
   rc.reval_per_flow = 1;
   rc.per_table_lookup = 1;
-  std::vector<RevalDecision> decisions;
+  RevalPlan plan;
   for (int pass = 0; pass < 25; ++pass) {
     if ((pass & 3) == 0) {
       // Mutate the pipeline between passes (never during plan): reroute a
@@ -339,13 +339,13 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
           static_cast<int32_t>(20 + pass), OfActions().output(1));
     }
     const std::vector<DpBackend::FlowRef> flows = be->dump();
-    const RevalPassStats ps = Revalidator::plan(
-        *be, pl, flows, kMs + 1, rc, &decisions);
+    const RevalPassStats ps =
+        Revalidator::plan(*be, pl, flows, kMs + 1, rc, &plan);
     EXPECT_EQ(ps.examined, flows.size());
     for (size_t i = 0; i < flows.size(); ++i) {
-      RevalDecision& d = decisions[i];
+      const RevalDecision& d = plan.decisions[i];
       if (d.kind == RevalDecision::Kind::kUpdateActions) {
-        be->update_actions(flows[i], std::move(d.actions));
+        be->update_actions(flows[i], std::move(plan.update(d).actions));
       } else if (d.kind == RevalDecision::Kind::kDeleteStale) {
         be->remove(flows[i]);
       }
