@@ -129,44 +129,6 @@ int bench_main(int argc, char** argv) {
     report_row(report, "lookup_with_wildcards", rate, {}, iters);
   }
 
-  // --- Engine seam: scalar lookup + lookup_batch per engine ------------------
-  // A nested-prefix scale table (the chained engine's natural habitat) with
-  // Zipf traffic, small enough to keep this bench quick.
-  for (ClassifierEngine e :
-       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple}) {
-    ClassifierConfig cfg;
-    cfg.engine = e;
-    Classifier cls(cfg);
-    Rng rng(1234);
-    std::vector<std::unique_ptr<OwnedRule>> rules =
-        build_scale_classifier(cls, 50000, 256, rng);
-    Rng prng(4321);
-    std::vector<FlowKey> pkts;
-    for (int i = 0; i < 4096; ++i)
-      pkts.push_back(zipf_scale_packet(rules, prng));
-    const size_t iters = 20000 * mult;
-    const double rate = measure(iters, [&](size_t i) {
-      FlowWildcards wc;
-      keep(cls.lookup(pkts[i & 4095], &wc));
-    });
-    report_row(report, "engine_lookup", rate,
-               {{"engine", classifier_engine_name(e)}}, iters);
-
-    constexpr size_t kBlock = 64;
-    const Rule* out[kBlock];
-    FlowWildcards wcs[kBlock];
-    const size_t blocks = std::max<size_t>(1, iters / kBlock);
-    const double brate = measure(blocks, [&](size_t i) {
-      cls.lookup_batch(&pkts[(i * kBlock) & 4095 & ~(kBlock - 1)], kBlock,
-                       out, wcs);
-      keep(out[0]);
-    });
-    report_row(report, "engine_lookup_batch", brate * kBlock,
-               {{"engine", classifier_engine_name(e)},
-                {"block", std::to_string(kBlock)}},
-               blocks * kBlock);
-  }
-
   // --- §3.2 update cost: insert+remove round trip ----------------------------
   {
     Classifier cls;

@@ -10,6 +10,8 @@
 
 namespace ovs {
 
+class Tuple;
+
 class Rule {
  public:
   Rule(Match match, int32_t priority)
@@ -27,17 +29,15 @@ class Rule {
   bool in_classifier() const noexcept { return sub_ != nullptr; }
 
  private:
-  // Engines reach the intrusive links through RuleLinks (rule_links.h) so
-  // the link fields stay engine-opaque: `sub_` points at whatever subtable
-  // structure the active ClassifierBackend keys rules by.
-  friend struct RuleLinks;
+  friend class Tuple;
+  friend class StagedTssEngine;
 
   Match match_;
   int32_t priority_;
 
-  // Classifier-internal state.
+  // Classifier-internal state (staged_tss.h).
   Rule* next_same_key_ = nullptr;  // same masked key, lower priority
-  void* sub_ = nullptr;            // owning engine subtable (opaque)
+  Tuple* sub_ = nullptr;           // owning subtable
   uint64_t key_hash_ = 0;  // hash of masked key over all words
 };
 

@@ -70,7 +70,7 @@ Tuple::Tuple(const FlowMask& mask) : mask_(mask), schema_(mask) {
 
 void Tuple::insert(Rule* rule) {
   assert(rule->match().mask == mask_);
-  RuleLinks::key_hash(*rule) = full_hash(rule->match().key);
+  rule->key_hash_ = full_hash(rule->match().key);
 
   // Intermediate stage sets.
   uint64_t acc = 0;
@@ -82,18 +82,18 @@ void Tuple::insert(Rule* rule) {
   if (partitions_metadata_)
     metadata_values_.add(hash_mix64(rule->match().key.metadata()));
 
-  RuleLinks::chain_insert(rules_, rule);
+  chain_insert(rule);
 
   ++n_rules_;
   ++prio_counts_[rule->priority()];
   recompute_pri_max();
-  RuleLinks::sub(*rule) = this;
+  rule->sub_ = this;
 }
 
 void Tuple::remove(Rule* rule) noexcept {
-  assert(RuleLinks::sub(*rule) == this);
-  RuleLinks::chain_remove(rules_, rule);
-  RuleLinks::sub(*rule) = nullptr;
+  assert(rule->sub_ == this);
+  chain_remove(rule);
+  rule->sub_ = nullptr;
 
   uint64_t acc = 0;
   for (size_t s = 0; s + 1 < n_stages_; ++s) {
@@ -107,6 +107,49 @@ void Tuple::remove(Rule* rule) noexcept {
   auto it = prio_counts_.find(rule->priority());
   if (--it->second == 0) prio_counts_.erase(it);
   recompute_pri_max();
+}
+
+void Tuple::chain_insert(Rule* rule) {
+  Rule** head = rules_.find(rule->key_hash_, [&](Rule* r) {
+    return r->match().key == rule->match().key;
+  });
+  if (head == nullptr) {
+    rules_.insert(rule->key_hash_, rule);
+    return;
+  }
+  if (rule->priority() > (*head)->priority()) {
+    rule->next_same_key_ = *head;
+    *head = rule;
+    return;
+  }
+  Rule* prev = *head;
+  while (prev->next_same_key_ != nullptr &&
+         prev->next_same_key_->priority() >= rule->priority())
+    prev = prev->next_same_key_;
+  rule->next_same_key_ = prev->next_same_key_;
+  prev->next_same_key_ = rule;
+}
+
+void Tuple::chain_remove(Rule* rule) noexcept {
+  Rule** head = rules_.find(rule->key_hash_, [&](Rule* r) {
+    return r->match().key == rule->match().key;
+  });
+  assert(head != nullptr);
+  if (*head == rule) {
+    if (rule->next_same_key_ != nullptr) {
+      *head = rule->next_same_key_;
+    } else {
+      rules_.erase(rule->key_hash_, [&](Rule* r) { return r == rule; });
+    }
+  } else {
+    Rule* prev = *head;
+    while (prev->next_same_key_ != rule) {
+      prev = prev->next_same_key_;
+      assert(prev != nullptr);
+    }
+    prev->next_same_key_ = rule->next_same_key_;
+  }
+  rule->next_same_key_ = nullptr;
 }
 
 void Tuple::recompute_pri_max() noexcept {
@@ -210,7 +253,7 @@ void StagedTssEngine::insert(Rule* rule) {
 }
 
 void StagedTssEngine::remove(Rule* rule) noexcept {
-  Tuple* t = static_cast<Tuple*>(RuleLinks::sub(*rule));
+  Tuple* t = rule->sub_;
   const int32_t old_pri_max = t->pri_max();
   t->remove(rule);
   trie_update(*rule, /*add=*/false);
@@ -238,7 +281,7 @@ Rule* StagedTssEngine::find_exact(const Match& match,
   Rule* const* head =
       t->rules_.find(h, [&](Rule* r) { return r->match().key == m.key; });
   if (head == nullptr) return nullptr;
-  for (Rule* r = *head; r != nullptr; r = RuleLinks::next(*r))
+  for (Rule* r = *head; r != nullptr; r = r->next_same_key_)
     if (r->priority() == priority) return r;
   return nullptr;
 }
@@ -351,7 +394,7 @@ void StagedTssEngine::for_each_rule(
     const std::function<void(Rule*)>& f) const {
   for (const auto& t : tuples_)
     t->rules_.for_each([&](Rule* head) {
-      for (Rule* r = head; r != nullptr; r = RuleLinks::next(*r)) f(r);
+      for (Rule* r = head; r != nullptr; r = r->next_same_key_) f(r);
     });
 }
 

@@ -1,24 +1,69 @@
-// Staged tuple-space-search engine — the paper's classifier (§5) and the
-// reference ClassifierConfig::engine (kStagedTss): one hash table per mask,
-// walked stage by stage with tuple priority sorting, prefix tries and
-// metadata partitions in front.
+// Staged tuple-space-search engine — the paper's classifier (§5): one hash
+// table per mask, walked stage by stage with tuple priority sorting, prefix
+// tries and metadata partitions in front. Classifier (classifier.h) runs one
+// of these, or one per tenant plus a shared one under tenant partitioning.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "classifier/cls_backend.h"
-#include "classifier/rule_links.h"
+#include "classifier/rule.h"
 #include "packet/flow_key.h"
 #include "util/flat_hash.h"
 #include "util/miniflow.h"
 #include "util/prefix_trie.h"
 
 namespace ovs {
+
+struct ClassifierConfig {
+  bool priority_sorting = true;
+  bool staged_lookup = true;
+  bool prefix_tracking = true;       // IPv4/IPv6 address tries
+  bool port_prefix_tracking = true;  // L4 port tries (§5.4 last paragraph)
+  bool partitioning = true;          // metadata partitions (§5.5)
+  // Megaflow-cache mode: entries are disjoint and priority-free, so a lookup
+  // "can terminate as soon as it finds any match" (§4.2).
+  bool first_match_only = false;
+  // Injects the §7.1 outlier bug: any rule matching ICMP type/code poisons
+  // the L4 port tries, forcing full port unwildcarding. Off by default.
+  bool icmp_port_trie_bug = false;
+
+  // Per-tenant hard partitioning (DESIGN.md §14): rules whose match is
+  // exact on metadata are segregated into one engine per metadata value;
+  // rules without an exact metadata match share a common engine. A lookup
+  // probes only the shared engine plus the packet's own tenant engine, so
+  // one tenant's subtable explosion cannot lengthen another tenant's probe
+  // sequence. Semantics-preserving: a rule exact on metadata != the
+  // packet's metadata can never match, and the partition routing is
+  // recorded by marking metadata exact in the wildcards (the same soundness
+  // argument as §5.5 metadata partitions). Off by default (bit-for-bit one
+  // flat engine). Read by Classifier only.
+  bool tenant_partition = false;
+
+  static ClassifierConfig all_disabled() {
+    return ClassifierConfig{false, false, false, false, false, false, false};
+  }
+};
+
+// Fields that have a prefix trie.
+inline constexpr std::array<FieldId, 6> kTrieFields = {
+    FieldId::kNwSrc,   FieldId::kNwDst, FieldId::kIpv6Src,
+    FieldId::kIpv6Dst, FieldId::kTpSrc, FieldId::kTpDst};
+inline constexpr size_t kNumTrieFields = kTrieFields.size();
+
+// Cumulative lookup statistics (reset with reset_stats). Returned by value:
+// the engine-internal counters are atomics shared by concurrent readers.
+struct ClassifierStats {
+  uint64_t lookups = 0;
+  uint64_t tuples_searched = 0;      // subtables whose hash tables were probed
+  uint64_t tuples_skipped = 0;       // skipped via tries/partitions
+  uint64_t stage_terminations = 0;   // staged-lookup early misses
+};
 
 // One hash table per unique mask ("subtable").
 class Tuple {
@@ -42,6 +87,13 @@ class Tuple {
 
   void insert(Rule* rule);
   void remove(Rule* rule) noexcept;
+
+  // The final table's same-masked-key discipline: rules with identical
+  // masked keys hang off one bucket in descending priority order, so a
+  // lookup's single hash probe lands on the highest-priority candidate.
+  // Equal priorities append after existing rules.
+  void chain_insert(Rule* rule);
+  void chain_remove(Rule* rule) noexcept;
 
   uint64_t hash_stage(const FlowWords& src, size_t stage,
                       uint64_t basis) const noexcept {
@@ -86,25 +138,27 @@ class Tuple {
   std::array<int, kNumTrieFields> trie_plen_{};
 };
 
-class StagedTssEngine final : public ClassifierBackend {
+class StagedTssEngine {
  public:
   explicit StagedTssEngine(const ClassifierConfig& cfg);
-  ~StagedTssEngine() override;
+  ~StagedTssEngine();
 
-  void insert(Rule* rule) override;
-  void remove(Rule* rule) noexcept override;
-  Rule* find_exact(const Match& match, int32_t priority) const noexcept
-      override;
+  StagedTssEngine(const StagedTssEngine&) = delete;
+  StagedTssEngine& operator=(const StagedTssEngine&) = delete;
+
+  void insert(Rule* rule);
+  void remove(Rule* rule) noexcept;
+  Rule* find_exact(const Match& match, int32_t priority) const noexcept;
   const Rule* lookup(const FlowKey& pkt, FlowWildcards* wc,
-                     uint32_t* n_searched) const noexcept override;
+                     uint32_t* n_searched) const noexcept;
 
-  size_t rule_count() const noexcept override { return n_rules_; }
-  size_t mask_count() const noexcept override { return tuples_.size(); }
+  size_t rule_count() const noexcept { return n_rules_; }
+  size_t mask_count() const noexcept { return tuples_.size(); }
 
-  ClassifierStats stats() const noexcept override;
-  void reset_stats() const noexcept override;
+  ClassifierStats stats() const noexcept;
+  void reset_stats() const noexcept;
 
-  void for_each_rule(const std::function<void(Rule*)>& f) const override;
+  void for_each_rule(const std::function<void(Rule*)>& f) const;
 
  private:
   struct TrieCtx;  // per-lookup lazily computed trie results

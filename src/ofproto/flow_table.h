@@ -91,17 +91,6 @@ class FlowTable {
     return static_cast<const OfRule*>(cls_.lookup(pkt, wc));
   }
 
-  // Batched lookup: out[i] (and wcs[i], if given) receive exactly what
-  // lookup(keys[i], &wcs[i]) would produce, through the classifier engine's
-  // batch path. Results are the classifier's Rule pointers (every rule in
-  // a flow table is an OfRule; casting an OfRule** to Rule** would be UB),
-  // so the caller downcasts each one — for free — and no temporary array
-  // is needed.
-  void lookup_batch(const FlowKey* keys, size_t n, const Rule** out,
-                    FlowWildcards* wcs = nullptr) const {
-    cls_.lookup_batch(keys, n, out, wcs);
-  }
-
   size_t flow_count() const noexcept { return cls_.rule_count(); }
   size_t tuple_count() const noexcept { return cls_.tuple_count(); }
 

@@ -171,24 +171,14 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   xlate_table(ctx, ct.next_table, depth + 1);
 }
 
-void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth,
-                           const Prefetched* pre) {
+void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth) {
   if (depth > kMaxResubmitDepth || table_id >= tables_.size()) {
     ctx.res.error = true;
     return;
   }
   FlowTable& table = *tables_[table_id];
   FlowWildcards consulted;
-  const OfRule* rule;
-  if (pre != nullptr) {
-    // translate_batch already classified this packet against table 0; the
-    // key cannot have been rewritten before the first lookup, so the
-    // precomputed result is exactly what lookup() would return here.
-    rule = pre->rule;
-    consulted = *pre->consulted;
-  } else {
-    rule = table.lookup(ctx.key, &consulted);
-  }
+  const OfRule* rule = table.lookup(ctx.key, &consulted);
   ctx.absorb(consulted);
   ++ctx.res.table_lookups;
 
@@ -284,20 +274,19 @@ void trim_wildcards_to_packet(const FlowKey& pkt, FlowWildcards& wc) {
 
 XlateResult& Pipeline::translate(const FlowKey& pkt, uint64_t now_ns,
                                  XlateScratch& scratch, bool side_effects) {
-  translate_into(pkt, now_ns, side_effects, nullptr, scratch.result);
+  translate_into(pkt, now_ns, side_effects, scratch.result);
   return scratch.result;
 }
 
 XlateResult Pipeline::translate(const FlowKey& pkt, uint64_t now_ns,
                                 bool side_effects) {
   XlateResult res;
-  translate_into(pkt, now_ns, side_effects, nullptr, res);
+  translate_into(pkt, now_ns, side_effects, res);
   return res;
 }
 
 void Pipeline::translate_into(const FlowKey& pkt, uint64_t now_ns,
-                              bool side_effects, const Prefetched* pre,
-                              XlateResult& res) {
+                              bool side_effects, XlateResult& res) {
   // Every per-translation output starts over; the buffers keep their
   // storage.
   res.actions.list.clear();
@@ -313,7 +302,7 @@ void Pipeline::translate_into(const FlowKey& pkt, uint64_t now_ns,
   // actions suppress hairpinning back out of in_port, so the forwarding
   // decision inherently depends on it.
   ctx.consult_field(FieldId::kInPort);
-  xlate_table(ctx, /*table_id=*/0, /*depth=*/0, pre);
+  xlate_table(ctx, /*table_id=*/0, /*depth=*/0);
 
   trim_wildcards_to_packet(pkt, ctx.wc);
   res.megaflow.mask = ctx.wc;

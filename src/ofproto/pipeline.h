@@ -23,11 +23,9 @@
 //     was committed, torn down, evicted or expired (ct_reval_dirty).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "datapath/dp_actions.h"
@@ -105,25 +103,6 @@ class Pipeline {
   XlateResult translate(const FlowKey& pkt, uint64_t now_ns,
                         bool side_effects = true);
 
-  // Translates a miss burst as a batch: the table-0 classification runs
-  // through the classifier engine's lookup_batch a block of kBatchBlock
-  // packets at a time (one structure-of-arrays probe sweep with
-  // prefetching under kChainedTuple), then the block's per-packet action
-  // walks run in order, each into scratch.result, which `each(i, result)`
-  // consumes before the next packet is translated. Results are identical
-  // to calling translate() in order: the batched stage only precomputes
-  // the first lookup each translation would perform anyway (table-0 state
-  // cannot change mid-batch — `each` must not modify the tables — and
-  // rewrites that would change the lookup key only happen after that first
-  // lookup), while MAC learning and conntrack side effects stay in packet
-  // order. The block's keys and wildcards live on the stack, so the batch
-  // path holds no per-packet heap buffers between bursts.
-  static constexpr size_t kBatchBlock = 16;
-  template <typename F>
-  void translate_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                       XlateScratch& scratch, F&& each,
-                       bool side_effects = true);
-
   // Side-effect-free single-packet evaluation: what would this pipeline do
   // with `pkt` right now? Exactly translate(pkt, now_ns, side_effects=false)
   // — classifier, MAC and conntrack lookups only, no learning and no
@@ -157,16 +136,9 @@ class Pipeline {
 
  private:
   struct XlateCtx;
-  // A table-0 classification already performed by translate_batch; consumed
-  // by the first xlate_table call of the matching translation.
-  struct Prefetched {
-    const OfRule* rule;
-    const FlowWildcards* consulted;
-  };
   void translate_into(const FlowKey& pkt, uint64_t now_ns, bool side_effects,
-                      const Prefetched* pre, XlateResult& res);
-  void xlate_table(XlateCtx& ctx, size_t table_id, int depth,
-                   const Prefetched* pre = nullptr);
+                      XlateResult& res);
+  void xlate_table(XlateCtx& ctx, size_t table_id, int depth);
   void do_normal(XlateCtx& ctx);
   void do_ct(XlateCtx& ctx, const OfCt& ct, int depth);
 
@@ -176,25 +148,5 @@ class Pipeline {
   std::vector<uint32_t> ports_;
   uint64_t port_generation_ = 0;
 };
-
-template <typename F>
-void Pipeline::translate_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                               XlateScratch& scratch, F&& each,
-                               bool side_effects) {
-  for (size_t lo = 0; lo < pkts.size(); lo += kBatchBlock) {
-    const size_t n = std::min(kBatchBlock, pkts.size() - lo);
-    FlowKey keys[kBatchBlock];
-    const Rule* rules[kBatchBlock];
-    FlowWildcards wcs[kBatchBlock];  // lookups accumulate into these
-    for (size_t i = 0; i < n; ++i) keys[i] = pkts[lo + i].key;
-    tables_[0]->lookup_batch(keys, n, rules, wcs);
-    for (size_t i = 0; i < n; ++i) {
-      // Every rule in a flow table is an OfRule.
-      const Prefetched pre{static_cast<const OfRule*>(rules[i]), &wcs[i]};
-      translate_into(keys[i], now_ns, side_effects, &pre, scratch.result);
-      each(lo + i, scratch.result);
-    }
-  }
-}
 
 }  // namespace ovs

@@ -65,31 +65,6 @@ struct CostModel {
   double install_fail = 600;       // failed netlink install (error return)
   double upcall_requeue = 400;     // park a miss on the retry queue
 
-  // Userspace classifier engine micro-costs (bench_classifier_scale's model
-  // mode). These price one classifier lookup from its own stats delta:
-  //
-  //   cycles = cls_lookup_fixed
-  //          + (tuples_searched - stage_terminations) * cls_tuple_probe
-  //          + stage_terminations * cls_stage_term
-  //          + tuples_skipped * cls_tuple_skip
-  //          + guide_probes * cls_guide_probe
-  //
-  // Anchors: §7.2's ~294 cycles/tuple search covers the full staged walk of
-  // a matching tuple (cls_tuple_probe, slightly under since the fixed term
-  // is split out); a staged early miss touches 1-2 stage sets only; a
-  // trie/partition skip still loads the subtable descriptor and its
-  // trie-plen/partition metadata — with hundreds of subtables that is a
-  // likely cache miss per skip, so it prices like an L2/L3 hit rather than
-  // register arithmetic (exactly the per-subtable tax the chained engine
-  // amortizes into one guide probe per chain); a chain guide probe is one
-  // full-mask hash + counting-set probe, cheaper than a rule-table search
-  // because it never walks a bucket chain.
-  double cls_lookup_fixed = 80;   // per-lookup setup/teardown
-  double cls_tuple_probe = 260;   // full staged walk + rule-table search
-  double cls_stage_term = 90;     // staged lookup cut short at a stage set
-  double cls_tuple_skip = 30;     // trie/partition/priority skip
-  double cls_guide_probe = 70;    // chain guide full-mask hash + set probe
-
   // Crash/restart recovery (DESIGN.md §9). A daemon restart pays a fixed
   // re-exec cost (config re-read, socket setup) before the reconciliation
   // pass, whose per-flow work reuses reval_per_flow/per_table_lookup; the

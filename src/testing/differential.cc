@@ -16,7 +16,6 @@ SwitchConfig DiffConfig::to_switch_config() const {
   c.rx_batch = rx_batch;
   c.reval_mode = reval_mode;
   c.revalidator_threads = revalidator_threads;
-  c.classifier.engine = engine;
   c.classifier.tenant_partition = tenant_partition;
   c.offload_slots = offload_slots;
   // Bounded conntrack, tiny on purpose: the generated pool holds 24
@@ -64,38 +63,12 @@ std::vector<DiffConfig> standard_configs() {
 }
 
 std::vector<DiffConfig> engine_configs() {
-  std::vector<DiffConfig> out;
-  const ClassifierEngine chained = ClassifierEngine::kChainedTuple;
-  for (size_t rx : {size_t{1}, size_t{8}}) {
-    DiffConfig c;
-    c.name = std::string("engine-") + classifier_engine_name(chained) +
-             (rx == 1 ? "/per-pkt" : "/batched");
-    c.rx_batch = rx;
-    c.engine = chained;
-    out.push_back(std::move(c));
-  }
-  // One sharded point: the engine's lookups must stay sound under the
-  // multi-worker datapath's upcall interleavings too.
-  DiffConfig sharded;
-  sharded.name = std::string("engine-") + classifier_engine_name(chained) +
-                 "/sharded/batched";
-  sharded.datapath_workers = 4;
-  sharded.rx_batch = 8;
-  sharded.engine = chained;
-  out.push_back(std::move(sharded));
-  // Tenant-partitioned points (DESIGN.md §14), one per engine including the
-  // reference: partitioning must be semantics-preserving against the flat
-  // oracle no matter which engine runs inside the partitions.
-  for (ClassifierEngine e :
-       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple}) {
-    DiffConfig c;
-    c.name = std::string("engine-") + classifier_engine_name(e) +
-             "/partitioned";
-    c.engine = e;
-    c.tenant_partition = true;
-    out.push_back(std::move(c));
-  }
-  return out;
+  // The tenant-partitioned classifier (DESIGN.md §14): partitioning must be
+  // semantics-preserving against the flat oracle.
+  DiffConfig c;
+  c.name = "partitioned";
+  c.tenant_partition = true;
+  return {c};
 }
 
 DiffConfig tags_ablation_config() {
@@ -144,11 +117,6 @@ std::optional<Divergence> DifferentialRunner::run(const Scenario& sc,
   SwitchConfig swc = cfg.to_switch_config();
   swc.fault = &fi;
   Switch sw(swc);
-  // The oracle always runs the reference engine: when cfg selects an
-  // alternative engine the replay becomes an end-to-end differential test
-  // of that engine against the staged-TSS baseline.
-  ClassifierConfig oracle_cls = swc.classifier;
-  oracle_cls.engine = ClassifierEngine::kStagedTss;
   // The oracle runs the identical bounded ConnTracker configuration, so
   // replaying the ct mutation log reproduces eviction and expiry exactly.
   ConnTrackerConfig oracle_ct;
@@ -156,6 +124,10 @@ std::optional<Divergence> DifferentialRunner::run(const Scenario& sc,
   oracle_ct.max_per_zone = swc.ct_max_per_zone;
   oracle_ct.idle_timeout_ns = swc.ct_idle_timeout_ns;
   oracle_ct.fair_eviction = swc.ct_fair_eviction;
+  // The oracle's classifier is always flat, so a partitioned replay checks
+  // the partitioning end to end against unpartitioned tables.
+  ClassifierConfig oracle_cls = swc.classifier;
+  oracle_cls.tenant_partition = false;
   OracleSwitch oracle(swc.n_tables, oracle_cls, oracle_ct);
   ReplayClock clock(opts_.quanta);
 

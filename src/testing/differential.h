@@ -45,11 +45,6 @@ struct DiffConfig {
   size_t rx_batch = 1;          // 1 = per-packet inject, >1 = inject_batch
   RevalidationMode reval_mode = RevalidationMode::kTwoTier;
   size_t revalidator_threads = 1;
-  // Classifier lookup engine the switch under test runs. The oracle is
-  // always pinned to the reference kStagedTss engine, so sweeping this
-  // field checks the alternative engines against the reference through
-  // full end-to-end replays, not just classifier-level unit diffs.
-  ClassifierEngine engine = ClassifierEngine::kStagedTss;
   // NIC offload tier capacity (DESIGN.md §13); 0 = off. The oracle is
   // cache-free, so offload-on replays check that slot placement, eviction,
   // and crash/restart reconciliation never change which actions a packet
@@ -72,10 +67,8 @@ struct DiffConfig {
 // x {kFull, kTwoTier}, plus one offload-on point per backend.
 std::vector<DiffConfig> standard_configs();
 
-// The non-reference classifier engine (chained-tuple) crossed with the
-// datapath/batching variants that exercise its distinct lookup paths:
-// batched rx drives lookup_batch through translate_batch, per-pkt drives
-// the scalar path. Plus one tenant-partitioned point per engine.
+// The classifier-configuration points beyond the standard lattice: the
+// tenant-partitioned classifier ("partitioned").
 std::vector<DiffConfig> engine_configs();
 
 // The deliberately unsound configuration: historical kTags revalidation,

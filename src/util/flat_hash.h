@@ -73,13 +73,6 @@ class HashBuckets {
       if (s.state == State::kFull) f(s.value);
   }
 
-  // Hints the probe start for an upcoming find() into cache. The batched
-  // classifier lookup issues these between probe rounds so the memory
-  // latency of n independent probes overlaps instead of serializing.
-  void prefetch(uint64_t hash) const noexcept {
-    if (!slots_.empty()) __builtin_prefetch(&slots_[probe_start(hash)]);
-  }
-
   void clear() noexcept {
     slots_.clear();
     size_ = tombstones_ = 0;
@@ -157,8 +150,6 @@ class HashCounter {
   }
 
   size_t distinct() const noexcept { return counts_.size(); }
-
-  void prefetch(uint64_t hash) const noexcept { counts_.prefetch(hash); }
 
  private:
   struct Entry {

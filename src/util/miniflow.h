@@ -1,6 +1,6 @@
 // Miniflow-style sparse hashing over mask-active flow words, shared by every
-// structure that keys a hash table by a masked FlowKey: classifier subtables
-// (all engines), the sharded datapath's megaflow tuples, and the EMC
+// structure that keys a hash table by a masked FlowKey: classifier subtables,
+// the sharded datapath's megaflow tuples, and the EMC
 // tuple-index hints. Real flow masks touch 2-5 of the 15 key words, so each
 // consumer precomputes which words carry mask bits once per mask and then
 // hashes/compares only those.
@@ -24,18 +24,9 @@
 
 namespace ovs {
 
-// Canonical hash of a whole mask, used by every engine's mask -> subtable
-// index.
+// Canonical hash of a whole mask, used by every mask -> subtable index.
 inline uint64_t flow_mask_hash(const FlowMask& mask) noexcept {
   return hash_words(mask.w.data(), kFlowWords);
-}
-
-// Is every bit of `a` also set in `b`? Distinct masks with a ⊆ b are the
-// subsumption edges the chained-tuple engine orders subtables by.
-inline bool flow_mask_subset(const FlowMask& a, const FlowMask& b) noexcept {
-  for (size_t w = 0; w < kFlowWords; ++w)
-    if ((a.w[w] & ~b.w[w]) != 0) return false;
-  return true;
 }
 
 class MiniflowSchema {

@@ -447,13 +447,12 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
     if (queue_.take(batch_size, &batch) == 0) break;
     // One kernel/user crossing per batch; batching amortizes it (§4.1).
     cpu_.user_cycles += m.upcall_syscall;
-    // The miss burst classifies against table 0 in batched sweeps
-    // (classifier lookup_batch); each packet's action translation, side
-    // effects, install and forwarding then run in arrival order, through
-    // the one reused translation scratch. Installing between translations
-    // is invisible to them: installs touch only the datapath.
-    auto handle = [&](size_t bi, XlateResult& xr) {
-      const Packet& pkt = batch[bi];
+    // Each packet's translation, side effects, install and forwarding run
+    // in arrival order, through the one reused translation scratch.
+    // Installing between translations is invisible to them: installs touch
+    // only the datapath.
+    for (const Packet& pkt : batch) {
+      XlateResult& xr = pipeline_.translate(pkt.key, now_ns, xlate_);
       cpu_.user_cycles +=
           m.upcall_fixed + m.per_table_lookup * xr.table_lookups;
       if (xr.error) ++counters_.xlate_errors;
@@ -469,8 +468,7 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
       execute_actions(*actions, pkt);
       ++handled;
       ++counters_.upcalls_handled;
-    };
-    pipeline_.translate_batch(batch, now_ns, xlate_, handle);
+    }
   }
   maybe_inject_entry_faults();
   // Delay-faulted upcalls surface into the fair queue now; they are
@@ -909,7 +907,7 @@ void Switch::update_ct_policy() {
 size_t Switch::cls_subtables() const noexcept {
   size_t n = 0;
   for (size_t t = 0; t < pipeline_.n_tables(); ++t)
-    n += pipeline_.table(t).classifier().n_subtables();
+    n += pipeline_.table(t).classifier().tuple_count();
   return n;
 }
 

@@ -1,9 +1,6 @@
 #include "workload/table_gen.h"
 
-#include <algorithm>
-#include <array>
 #include <cassert>
-#include <cmath>
 
 namespace ovs {
 
@@ -178,88 +175,6 @@ std::vector<std::unique_ptr<OwnedRule>> build_random_classifier(
     rules.push_back(std::move(r));
   }
   return rules;
-}
-
-std::vector<FlowMask> make_scale_masks(size_t n_masks, Rng& rng) {
-  const std::array<FieldId, 6> optional_exact = {
-      FieldId::kNwProto, FieldId::kTpDst,   FieldId::kTpSrc,
-      FieldId::kEthDst,  FieldId::kInPort,  FieldId::kMetadata};
-  std::vector<FlowMask> masks;
-  while (masks.size() < n_masks) {
-    // One nested-prefix family: a base combination of exact fields plus an
-    // ascending run of prefix lengths on a single address field.
-    FlowMask base;
-    base.set_exact(FieldId::kEthType);
-    for (FieldId f : optional_exact)
-      if (rng.chance(0.35)) base.set_exact(f);
-    const FieldId pf =
-        rng.chance(0.5) ? FieldId::kNwDst : FieldId::kNwSrc;
-
-    std::array<unsigned, 29> plens;  // 4..32
-    for (size_t i = 0; i < plens.size(); ++i)
-      plens[i] = static_cast<unsigned>(4 + i);
-    for (size_t i = plens.size(); i > 1; --i)
-      std::swap(plens[i - 1], plens[rng.uniform(i)]);
-    const size_t fam_len = static_cast<size_t>(rng.range(8, 16));
-    std::sort(plens.begin(), plens.begin() + static_cast<long>(fam_len));
-
-    for (size_t i = 0; i < fam_len && masks.size() < n_masks; ++i) {
-      FlowMask m = base;
-      m.set_prefix(pf, plens[i]);
-      bool dup = false;
-      for (const FlowMask& e : masks) dup = dup || e == m;
-      if (!dup) masks.push_back(m);
-    }
-  }
-  return masks;
-}
-
-std::vector<std::unique_ptr<OwnedRule>> build_scale_classifier(
-    Classifier& cls, size_t n_rules, size_t n_masks, Rng& rng) {
-  const std::vector<FlowMask> masks = make_scale_masks(n_masks, rng);
-
-  // Unique priorities in shuffled order: winner identity is unambiguous, so
-  // two engines over the same table must agree exactly, not just modulo
-  // tie-breaks.
-  std::vector<int32_t> prios(n_rules);
-  for (size_t i = 0; i < n_rules; ++i) prios[i] = static_cast<int32_t>(i + 1);
-  for (size_t i = n_rules; i > 1; --i)
-    std::swap(prios[i - 1], prios[rng.uniform(i)]);
-
-  std::vector<std::unique_ptr<OwnedRule>> rules;
-  rules.reserve(n_rules);
-  size_t attempts = 0;
-  while (rules.size() < n_rules && attempts < n_rules * 4) {
-    Match match;
-    match.mask = masks[attempts % masks.size()];
-    match.key = random_classifier_packet(rng);
-    match.normalize();
-    ++attempts;
-    const int32_t prio = prios[rules.size()];
-    if (cls.find_exact(match, prio) != nullptr) continue;  // duplicate
-    auto r = std::make_unique<OwnedRule>(match, prio);
-    cls.insert(r.get());
-    rules.push_back(std::move(r));
-  }
-  return rules;
-}
-
-FlowKey zipf_scale_packet(const std::vector<std::unique_ptr<OwnedRule>>& rules,
-                          Rng& rng, double miss_fraction) {
-  if (rules.empty() || rng.chance(miss_fraction))
-    return random_classifier_packet(rng);
-  // Log-uniform rank selection approximates a Zipf popularity curve: the
-  // rule at index 0 dominates, the tail is long.
-  const double u =
-      static_cast<double>(rng.next() >> 11) * 0x1.0p-53;  // [0, 1)
-  size_t idx = static_cast<size_t>(
-      std::pow(static_cast<double>(rules.size()), u)) - 1;
-  if (idx >= rules.size()) idx = rules.size() - 1;
-  const Match& m = rules[idx]->match();
-  FlowKey k = m.key;
-  for (size_t w = 0; w < kFlowWords; ++w)
-    k.w[w] |= rng.next() & ~m.mask.w[w];
-  return k;
 }
 
 FlowKey random_classifier_packet(Rng& rng) {

@@ -92,32 +92,4 @@ std::vector<std::unique_ptr<OwnedRule>> build_random_classifier(
 // A random packet that hits the random classifier's value universe.
 FlowKey random_classifier_packet(Rng& rng);
 
-// --- Scale tables (bench_classifier_scale) ----------------------------------
-//
-// Mask sets at the hundreds-to-thousands scale, structured the way large
-// production tables are: FAMILIES of masks sharing a base set of exact
-// fields and differing only in the prefix length of one address field.
-// Masks within a family are totally ordered by subsumption, which is
-// exactly the structure the chained-tuple engine exploits (and what longest
-// -prefix-match rule compilers emit); across families masks stay unrelated.
-
-// Exactly `n_masks` distinct masks grouped into nested-prefix families.
-std::vector<FlowMask> make_scale_masks(size_t n_masks, Rng& rng);
-
-// Spreads `n_rules` rules round-robin over make_scale_masks(n_masks) with
-// unique shuffled priorities and inserts them into `cls`. Deterministic for
-// a given rng seed: two classifiers built with equal-seeded rngs hold
-// identical rule sets (engine-equivalence benches rely on this).
-std::vector<std::unique_ptr<OwnedRule>> build_scale_classifier(
-    Classifier& cls, size_t n_rules, size_t n_masks, Rng& rng);
-
-// A Zipf-skewed lookup key over the built table: ranks the rules by index
-// with a log-uniform approximation (heavily favoring low indices), takes
-// the chosen rule's masked key and fills the bits OUTSIDE its mask with
-// noise, so the packet provably matches that rule (and possibly
-// higher-priority ones). With probability `miss_fraction` returns a fully
-// random packet instead (miss traffic).
-FlowKey zipf_scale_packet(const std::vector<std::unique_ptr<OwnedRule>>& rules,
-                          Rng& rng, double miss_fraction = 0.1);
-
 }  // namespace ovs

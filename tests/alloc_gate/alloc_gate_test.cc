@@ -155,16 +155,15 @@ TEST_F(AllocGate, UpcallTranslationAllocatesNothing) {
   EXPECT_EQ(est.ct_lookups, 1u);
   ++next_conn_;
 
-  // A full miss burst through the batched path.
+  // A full miss burst, one translation after another.
   std::vector<Packet> burst;
   for (size_t i = 0; i < 32; ++i)
     burst.push_back(pkt(next_conn_ + i, true, kSyn));
   next_conn_ += 32;
   size_t translated = 0;
   a0 = g_allocs;
-  pl.translate_batch(burst, now_, scratch, [&](size_t, const XlateResult& r) {
-    translated += r.ct_lookups;
-  });
+  for (const Packet& p : burst)
+    translated += pl.translate(p.key, now_, scratch).ct_lookups;
   EXPECT_EQ(g_allocs - a0, 0u);
   EXPECT_EQ(translated, 32u);
 }

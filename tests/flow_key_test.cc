@@ -229,15 +229,15 @@ TEST(FlowKeyHashTest, StageAccumulatorsFinishToFullHash) {
 }
 
 TEST(FlowKeyHashTest, SoABatchHashEqualsFullHash) {
-  // The chained engine's batch path probes with full_hash_batch; its values
-  // must be the ones insert stored via full_hash.
+  // A batch probe with full_hash_batch must produce the values insert
+  // stored via full_hash.
   Rng rng(77);
   std::vector<FlowKey> keys(16);
   for (int i = 0; i < 200; ++i) {
     const MiniflowSchema schema(random_sparse_mask(rng));
     for (FlowKey& k : keys)
       for (uint64_t& w : k.w) w = rng.next();
-    // A live subset in shuffled order, as the engine's survivors are.
+    // A live subset in shuffled order.
     std::vector<uint8_t> idx;
     for (uint8_t j = 0; j < keys.size(); ++j)
       if (rng.chance(0.7)) idx.push_back(j);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "classifier/classifier.h"
-#include "classifier/tenant_engine.h"
 #include "sim/clock.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -228,12 +227,13 @@ TEST(TupleExplosionPartition, WinnersMatchLinearOracle) {
 
 TEST(TupleExplosionPartition, IntrospectionReportsPerTenantShape) {
   ClassifierConfig cfg;
-  TenantPartitionEngine eng(cfg);
+  cfg.tenant_partition = true;
+  Classifier cls(cfg);
 
   std::vector<std::unique_ptr<TestRule>> owned;
   auto add = [&](const Match& m, int32_t prio) {
     owned.push_back(std::make_unique<TestRule>(m, prio));
-    eng.insert(owned.back().get());
+    cls.insert(owned.back().get());
   };
 
   add(MatchBuilder().tcp(), 1);  // shared: one subtable
@@ -246,24 +246,24 @@ TEST(TupleExplosionPartition, IntrospectionReportsPerTenantShape) {
   t2.n_rules = 2;
   for (const Match& m : make_explosion_rules(t2)) add(m, 10);
 
-  EXPECT_EQ(eng.rule_count(), 6u);
-  EXPECT_EQ(eng.tenant_count(), 2u);
-  EXPECT_EQ(eng.shared_subtables(), 1u);
-  EXPECT_EQ(eng.tenant_subtables(1), 3u);
-  EXPECT_EQ(eng.tenant_subtables(2), 2u);
+  EXPECT_EQ(cls.rule_count(), 6u);
+  EXPECT_EQ(cls.tenant_count(), 2u);
+  EXPECT_EQ(cls.shared_subtables(), 1u);
+  EXPECT_EQ(cls.tenant_subtables(1), 3u);
+  EXPECT_EQ(cls.tenant_subtables(2), 2u);
   // Maintained subtables sum across partitions; a single lookup only ever
   // probes shared + one tenant, so the probe bound is shared + worst.
-  EXPECT_EQ(eng.n_subtables(), 6u);
-  EXPECT_EQ(eng.max_probe_depth(), 4u);
+  EXPECT_EQ(cls.tuple_count(), 6u);
+  EXPECT_EQ(cls.max_probe_depth(), 4u);
 
   // Removing a tenant's last rule retires its partition entirely.
   for (auto& r : owned)
     if (r->match().mask.is_exact(FieldId::kMetadata) &&
         r->match().key.get(FieldId::kMetadata) == 2)
-      eng.remove(r.get());
-  EXPECT_EQ(eng.tenant_count(), 1u);
-  EXPECT_EQ(eng.tenant_subtables(2), 0u);
-  EXPECT_EQ(eng.n_subtables(), 4u);
+      cls.remove(r.get());
+  EXPECT_EQ(cls.tenant_count(), 1u);
+  EXPECT_EQ(cls.tenant_subtables(2), 0u);
+  EXPECT_EQ(cls.tuple_count(), 4u);
 }
 
 TEST(TupleExplosionPartition, ExplosionMasksArePairwiseIncomparable) {
@@ -276,8 +276,8 @@ TEST(TupleExplosionPartition, ExplosionMasksArePairwiseIncomparable) {
         if (masks[i].w[w] & ~masks[j].w[w]) i_extra = true;
         if (masks[j].w[w] & ~masks[i].w[w]) j_extra = true;
       }
-      // Neither subsumes the other, so no TSS engine can share a subtable
-      // or chain them: n subtables for n rules, the attack's whole point.
+      // Neither subsumes the other, so no TSS classifier can share a
+      // subtable: n subtables for n rules, the attack's whole point.
       EXPECT_TRUE(i_extra && j_extra) << i << " vs " << j;
     }
   }
@@ -286,7 +286,7 @@ TEST(TupleExplosionPartition, ExplosionMasksArePairwiseIncomparable) {
   std::vector<Match> rules = make_explosion_rules({.n_rules = 64});
   for (size_t i = 0; i < rules.size(); ++i)
     flat.add(rules[i], 10, static_cast<int>(i));
-  EXPECT_EQ(flat.classifier().n_subtables(), 64u);
+  EXPECT_EQ(flat.classifier().tuple_count(), 64u);
 }
 
 // --- Mask-explosion detector -----------------------------------------------

@@ -44,48 +44,25 @@ void expect_same(const XlateResult& want, const XlateResult& got,
       << what;
 }
 
-// Three pipelines replay one scenario's mutations: `fresh` translates every
-// packet through a new context, `reused` through one scratch, `batched`
-// through translate_batch on another scratch (bursts cut at every non-packet
-// event). All translate with side effects, so each pipeline's MAC and
-// conntrack state evolve identically.
+// Two pipelines replay one scenario's mutations: `fresh` translates every
+// packet through a new context, `reused` through one scratch. Both
+// translate with side effects, so each pipeline's MAC and conntrack state
+// evolve identically.
 void replay(const fuzz::Scenario& sc) {
   const size_t n_tables = SwitchConfig{}.n_tables;
-  Pipeline fresh(n_tables), reused(n_tables), batched(n_tables);
-  Pipeline* const all[] = {&fresh, &reused, &batched};
-  XlateScratch one, many;
+  Pipeline fresh(n_tables), reused(n_tables);
+  Pipeline* const all[] = {&fresh, &reused};
+  XlateScratch one;
   uint64_t now = 1;
-  std::vector<Packet> burst;
-  std::vector<XlateResult> want;  // fresh results for the pending burst
-
-  auto flush = [&] {
-    if (burst.empty()) return;
-    size_t seen = 0;
-    batched.translate_batch(burst, now, many,
-                            [&](size_t i, const XlateResult& got) {
-                              expect_same(want[i], got,
-                                          "seed " + std::to_string(sc.seed) +
-                                              " batched " +
-                                              burst[i].key.to_string());
-                              ++seen;
-                            });
-    EXPECT_EQ(seen, want.size());
-    burst.clear();
-    want.clear();
-  };
 
   for (const fuzz::FuzzEvent& ev : sc.events) {
-    if (ev.kind != fuzz::FuzzEvent::Kind::kPacket) flush();
     switch (ev.kind) {
       case fuzz::FuzzEvent::Kind::kPacket: {
-        want.push_back(fresh.translate(ev.pkt.key, now));
+        const XlateResult want = fresh.translate(ev.pkt.key, now);
         const XlateResult& got = reused.translate(ev.pkt.key, now, one);
-        expect_same(want.back(), got,
+        expect_same(want, got,
                     "seed " + std::to_string(sc.seed) + " reused " +
                         ev.pkt.key.to_string());
-        burst.push_back(ev.pkt);
-        // Longer than a classification block, so bursts span two.
-        if (burst.size() == Pipeline::kBatchBlock + 4) flush();
         break;
       }
       case fuzz::FuzzEvent::Kind::kAddFlow: {
@@ -144,9 +121,7 @@ void replay(const fuzz::Scenario& sc) {
         break;  // switch-level events; the pipelines carry on
     }
   }
-  flush();
   EXPECT_EQ(reused.conntrack().size(), fresh.conntrack().size());
-  EXPECT_EQ(batched.conntrack().size(), fresh.conntrack().size());
 }
 
 TEST(XlateScratch, ScenarioTranslationsMatchFreshContexts) {
