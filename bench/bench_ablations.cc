@@ -135,7 +135,7 @@ void ablation_revalidation(BenchReport& report) {
           examined - (sw.counters().reval_skipped_by_tags - skipped0);
       std::printf("%-8s %10zu %14zu %16llu %18.0f\n",
                   mode == RevalidationMode::kTags ? "tags" : "full",
-                  sw.datapath().flow_count(), moves,
+                  sw.backend().flow_count(), moves,
                   static_cast<unsigned long long>(retranslated),
                   sw.cpu().user_cycles - user0);
       report.add("retranslations", static_cast<double>(retranslated),
@@ -210,9 +210,9 @@ void ablation_icmp_bug(BenchReport& report) {
       sw.handle_upcalls(0);
     }
     std::printf("  %-18s %6zu megaflows\n", bug ? "bug injected:" : "fixed:",
-                sw.datapath().flow_count());
+                sw.backend().flow_count());
     report.add("megaflows_per_1k_conns",
-               static_cast<double>(sw.datapath().flow_count()),
+               static_cast<double>(sw.backend().flow_count()),
                {{"ablation", "icmp_port_trie_bug"},
                 {"bug", bug ? "injected" : "fixed"}});
   }

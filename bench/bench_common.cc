@@ -182,11 +182,11 @@ CrrResult run_crr_experiment(const SwitchConfig& cfg, size_t warmup,
       next_background += 256;
     }
     if (t == warmup || (t < warmup && t + burst > warmup)) {
-      measured_start_misses = sw.datapath().stats().misses;
+      measured_start_misses = sw.backend().stats().misses;
       measured_start_user = sw.cpu().user_cycles;
       measured_start_kernel = sw.cpu().kernel_cycles;
-      measured_start_packets = sw.datapath().stats().packets;
-      measured_start_tuples = sw.datapath().stats().tuples_searched;
+      measured_start_packets = sw.backend().stats().packets;
+      measured_start_tuples = sw.backend().stats().tuples_searched;
     }
     const size_t b = std::min(burst, total - t);
     if (b == 1) {
@@ -229,7 +229,7 @@ CrrResult run_crr_experiment(const SwitchConfig& cfg, size_t warmup,
       const double kern_cpt =
           (sw.cpu().kernel_cycles - measured_start_kernel) / txns_done;
       const double mpt =
-          static_cast<double>(sw.datapath().stats().misses -
+          static_cast<double>(sw.backend().stats().misses -
                               measured_start_misses) /
           txns_done;
       tps_est = model_tps(user_cpt, kern_cpt, mpt, cfg.cost, model);
@@ -243,7 +243,7 @@ CrrResult run_crr_experiment(const SwitchConfig& cfg, size_t warmup,
   const double kern_cpt =
       (sw.cpu().kernel_cycles - measured_start_kernel) / txns_done;
   const double misses_per_txn =
-      static_cast<double>(sw.datapath().stats().misses -
+      static_cast<double>(sw.backend().stats().misses -
                           measured_start_misses) /
       txns_done;
 
@@ -258,12 +258,12 @@ CrrResult run_crr_experiment(const SwitchConfig& cfg, size_t warmup,
   const double extrapolated = misses_per_txn * tps * idle_s;
   r.flows = std::min(static_cast<double>(cfg.flow_limit),
                      std::max(extrapolated,
-                              static_cast<double>(sw.datapath().flow_count())));
-  r.masks = static_cast<double>(sw.datapath().mask_count());
+                              static_cast<double>(sw.backend().flow_count())));
+  r.masks = static_cast<double>(sw.backend().mask_count());
   r.tuples_per_pkt =
-      static_cast<double>(sw.datapath().stats().tuples_searched -
+      static_cast<double>(sw.backend().stats().tuples_searched -
                           measured_start_tuples) /
-      static_cast<double>(sw.datapath().stats().packets -
+      static_cast<double>(sw.backend().stats().packets -
                           measured_start_packets);
   // CPU% of one core at the modeled rate.
   const double core_cps = cfg.cost.ghz * 1e9;

@@ -206,10 +206,10 @@ Outcome run_churn(Config config, const Params& P) {
   out.committed = cs.committed;
   out.evicted = cs.evicted_zone_cap + cs.evicted_global_cap;
   out.pressure_engaged = sw.counters().ct_pressure_engaged;
-  out.flows_at_end = sw.datapath().flow_count();
+  out.flows_at_end = sw.backend().flow_count();
 
   const Switch::Counters& c = sw.counters();
-  const Datapath::Stats& dp = sw.datapath().stats();
+  const Datapath::Stats& dp = sw.backend().stats();
   out.reval_ct_changed = c.reval_ct_changed;
   out.ct_changed_keys = c.ct_changed_keys;
   out.fingerprint = {cs.committed,

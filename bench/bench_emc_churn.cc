@@ -14,9 +14,10 @@
 //   * EMC capacity (microflow_sets x ways slots);
 //   * emc-insert-inv-prob (the §7.3-style probabilistic-insertion
 //     mitigation: 1 = always insert, N = insert with probability 1/N);
-//   * backend: the inline set-associative table (pseudo-random replacement)
-//     vs. ConcurrentEmc (cuckoo-backed, FIFO eviction) — the cache the
-//     multi-worker datapath shards per thread.
+//   * backend: the single datapath's inline set-associative table
+//     (pseudo-random replacement) vs. a one-worker ShardedDatapath, whose
+//     EMC shard is a ConcurrentEmc (cuckoo-backed, FIFO eviction, tuple
+//     index hints).
 //
 // Shape to match §7.3: with always-insert, heavy churn collapses the EMC
 // hit rate (each one-shot evicts a live entry for a hint that is never
@@ -25,11 +26,13 @@
 // the dominant win, visible in the Mpps column — and modestly protects the
 // hot set's residency; cache capacity is what moves the hit-rate columns.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "datapath/datapath.h"
+#include "datapath/mt_datapath.h"
 #include "workload/workloads.h"
 
 using namespace ovs;
@@ -62,12 +65,21 @@ struct SeriesResult {
 SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
                         double churn_frac, size_t hot_conns, size_t packets,
                         uint64_t seed) {
-  DatapathConfig cfg;
-  cfg.microflow_ways = 2;
-  cfg.microflow_sets = emc_slots / cfg.microflow_ways;
-  cfg.use_concurrent_emc = concurrent;
-  cfg.emc_insert_inv_prob = inv_prob;
-  Datapath dp(cfg);
+  std::unique_ptr<DpBackend> be;
+  if (concurrent) {
+    ShardedDatapathConfig cfg;
+    cfg.n_workers = 1;
+    cfg.emc_capacity_per_shard = emc_slots;
+    cfg.emc_insert_inv_prob = inv_prob;
+    be = std::make_unique<ShardedDatapath>(cfg);
+  } else {
+    DatapathConfig cfg;
+    cfg.microflow_ways = 2;
+    cfg.microflow_sets = emc_slots / cfg.microflow_ways;
+    cfg.emc_insert_inv_prob = inv_prob;
+    be = std::make_unique<Datapath>(cfg);
+  }
+  DpBackend& dp = *be;
   dp.install(MatchBuilder().ip(), DpActions().output(2), 0);
 
   std::vector<Packet> hot;
@@ -80,7 +92,7 @@ SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
   // Warm the hot set into the EMC.
   for (size_t i = 0; i < hot_conns * 4; ++i)
     dp.receive(hot[zipf.sample(rng)], i);
-  dp.reset_stats();
+  const DpBackend::Stats warm = dp.stats();
 
   CostModel m;
   double cycles = 0;
@@ -100,19 +112,20 @@ SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
   }
   // Each megaflow hit that (probabilistically) installed an EMC hint paid a
   // slot write; this is the CPU the mitigation recovers under churn.
-  cycles += m.emc_insert * static_cast<double>(dp.stats().emc_inserts);
+  const DpBackend::Stats s = dp.stats();
+  const uint64_t inserts = s.emc_inserts - warm.emc_inserts;
+  cycles += m.emc_insert * static_cast<double>(inserts);
 
   SeriesResult r;
-  const Datapath::Stats& s = dp.stats();
-  r.emc_hit_rate = static_cast<double>(s.microflow_hits) /
-                   static_cast<double>(s.packets);
+  r.emc_hit_rate = static_cast<double>(s.microflow_hits - warm.microflow_hits) /
+                   static_cast<double>(s.packets - warm.packets);
   r.hot_hit_rate = hot_pkts == 0 ? 0
                                  : static_cast<double>(hot_emc_hits) /
                                        static_cast<double>(hot_pkts);
   const double cycles_per_pkt = cycles / static_cast<double>(packets);
   r.mpps = 2 * m.ghz * 1e9 / cycles_per_pkt / 1e6;
-  r.inserts = s.emc_inserts;
-  r.skips = s.emc_insert_skips;
+  r.inserts = inserts;
+  r.skips = s.emc_insert_skips - warm.emc_insert_skips;
   return r;
 }
 

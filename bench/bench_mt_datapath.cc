@@ -11,8 +11,9 @@
 //     The rate uses the makespan (max over workers), i.e. what an N-core
 //     PMD deployment would sustain. Deterministic and host-independent, so
 //     it is the primary metric — CI hosts may have a single core.
-//   --mode=real — additionally drives the worker thread pool and reports
-//     wall-clock Mpps (meaningful only on multi-core hosts).
+//   --mode=real — additionally runs one thread per worker, each driving its
+//     own stream to completion, and reports wall-clock Mpps (meaningful
+//     only on multi-core hosts).
 //
 // Flags: --pkts_per_worker=N --microflows_per_worker=N --megaflows=N
 //        --mode=model|real --repeats=N
@@ -118,7 +119,6 @@ RunResult run_once(size_t workers, size_t batch, const Workload& wl,
   // Warmup pass populates every worker's EMC shard; measured pass is pure
   // steady state (no misses, no upcalls).
   for (size_t wk = 0; wk < workers; ++wk) drive(wk, nullptr);
-  dp.take_upcalls(wl.total_pkts);
 
   RunResult out;
   double makespan = 0;
@@ -131,20 +131,21 @@ RunResult run_once(size_t workers, size_t batch, const Workload& wl,
       static_cast<double>(wl.total_pkts) / cost.seconds(makespan) / 1e6;
 
   if (real_mode) {
-    dp.start();
     const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
     for (size_t wk = 0; wk < workers; ++wk) {
-      const auto& s = wl.streams[wk];
-      for (size_t off = 0; off < s.size(); off += batch) {
-        const size_t n = std::min(batch, s.size() - off);
-        dp.submit(wk, std::vector<Packet>(s.begin() + off,
-                                          s.begin() + off + n),
-                  1000);
-      }
+      threads.emplace_back([&, wk] {
+        std::vector<Datapath::RxResult> rx(batch);
+        const auto& s = wl.streams[wk];
+        for (size_t off = 0; off < s.size(); off += batch) {
+          const size_t n = std::min(batch, s.size() - off);
+          dp.process_batch(wk, std::span<const Packet>(s.data() + off, n),
+                           1000, rx.data());
+        }
+      });
     }
-    dp.drain();
+    for (std::thread& t : threads) t.join();
     const auto t1 = std::chrono::steady_clock::now();
-    dp.stop();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     out.mpps_wall = static_cast<double>(wl.total_pkts) / secs / 1e6;
   }

@@ -219,9 +219,9 @@ Outcome run_attack(Defense d, size_t n_rules, const Params& P) {
     for (size_t i = 0; i < nv; ++i) {
       const Packet p = victim_packet(conns[rng.uniform(conns.size())]);
       if (windowed) {
-        const uint64_t t0 = sw.datapath().stats().tuples_searched;
+        const uint64_t t0 = sw.backend().stats().tuples_searched;
         sw.inject(p, clock.now());
-        victim_probes.push_back(sw.datapath().stats().tuples_searched - t0);
+        victim_probes.push_back(sw.backend().stats().tuples_searched - t0);
       } else {
         sw.inject(p, clock.now());
       }
@@ -252,8 +252,8 @@ Outcome run_attack(Defense d, size_t n_rules, const Params& P) {
 
   const Switch::Counters& c = sw.counters();
   out.detector_engaged = c.mask_explosion_engaged;
-  out.flows_at_end = sw.datapath().flow_count();
-  const Datapath::Stats& dp = sw.datapath().stats();
+  out.flows_at_end = sw.backend().flow_count();
+  const Datapath::Stats& dp = sw.backend().stats();
   out.fingerprint = {c.flow_setups,
                      c.upcalls_handled,
                      c.upcalls_dropped,

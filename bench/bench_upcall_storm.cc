@@ -212,8 +212,8 @@ Outcome run_storm(bool hardened, const Params& P) {
   out.flow_limit_backoffs = c.flow_limit_backoffs;
   out.emc_degrade_engaged = c.emc_degrade_engaged;
   out.reval_overruns = c.reval_overruns;
-  out.flows_at_end = sw.datapath().flow_count();
-  const Datapath::Stats& d = sw.datapath().stats();
+  out.flows_at_end = sw.backend().flow_count();
+  const Datapath::Stats& d = sw.backend().stats();
   out.fingerprint = {c.flow_setups,      c.setup_dups,
                      c.install_fails,    c.upcalls_handled,
                      c.upcalls_dropped,  c.upcalls_retried,

@@ -70,11 +70,11 @@ int main() {
   std::printf("\nper-hypervisor caches:\n");
   for (size_t h = 0; h < fab.n_hypervisors(); ++h) {
     auto& sw = fab.hypervisor(h);
-    const auto& s = sw.datapath().stats();
+    const auto& s = sw.backend().stats();
     std::printf("  hv%zu: %llu pkts, %zu megaflows, %zu masks, "
                 "%llu flow setups\n",
                 h, (unsigned long long)s.packets,
-                sw.datapath().flow_count(), sw.datapath().mask_count(),
+                sw.backend().flow_count(), sw.backend().mask_count(),
                 (unsigned long long)sw.counters().flow_setups);
   }
   return 0;

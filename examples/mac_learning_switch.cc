@@ -57,7 +57,7 @@ int main() {
   std::printf("A -> B steady state: port2 tx=%llu, %zu megaflows, MAC table "
               "%zu entries\n",
               (unsigned long long)sw.port_stats(2).tx_packets,
-              sw.datapath().flow_count(), sw.pipeline().mac_learning().size());
+              sw.backend().flow_count(), sw.pipeline().mac_learning().size());
 
   // B migrates to port 4 and announces itself (gratuitous frame).
   std::printf("\nB migrates from port 2 to port 4...\n");
@@ -81,6 +81,6 @@ int main() {
   clock.advance(15 * kSecond);
   sw.run_maintenance(clock.now());
   std::printf("\nafter 15 idle seconds: %zu megaflows (idle-evicted, §6)\n",
-              sw.datapath().flow_count());
+              sw.backend().flow_count());
   return 0;
 }

@@ -65,10 +65,10 @@ int main() {
   // The megaflows: ACL-tenant flows match L4 ports; the other tenant's
   // flows leave them wildcarded (§5.3's logical-datapath example).
   std::printf("\n-- generated megaflows --\n");
-  for (const MegaflowEntry* e : sw.datapath().dump())
+  for (DpBackend::FlowRef f : sw.backend().dump())
     std::printf("  %-10s mask{%s}\n",
-                e->actions().drops() ? "[drop]" : "[fwd]",
-                e->match().mask.to_string().c_str());
+                sw.backend().flow_actions(f).drops() ? "[drop]" : "[fwd]",
+                sw.backend().flow_match(f).mask.to_string().c_str());
 
   // ACL enforcement.
   std::printf("\n-- ACLs --\n");
@@ -85,13 +85,13 @@ int main() {
                                      before));
   }
 
-  const auto& s = sw.datapath().stats();
+  const auto& s = sw.backend().stats();
   std::printf("\ndatapath: %llu packets, %.0f%% cache hits, %zu megaflows, "
               "%zu masks\n",
               (unsigned long long)s.packets,
               100.0 *
                   static_cast<double>(s.microflow_hits + s.megaflow_hits) /
                   static_cast<double>(s.packets),
-              sw.datapath().flow_count(), sw.datapath().mask_count());
+              sw.backend().flow_count(), sw.backend().mask_count());
   return 0;
 }

@@ -48,8 +48,8 @@ ScanOutcome run_scan(const ClassifierConfig& cls, bool acl_applies_to_target) {
     sw.handle_upcalls(clock.now());
     clock.advance(kMicrosecond);
   }
-  const auto& s = sw.datapath().stats();
-  return {sw.datapath().flow_count(), s.misses,
+  const auto& s = sw.backend().stats();
+  return {sw.backend().flow_count(), s.misses,
           static_cast<double>(s.microflow_hits + s.megaflow_hits) /
               static_cast<double>(s.packets)};
 }

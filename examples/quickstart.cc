@@ -64,10 +64,10 @@ int main() {
   std::printf("packet 1: %s\n", path_name(sw.inject(p1, clock.now())));
   sw.handle_upcalls(clock.now());
   std::printf("  userspace translated the miss and installed a megaflow:\n");
-  for (const MegaflowEntry* e : sw.datapath().dump())
+  for (DpBackend::FlowRef f : sw.backend().dump())
     std::printf("    megaflow{%s} actions=%s\n",
-                e->match().mask.to_string().c_str(),
-                e->actions().to_string().c_str());
+                sw.backend().flow_match(f).mask.to_string().c_str(),
+                sw.backend().flow_actions(f).to_string().c_str());
 
   // 4. Second packet of the same connection: kernel megaflow hit.
   std::printf("packet 2: %s\n", path_name(sw.inject(p1, clock.now())));
@@ -82,14 +82,14 @@ int main() {
               path_name(sw.inject(p2, clock.now())));
 
   // 7. Stats.
-  const auto& dp = sw.datapath().stats();
+  const auto& dp = sw.backend().stats();
   std::printf("\ndatapath: %llu packets, %llu EMC hits, %llu megaflow hits, "
               "%llu misses; %zu flows, %zu masks\n",
               (unsigned long long)dp.packets,
               (unsigned long long)dp.microflow_hits,
               (unsigned long long)dp.megaflow_hits,
-              (unsigned long long)dp.misses, sw.datapath().flow_count(),
-              sw.datapath().mask_count());
+              (unsigned long long)dp.misses, sw.backend().flow_count(),
+              sw.backend().mask_count());
   std::printf("port 2 tx: %llu packets\n",
               (unsigned long long)sw.port_stats(2).tx_packets);
 
@@ -97,6 +97,6 @@ int main() {
   clock.advance(11 * kSecond);
   sw.run_maintenance(clock.now());
   std::printf("after 11 idle seconds: %zu flows in the datapath\n",
-              sw.datapath().flow_count());
+              sw.backend().flow_count());
   return 0;
 }

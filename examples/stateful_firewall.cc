@@ -78,8 +78,9 @@ int main() {
 
   std::printf("\nconnections tracked: %zu\n", sw.pipeline().conntrack().size());
   std::printf("megaflows installed (per-connection, as ct requires):\n");
-  for (const MegaflowEntry* e : sw.datapath().dump())
-    std::printf("  %-7s %s\n", e->actions().drops() ? "[drop]" : "[allow]",
-                e->match().key.to_string().c_str());
+  for (DpBackend::FlowRef f : sw.backend().dump())
+    std::printf("  %-7s %s\n",
+                sw.backend().flow_actions(f).drops() ? "[drop]" : "[allow]",
+                sw.backend().flow_match(f).key.to_string().c_str());
   return 0;
 }

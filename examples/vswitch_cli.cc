@@ -75,12 +75,12 @@ struct Cli {
       for (const std::string& f : sw.dump_flows())
         std::printf("  %s\n", f.c_str());
     } else if (cmd == "dump-megaflows") {
-      for (const MegaflowEntry* e : sw.datapath().dump())
+      for (DpBackend::FlowRef f : sw.backend().dump())
         std::printf("  mask{%s} key{%s} packets=%llu actions=%s\n",
-                    e->match().mask.to_string().c_str(),
-                    e->match().key.to_string().c_str(),
-                    (unsigned long long)e->packets(),
-                    e->actions().to_string().c_str());
+                    sw.backend().flow_match(f).mask.to_string().c_str(),
+                    sw.backend().flow_match(f).key.to_string().c_str(),
+                    (unsigned long long)sw.backend().flow_packets(f),
+                    sw.backend().flow_actions(f).to_string().c_str());
     } else if (cmd == "inject") {
       uint32_t port = 0;
       std::string proto, src, dst;
@@ -111,14 +111,14 @@ struct Cli {
       sw.run_maintenance(clock.now());
       std::printf("t=%llus\n", (unsigned long long)(clock.now() / kSecond));
     } else if (cmd == "stats") {
-      const auto& s = sw.datapath().stats();
+      const auto& s = sw.backend().stats();
       std::printf("packets=%llu emc_hits=%llu megaflow_hits=%llu "
                   "misses=%llu flows=%zu masks=%zu setups=%llu\n",
                   (unsigned long long)s.packets,
                   (unsigned long long)s.microflow_hits,
                   (unsigned long long)s.megaflow_hits,
-                  (unsigned long long)s.misses, sw.datapath().flow_count(),
-                  sw.datapath().mask_count(),
+                  (unsigned long long)s.misses, sw.backend().flow_count(),
+                  sw.backend().mask_count(),
                   (unsigned long long)sw.counters().flow_setups);
     } else {
       std::printf("unknown command '%s' (try help)\n", cmd.c_str());

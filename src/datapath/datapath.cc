@@ -26,9 +26,6 @@ Datapath::Datapath(DatapathConfig cfg)
       mega_(kernel_classifier_config()),
       micro_(cfg.microflow_sets * cfg.microflow_ways),
       rng_(cfg.seed) {
-  if (cfg_.use_concurrent_emc)
-    cemc_ = std::make_unique<ConcurrentEmc>(cfg_.microflow_sets *
-                                            cfg_.microflow_ways);
   if (cfg_.offload_slots > 0)
     off_ = std::make_unique<OffloadTable>(cfg_.offload_slots);
 }
@@ -37,24 +34,13 @@ Datapath::~Datapath() = default;
 
 MegaflowEntry* Datapath::microflow_lookup(const FlowKey& key,
                                           uint64_t hash) noexcept {
-  if (cemc_ != nullptr) {
-    const std::optional<uint64_t> v = cemc_->lookup(hash);
-    if (!v.has_value()) return nullptr;
-    auto* e = reinterpret_cast<MegaflowEntry*>(*v);
-    // "A stale microflow cache entry is detected and corrected the first
-    // time a packet matches it" (§6): validate against the megaflow.
-    if (e->dead() || !e->match().matches(key)) {
-      cemc_->invalidate(hash);
-      ++stats_.stale_microflow_hits;
-      return nullptr;
-    }
-    return e;
-  }
   const size_t set = (hash >> 32) & (cfg_.microflow_sets - 1);
   for (size_t w = 0; w < cfg_.microflow_ways; ++w) {
     MicroSlot& slot = micro_[set * cfg_.microflow_ways + w];
     if (slot.entry == nullptr || slot.hash != hash) continue;
     MegaflowEntry* e = slot.entry;
+    // "A stale microflow cache entry is detected and corrected the first
+    // time a packet matches it" (§6): validate against the megaflow.
     if (e->dead() || !e->match().matches(key)) {
       slot.entry = nullptr;
       ++stats_.stale_microflow_hits;
@@ -76,10 +62,6 @@ void Datapath::microflow_insert(uint64_t hash, MegaflowEntry* entry) noexcept {
     return;
   }
   ++stats_.emc_inserts;
-  if (cemc_ != nullptr) {
-    cemc_->install(hash, reinterpret_cast<uint64_t>(entry));
-    return;
-  }
   const size_t set = (hash >> 32) & (cfg_.microflow_sets - 1);
   // Prefer an empty or same-hash way; otherwise pseudo-random replacement
   // ("we use a pseudo-random replacement policy, for simplicity", §6).
@@ -95,15 +77,7 @@ void Datapath::microflow_insert(uint64_t hash, MegaflowEntry* entry) noexcept {
 }
 
 void Datapath::deliver_upcall(Packet&& pkt) {
-  if (sink_) {
-    if (!sink_(std::move(pkt))) ++stats_.upcall_drops;
-    return;
-  }
-  if (upcalls_.size() >= cfg_.max_upcall_queue) {
-    ++stats_.upcall_drops;
-  } else {
-    upcalls_.push_back(std::move(pkt));
-  }
+  if (!sink_ || !sink_(std::move(pkt))) ++stats_.upcall_drops;
 }
 
 void Datapath::enqueue_upcall(const Packet& pkt) {
@@ -125,12 +99,10 @@ void Datapath::enqueue_upcall(const Packet& pkt) {
   deliver_upcall(Packet(pkt));
 }
 
-size_t Datapath::flush_delayed_upcalls() {
-  const size_t n = delayed_.size();
+void Datapath::flush_delayed_upcalls() {
   std::vector<Packet> parked;
   parked.swap(delayed_);
   for (Packet& p : parked) deliver_upcall(std::move(p));
-  return n;
 }
 
 Datapath::RxResult Datapath::receive(const Packet& pkt, uint64_t now_ns) {
@@ -146,7 +118,7 @@ Datapath::RxResult Datapath::receive(const Packet& pkt, uint64_t now_ns) {
       oe->counters->hits.fetch_add(1, std::memory_order_relaxed);
       oe->counters->bytes.fetch_add(pkt.size_bytes,
                                     std::memory_order_relaxed);
-      auto* e = static_cast<MegaflowEntry*>(oe->owner);
+      MegaflowEntry* e = as(static_cast<FlowRef>(oe->owner));
       e->packets_ += 1;
       e->bytes_ += pkt.size_bytes;
       e->used_ns_ = now_ns;
@@ -274,7 +246,7 @@ void Datapath::process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
         // The owning megaflow's stats are bumped in the group pass below,
         // via entry[]; the slot's own counters are credited there too.
         offl[i] = oe;
-        entry[i] = static_cast<MegaflowEntry*>(oe->owner);
+        entry[i] = as(static_cast<FlowRef>(oe->owner));
         results[i] = {Path::kOffloadHit, &oe->actions, 0};
         continue;
       }
@@ -384,12 +356,13 @@ MegaflowEntry* Datapath::install(const Match& match, DpActions&& actions,
   return e;
 }
 
-void Datapath::remove(MegaflowEntry* entry) {
+void Datapath::remove(FlowRef flow) {
+  MegaflowEntry* entry = as(flow);
   assert(!entry->dead());
   // Shadow coherence (§13): a megaflow may not die while its NIC copy keeps
   // forwarding. Evicting here covers every deletion path — revalidator
   // idle/stale deletes, hard eviction, quarantine — in the same step.
-  if (off_ != nullptr) off_->evict(entry);
+  if (off_ != nullptr) off_->evict(flow);
   mega_.remove(entry);
   entry->dead_ = true;
   const size_t i = entry->index_;
@@ -402,30 +375,26 @@ void Datapath::remove(MegaflowEntry* entry) {
   entries_.pop_back();
 }
 
-void Datapath::update_actions(MegaflowEntry* entry, DpActions actions) {
+void Datapath::update_actions(FlowRef flow, DpActions actions) {
+  MegaflowEntry* entry = as(flow);
   entry->set_actions(std::move(actions));
   // Reprogram the NIC copy in the same step (revalidator repair, §13).
-  if (off_ != nullptr) off_->sync_actions(entry, entry->actions());
+  if (off_ != nullptr) off_->sync_actions(flow, entry->actions());
 }
 
-bool Datapath::offload_install(MegaflowEntry* e, uint64_t now_ns) {
+bool Datapath::offload_install(FlowRef flow, uint64_t now_ns) {
   return off_ != nullptr &&
-         off_->install(e->match(), e->actions(), e, now_ns);
+         off_->install(as(flow)->match(), as(flow)->actions(), flow, now_ns);
 }
 
-bool Datapath::offload_evict(MegaflowEntry* e) {
-  return off_ != nullptr && off_->evict(e);
+bool Datapath::offload_evict(FlowRef flow) {
+  return off_ != nullptr && off_->evict(flow);
 }
 
 void Datapath::purge_dead() {
   if (graveyard_.empty()) return;
   // Grace period: clear any microflow slots that still point at dead
   // entries, then free them.
-  if (cemc_ != nullptr) {
-    cemc_->erase_if([](uint64_t v) {
-      return reinterpret_cast<const MegaflowEntry*>(v)->dead();
-    });
-  }
   for (MicroSlot& slot : micro_)
     if (slot.entry != nullptr && slot.entry->dead()) slot.entry = nullptr;
   graveyard_.clear();
@@ -437,36 +406,15 @@ size_t Datapath::emc_dangling_hints() const {
   for (const auto& e : entries_) known.insert(e.get());
   for (const auto& e : graveyard_) known.insert(e.get());
   size_t dangling = 0;
-  if (cemc_ != nullptr) {
-    cemc_->for_each_hint([&](uint64_t, uint64_t v) {
-      if (known.count(reinterpret_cast<const MegaflowEntry*>(v)) == 0)
-        ++dangling;
-    });
-  } else {
-    for (const MicroSlot& slot : micro_)
-      if (slot.entry != nullptr && known.count(slot.entry) == 0) ++dangling;
-  }
+  for (const MicroSlot& slot : micro_)
+    if (slot.entry != nullptr && known.count(slot.entry) == 0) ++dangling;
   return dangling;
 }
 
-std::vector<MegaflowEntry*> Datapath::dump() const {
-  std::vector<MegaflowEntry*> out;
+std::vector<DpBackend::FlowRef> Datapath::dump() const {
+  std::vector<FlowRef> out;
   out.reserve(entries_.size());
   for (const auto& e : entries_) out.push_back(e.get());
-  return out;
-}
-
-std::vector<Packet> Datapath::take_upcalls(size_t max_batch) {
-  std::vector<Packet> out;
-  const size_t n = std::min(max_batch, upcalls_.size());
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(upcalls_.front());
-    upcalls_.pop_front();
-  }
-  // Delay-faulted upcalls arrive one handler round late: they become
-  // visible after the round that drained the queue.
-  if (!delayed_.empty()) flush_delayed_upcalls();
   return out;
 }
 

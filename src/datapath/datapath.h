@@ -8,7 +8,7 @@
 //   2. megaflow cache — a single priority-less tuple-space classifier that
 //      terminates on the first match (§4.2); entries are installed by
 //      userspace and are disjoint;
-//   3. miss — the packet is queued as an *upcall* to userspace (§3.1).
+//   3. miss — the packet is handed to userspace as an *upcall* (§3.1).
 //
 // Entry deletion is deferred RCU-style: removed entries park in a graveyard
 // until purge_dead() (the simulated grace period) sweeps microflow slots and
@@ -16,15 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "classifier/classifier.h"
-#include "datapath/concurrent_emc.h"
 #include "datapath/dp_actions.h"
+#include "datapath/dp_backend.h"
 #include "datapath/dp_shared.h"
 #include "datapath/offload_table.h"
 #include "packet/packet.h"
@@ -33,10 +31,11 @@
 namespace ovs {
 
 class FaultInjector;
+struct EntryLayoutProbe;  // entry_layout_test.cc
 
 // An installed datapath flow: a priority-less classifier rule carrying
 // actions and statistics.
-class MegaflowEntry : public Rule {
+class MegaflowEntry : public Rule, public DpFlow {
  public:
   MegaflowEntry(Match match, DpActions actions)
       : Rule(match, /*priority=*/0), actions_(std::move(actions)) {}
@@ -64,6 +63,7 @@ class MegaflowEntry : public Rule {
 
  private:
   friend class Datapath;
+  friend struct EntryLayoutProbe;
 
   uint64_t created_ns_ = 0;
   // A hit reads the match (in Rule), the inline action list and dead_, and
@@ -81,14 +81,8 @@ class MegaflowEntry : public Rule {
 
 struct DatapathConfig {
   bool microflow_enabled = true;      // first-level exact-match cache (§4.2)
-  // Use the lock-free ConcurrentEmc (cuckoo-backed, FIFO eviction) as the
-  // microflow cache instead of the inline set-associative table. Same
-  // single-threaded semantics, different replacement policy; this is the
-  // cache the multi-worker datapath shards per thread (§4.1).
-  bool use_concurrent_emc = false;
   size_t microflow_ways = dpdefault::kEmcWays;  // associativity
   size_t microflow_sets = dpdefault::kEmcSets;  // slots = ways * sets
-  size_t max_upcall_queue = dpdefault::kMaxUpcallQueue;  // miss queue
   // Kernel flow-table hard cap: install() fails (returns nullptr) at this
   // many live flows. 0 = unbounded; the dynamic flow limit (§6) is enforced
   // by userspace eviction, this models the kernel's own ENOSPC.
@@ -104,74 +98,33 @@ struct DatapathConfig {
   uint64_t seed = dpdefault::kDpSeed;  // pseudo-random replacement (§6)
 };
 
-class Datapath {
+class Datapath final : public DpBackend {
  public:
   explicit Datapath(DatapathConfig cfg = {});
-  ~Datapath();
+  ~Datapath() override;
 
   Datapath(const Datapath&) = delete;
   Datapath& operator=(const Datapath&) = delete;
 
-  enum class Path : uint8_t {
-    kOffloadHit,  // NIC offload slot (DESIGN.md §13); never reaches the CPU
-    kMicroflowHit,
-    kMegaflowHit,
-    kMiss,
-  };
-
-  struct RxResult {
-    Path path = Path::kMiss;
-    const DpActions* actions = nullptr;  // null on miss
-    uint32_t tuples_searched = 0;        // megaflow hash tables probed
-  };
-
-  // Processes one received packet at (virtual) time now_ns. On a miss the
-  // packet is queued for userspace (or dropped if the queue is full).
-  RxResult receive(const Packet& pkt, uint64_t now_ns);
+  // Processes one received packet at (virtual) time now_ns. The sequential
+  // reference the batched path is checked against.
+  RxResult receive(const Packet& pkt, uint64_t now_ns) override;
 
   // --- Batched fast path (PMD-style, §4.1) --------------------------------
-
-  static constexpr size_t kDefaultBatch = 32;
-  static constexpr size_t kMaxBatch = 256;  // internal chunking granularity
-
-  // Aggregate description of what one burst actually cost, for callers that
-  // model CPU cycles (sim/cost_model.h): probes are counted after
-  // deduplication, so emc_probes <= packets and megaflow_lookups counts
-  // only the burst's unique microflows that missed the EMC.
-  struct BatchSummary {
-    uint32_t packets = 0;
-    uint32_t offload_probes = 0;    // NIC table probes after dedup
-    uint32_t offload_hits = 0;      // packets absorbed by the NIC tier
-    uint32_t emc_probes = 0;        // EMC probes after intra-burst dedup
-    uint32_t megaflow_lookups = 0;  // classifier searches (dedup leaders)
-    uint32_t tuples_searched = 0;   // megaflow hash tables probed
-    uint32_t groups = 0;            // distinct megaflows matched
-    uint32_t misses = 0;            // packets upcalled (or dropped)
-
-    void operator+=(const BatchSummary& o) noexcept {
-      packets += o.packets;
-      offload_probes += o.offload_probes;
-      offload_hits += o.offload_hits;
-      emc_probes += o.emc_probes;
-      megaflow_lookups += o.megaflow_lookups;
-      tuples_searched += o.tuples_searched;
-      groups += o.groups;
-      misses += o.misses;
-    }
-  };
 
   // Processes a burst of packets sharing one (virtual) timestamp. Per-packet
   // outcomes land in results[0..pkts.size()). Compared to calling receive()
   // per packet this computes each flow-key hash once, probes the EMC once
   // per unique microflow in the burst, searches the megaflow classifier
   // once per unique microflow that missed the EMC, bumps megaflow statistics
-  // once per matched megaflow, and appends all misses to the upcall queue in
+  // once per matched megaflow, and hands all misses to the upcall sink in
   // arrival order. Per-packet actions, upcalls, and flow statistics are
   // identical to the sequential path (asserted by batch_equivalence_test);
   // only the cumulative tuples_searched counter differs because deduplicated
   // packets never physically probe a table.
   void process_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                     RxResult* results, BatchSummary* summary = nullptr);
+                     RxResult* results,
+                     BatchSummary* summary = nullptr) override;
 
   // --- Userspace-facing flow table API (the netlink equivalent) -----------
 
@@ -188,7 +141,7 @@ class Datapath {
   // overload installs a copy.
   MegaflowEntry* install(const Match& match, DpActions&& actions,
                          uint64_t now_ns,
-                         const FlowKey* full_key = nullptr);
+                         const FlowKey* full_key = nullptr) override;
   MegaflowEntry* install(const Match& match, const DpActions& actions,
                          uint64_t now_ns,
                          const FlowKey* full_key = nullptr) {
@@ -196,62 +149,63 @@ class Datapath {
   }
 
   // Removes a flow; the entry stays valid until purge_dead().
-  void remove(MegaflowEntry* entry);
+  void remove(FlowRef flow) override;
 
   // Updates an entry's actions in place (revalidation, §6).
-  void update_actions(MegaflowEntry* entry, DpActions actions);
+  void update_actions(FlowRef flow, DpActions actions) override;
 
-  // Credits a packet that userspace forwarded on the flow's behalf (the
-  // miss packet executed during flow setup) to the entry's statistics.
-  void credit_packet(MegaflowEntry* entry, const Packet& pkt,
-                     uint64_t now_ns) noexcept {
-    entry->packets_ += 1;
-    entry->bytes_ += pkt.size_bytes;
-    if (now_ns > entry->used_ns_) entry->used_ns_ = now_ns;
+  void credit_packet(FlowRef flow, const Packet& pkt,
+                     uint64_t now_ns) override {
+    MegaflowEntry* e = as(flow);
+    e->packets_ += 1;
+    e->bytes_ += pkt.size_bytes;
+    if (now_ns > e->used_ns_) e->used_ns_ = now_ns;
   }
 
   // Frees removed entries after sweeping stale microflow pointers. Call at
   // batch boundaries (the simulated RCU grace period).
-  void purge_dead();
+  void purge_dead() override;
 
   // Snapshot of all live entries, for revalidation and stats polling.
-  std::vector<MegaflowEntry*> dump() const;
+  std::vector<FlowRef> dump() const override;
 
-  size_t flow_count() const noexcept { return mega_.rule_count(); }
-  size_t mask_count() const noexcept { return mega_.tuple_count(); }
+  size_t flow_count() const noexcept override { return mega_.rule_count(); }
+  size_t mask_count() const noexcept override { return mega_.tuple_count(); }
 
-  // Drains up to max_batch queued upcalls, then releases any fault-delayed
-  // upcalls into the queue (they arrive one round late).
-  std::vector<Packet> take_upcalls(size_t max_batch);
-  size_t upcall_queue_depth() const noexcept { return upcalls_.size(); }
+  const Match& flow_match(FlowRef f) const override { return as(f)->match(); }
+  const FlowKey& flow_full_key(FlowRef f) const override {
+    return as(f)->full_key();
+  }
+  const DpActions& flow_actions(FlowRef f) const override {
+    return as(f)->actions();
+  }
+  uint64_t flow_packets(FlowRef f) const override { return as(f)->packets(); }
+  uint64_t flow_bytes(FlowRef f) const override { return as(f)->bytes(); }
+  uint64_t flow_used_ns(FlowRef f) const override { return as(f)->used_ns(); }
+  FlowRecord& flow_record(FlowRef f) override { return as(f)->record(); }
+  const FlowRecord& flow_record(FlowRef f) const override {
+    return as(f)->record();
+  }
 
-  // Miss-path sink: when set, upcalls are handed to the sink instead of the
-  // internal queue (the vswitchd bounded fair-queue path). A sink returning
-  // false refuses the upcall; the refusal is counted as a drop here.
-  using UpcallSink = std::function<bool(Packet&&)>;
-  void set_upcall_sink(UpcallSink sink) { sink_ = std::move(sink); }
+  void set_upcall_sink(UpcallSink sink) override { sink_ = std::move(sink); }
 
   // --- Fault-injection surface ---------------------------------------------
 
-  // Non-owning; nullptr disables injection. Consulted at upcall enqueue
-  // (drop / delay / duplicate) and at install (table-full / transient).
-  void set_fault_injector(FaultInjector* f) noexcept { fault_ = f; }
+  void set_fault_injector(FaultInjector* f) noexcept override { fault_ = f; }
 
-  // Releases upcalls parked by the delay fault (to the sink/queue, where
-  // they may still be refused). Returns the number released.
-  size_t flush_delayed_upcalls();
-  size_t delayed_upcall_count() const noexcept { return delayed_.size(); }
+  void flush_delayed_upcalls() override;
+  size_t delayed_upcall_count() const noexcept override {
+    return delayed_.size();
+  }
 
-  // Scrambles the idx-th live entry's actions (modulo flow_count). The
-  // revalidator repairs it on its next full pass — the convergence property
-  // the fault-injection tests assert.
-  void corrupt_entry(size_t idx);
-  // Zeroes the idx-th live entry's last-used time so idle expiry reaps it.
-  void expire_entry(size_t idx);
+  void corrupt_entry(size_t idx) override;
+  void expire_entry(size_t idx) override;
 
-  // Runtime policy knob (graceful degradation under EMC thrash).
-  void set_emc_insert_inv_prob(uint32_t inv) noexcept {
+  void set_emc_insert_inv_prob(uint32_t inv) noexcept override {
     cfg_.emc_insert_inv_prob = inv == 0 ? 1 : inv;
+  }
+  bool microflow_enabled() const noexcept override {
+    return cfg_.microflow_enabled;
   }
 
   // --- Simulated NIC offload tier (DESIGN.md §13) --------------------------
@@ -261,34 +215,15 @@ class Datapath {
   // coherence: remove() evicts the owner's slot and update_actions()
   // rewrites its action snapshot, so any revalidation/reconciliation pass
   // that touches a megaflow repairs its offloaded copy in the same step.
-  const OffloadTable* offload() const noexcept { return off_.get(); }
-  // Programs a slot with a copy of e's match and actions. False when the
-  // tier is off, the table is full, or e already holds a slot.
-  bool offload_install(MegaflowEntry* e, uint64_t now_ns);
-  bool offload_evict(MegaflowEntry* e);
-  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) {
+  const OffloadTable* offload() const noexcept override { return off_.get(); }
+  bool offload_install(FlowRef flow, uint64_t now_ns) override;
+  bool offload_evict(FlowRef flow) override;
+  void offload_commit() override {}  // the fast path reads the master
+  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) override {
     return off_ != nullptr && off_->corrupt(idx, kind);
   }
 
-  struct Stats {
-    uint64_t packets = 0;
-    uint64_t offload_hits = 0;      // absorbed by the NIC tier (§13)
-    uint64_t microflow_hits = 0;
-    uint64_t megaflow_hits = 0;
-    uint64_t misses = 0;
-    uint64_t upcall_drops = 0;          // queue overflow, sink refusal, fault
-    uint64_t stale_microflow_hits = 0;  // corrected on first use (§6)
-    uint64_t tuples_searched = 0;       // total megaflow tables probed
-    uint64_t emc_inserts = 0;           // microflow entries installed
-    uint64_t emc_insert_skips = 0;      // skipped by probabilistic insertion
-    uint64_t install_fail_full = 0;     // install rejected: table full
-    uint64_t install_fail_transient = 0;  // install rejected: transient fault
-    uint64_t upcall_dup_enqueues = 0;   // extra deliveries (duplicate fault)
-    uint64_t upcalls_delayed = 0;       // parked by the delay fault
-    uint64_t entries_corrupted = 0;
-    uint64_t entries_expired = 0;
-  };
-  const Stats& stats() const noexcept { return stats_; }
+  Stats stats() const noexcept override { return stats_; }
   void reset_stats() noexcept { stats_ = Stats{}; }
 
   // Invariant-checker hook (datapath/dp_check.h): EMC hints that no longer
@@ -296,7 +231,9 @@ class Datapath {
   // awaiting purge are legal — §6 corrects them on first use — but a pointer
   // outside entries_ + graveyard_ would be dereferenced blind on the fast
   // path, so any such hint is a coherence violation.
-  size_t emc_dangling_hints() const;
+  size_t emc_dangling_hints() const override;
+
+  size_t n_workers() const noexcept override { return 1; }
 
   const DatapathConfig& config() const noexcept { return cfg_; }
   void set_microflow_enabled(bool on) noexcept {
@@ -309,6 +246,9 @@ class Datapath {
     MegaflowEntry* entry = nullptr;
   };
 
+  static MegaflowEntry* as(FlowRef f) noexcept {
+    return static_cast<MegaflowEntry*>(f);
+  }
   MegaflowEntry* microflow_lookup(const FlowKey& key, uint64_t hash) noexcept;
   void microflow_insert(uint64_t hash, MegaflowEntry* entry) noexcept;
   void process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
@@ -320,10 +260,8 @@ class Datapath {
   Classifier mega_;  // first_match_only, no priorities — the kernel TSS
   std::vector<std::unique_ptr<MegaflowEntry>> entries_;
   std::vector<std::unique_ptr<MegaflowEntry>> graveyard_;
-  std::vector<MicroSlot> micro_;                // inline EMC
-  std::unique_ptr<ConcurrentEmc> cemc_;         // cfg.use_concurrent_emc
+  std::vector<MicroSlot> micro_;                // the EMC
   std::unique_ptr<OffloadTable> off_;           // cfg.offload_slots > 0
-  std::deque<Packet> upcalls_;
   std::vector<Packet> delayed_;                 // delay-fault parking lot
   UpcallSink sink_;
   FaultInjector* fault_ = nullptr;

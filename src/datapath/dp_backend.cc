@@ -1,102 +1,35 @@
 #include "datapath/dp_backend.h"
 
+#include "datapath/datapath.h"
+#include "datapath/mt_datapath.h"
+
 namespace ovs {
 
-namespace {
-
-std::vector<DpBackend::OffloadSlot> dump_offload(const OffloadTable* t) {
-  std::vector<DpBackend::OffloadSlot> out;
+std::vector<DpBackend::OffloadSlot> DpBackend::offload_dump() const {
+  std::vector<OffloadSlot> out;
+  const OffloadTable* t = offload();
   if (t == nullptr) return out;
   out.reserve(t->size());
   t->for_each([&](const OffloadTable::Entry& e) {
-    out.push_back({e.owner, &e.mask, &e.key, &e.actions,
+    out.push_back({static_cast<FlowRef>(e.owner), &e.mask, &e.key, &e.actions,
                    e.counters->hits.load(std::memory_order_relaxed),
                    e.counters->bytes.load(std::memory_order_relaxed)});
   });
   return out;
 }
 
-}  // namespace
-
-std::vector<DpBackend::OffloadSlot> SingleDpBackend::offload_dump() const {
-  return dump_offload(dp_.offload());
-}
-
-std::vector<DpBackend::OffloadSlot> MtDpBackend::offload_dump() const {
-  return dump_offload(dp_.offload());
-}
-
-std::vector<DpBackend::FlowRef> SingleDpBackend::dump() const {
-  std::vector<FlowRef> out;
-  std::vector<MegaflowEntry*> flows = dp_.dump();
-  out.reserve(flows.size());
-  for (MegaflowEntry* e : flows) out.push_back(e);
-  return out;
-}
-
-std::vector<DpBackend::FlowRef> MtDpBackend::dump() const {
-  std::vector<FlowRef> out;
-  std::vector<MtMegaflow*> flows = dp_.dump();
-  out.reserve(flows.size());
-  for (MtMegaflow* e : flows) out.push_back(e);
-  return out;
-}
-
-Datapath::RxResult MtDpBackend::receive(const Packet& pkt, uint64_t now_ns) {
-  Datapath::RxResult res;
-  const size_t worker = rr_;
-  rr_ = (rr_ + 1) % dp_.config().n_workers;
-  dp_.process_batch(worker, std::span<const Packet>(&pkt, 1), now_ns, &res,
-                    nullptr);
-  return res;
-}
-
-void MtDpBackend::process_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                                Datapath::RxResult* results,
-                                Datapath::BatchSummary* summary) {
-  // One burst = one rx-queue poll: the whole burst goes to one worker slot
-  // and successive bursts rotate, so the per-worker EMC shards see the same
-  // intra-burst dedup a real PMD would.
-  const size_t worker = rr_;
-  rr_ = (rr_ + 1) % dp_.config().n_workers;
-  dp_.process_batch(worker, pkts, now_ns, results, summary);
-}
-
-Datapath::Stats MtDpBackend::stats() const {
-  const ShardedDatapath::Stats s = dp_.stats();
-  Datapath::Stats out;
-  out.packets = s.packets;
-  out.offload_hits = s.offload_hits;
-  out.microflow_hits = s.microflow_hits;
-  out.megaflow_hits = s.megaflow_hits;
-  out.misses = s.misses;
-  out.upcall_drops = s.upcall_drops;
-  out.stale_microflow_hits = s.stale_hints;
-  out.tuples_searched = s.tuples_searched;
-  out.emc_inserts = s.emc_inserts;
-  out.emc_insert_skips = s.emc_insert_skips;
-  out.install_fail_full = s.install_fail_full;
-  out.install_fail_transient = s.install_fail_transient;
-  out.upcall_dup_enqueues = s.upcall_dup_enqueues;
-  out.upcalls_delayed = s.upcalls_delayed;
-  out.entries_corrupted = s.entries_corrupted;
-  out.entries_expired = s.entries_expired;
-  return out;
-}
-
 std::unique_ptr<DpBackend> make_dp_backend(const DatapathConfig& cfg,
                                            size_t workers) {
-  if (workers <= 1) return std::make_unique<SingleDpBackend>(cfg);
+  if (workers <= 1) return std::make_unique<Datapath>(cfg);
   ShardedDatapathConfig mt;
   mt.n_workers = workers;
   mt.emc_enabled = cfg.microflow_enabled;
   mt.emc_capacity_per_shard = cfg.microflow_ways * cfg.microflow_sets;
-  mt.max_upcall_queue = cfg.max_upcall_queue;
   mt.max_flows = cfg.max_flows;
   mt.emc_insert_inv_prob = cfg.emc_insert_inv_prob;
   mt.offload_slots = cfg.offload_slots;
   mt.seed = cfg.seed;
-  return std::make_unique<MtDpBackend>(mt);
+  return std::make_unique<ShardedDatapath>(mt);
 }
 
 }  // namespace ovs

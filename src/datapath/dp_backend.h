@@ -1,50 +1,106 @@
-// The datapath seam: one interface over the single-threaded `Datapath` and
-// the multi-worker `ShardedDatapath`, so `vswitchd::Switch` (install paths,
-// upcall sink, fault injection, degradation knobs, revalidation, counters)
-// is written once and runs against either backend.
+// The datapath interface: what `vswitchd::Switch` (install paths, upcall
+// sink, fault injection, degradation knobs, revalidation, counters) is
+// written against, once, for either datapath. Two classes implement it
+// directly: the single-threaded `Datapath` (datapath.h) and the multi-worker
+// `ShardedDatapath` (mt_datapath.h). make_dp_backend() picks one.
 //
-// Flows are referred to by an opaque `FlowRef` (the backend's entry pointer
-// type-erased), with accessor methods instead of a common entry base class —
-// the two entry types have deliberately different memory layouts (plain
-// fields vs. worker-shared atomics) and the control plane only ever reads a
-// handful of fields per flow.
+// Flows are referred to by a `FlowRef`, a pointer to the empty `DpFlow` tag
+// base both entry types derive from (dp_shared.h), with accessor methods
+// instead of a common entry layout — the two entry types deliberately differ
+// (plain fields vs. worker-shared atomics) and the control plane only ever
+// reads a handful of fields per flow.
 //
-// Threading contract, inherited from the backends: every method here is
-// control-plane (one thread at a time) EXCEPT the fast path
-// (receive / process_batch), which on the sharded backend may also be driven
-// concurrently by its worker pool around the seam. The per-flow read
-// accessors (flow_actions / flow_packets / ... / flow_used_ns) are
-// additionally safe to call from revalidator plan threads while workers
-// stream, because on the sharded backend they read RCU-published pointers
-// and atomics; the single backend simply must not be planned against
-// concurrently with mutation, which the serial control thread guarantees by
-// construction. flow_record() is userspace state no worker touches: only
-// the control thread writes it, and plan threads read its `tags` while no
-// write can happen (the apply phase starts after the plan joins).
+// Threading contract: every method here is control-plane (one thread at a
+// time) EXCEPT the fast path (receive / process_batch), which on the sharded
+// datapath may also be driven concurrently by worker threads calling
+// ShardedDatapath::process_batch(worker, ...). The per-flow read accessors
+// (flow_actions / flow_packets / ... / flow_used_ns) are additionally safe
+// to call from revalidator plan threads while workers stream, because on the
+// sharded datapath they read RCU-published pointers and atomics; the single
+// datapath simply must not be planned against concurrently with mutation,
+// which the serial control thread guarantees by construction. flow_record()
+// is userspace state no worker touches: only the control thread writes it,
+// and plan threads read its `tags` while no write can happen (the apply
+// phase starts after the plan joins).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "datapath/datapath.h"
-#include "datapath/mt_datapath.h"
+#include "datapath/dp_actions.h"
+#include "datapath/dp_shared.h"
+#include "datapath/offload_table.h"
+#include "packet/match.h"
+#include "packet/packet.h"
 
 namespace ovs {
 
+class FaultInjector;
+struct DatapathConfig;
+
 class DpBackend {
  public:
-  // Opaque flow handle: MegaflowEntry* or MtMegaflow* underneath.
-  using FlowRef = void*;
+  // A flow handle: the MegaflowEntry or MtMegaflow underneath.
+  using FlowRef = DpFlow*;
 
   virtual ~DpBackend() = default;
 
   // --- Fast path -----------------------------------------------------------
 
-  virtual Datapath::RxResult receive(const Packet& pkt, uint64_t now_ns) = 0;
+  enum class Path : uint8_t {
+    kOffloadHit,  // NIC offload slot (DESIGN.md §13); never reaches the CPU
+    kMicroflowHit,
+    kMegaflowHit,
+    kMiss,
+  };
+
+  struct RxResult {
+    Path path = Path::kMiss;
+    const DpActions* actions = nullptr;  // null on miss
+    uint32_t tuples_searched = 0;        // megaflow hash tables probed
+  };
+
+  static constexpr size_t kMaxBatch = 256;  // internal chunking granularity
+
+  // Aggregate description of what one burst actually cost, for callers that
+  // model CPU cycles (sim/cost_model.h): probes are counted after
+  // deduplication, so emc_probes <= packets and megaflow_lookups counts
+  // only the burst's unique microflows that missed the EMC.
+  struct BatchSummary {
+    uint32_t packets = 0;
+    uint32_t offload_probes = 0;    // NIC table probes after dedup
+    uint32_t offload_hits = 0;      // packets absorbed by the NIC tier
+    uint32_t emc_probes = 0;        // EMC probes after intra-burst dedup
+    uint32_t megaflow_lookups = 0;  // classifier searches (dedup leaders)
+    uint32_t tuples_searched = 0;   // megaflow hash tables probed
+    uint32_t groups = 0;            // distinct megaflows matched
+    uint32_t misses = 0;            // packets upcalled (or dropped)
+
+    void operator+=(const BatchSummary& o) noexcept {
+      packets += o.packets;
+      offload_probes += o.offload_probes;
+      offload_hits += o.offload_hits;
+      emc_probes += o.emc_probes;
+      megaflow_lookups += o.megaflow_lookups;
+      tuples_searched += o.tuples_searched;
+      groups += o.groups;
+      misses += o.misses;
+    }
+  };
+
+  // Processes one received packet at (virtual) time now_ns. A miss is handed
+  // to the upcall sink.
+  virtual RxResult receive(const Packet& pkt, uint64_t now_ns) = 0;
+  // Processes a burst sharing one (virtual) timestamp; per-packet outcomes
+  // land in results[0..pkts.size()). Observably identical to receive() per
+  // packet except for the cumulative tuples_searched counter (deduplicated
+  // packets never physically probe a table; batch_equivalence_test).
   virtual void process_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                             Datapath::RxResult* results,
-                             Datapath::BatchSummary* summary) = 0;
+                             RxResult* results,
+                             BatchSummary* summary = nullptr) = 0;
 
   // --- Control path --------------------------------------------------------
 
@@ -65,8 +121,12 @@ class DpBackend {
   }
   virtual void remove(FlowRef flow) = 0;
   virtual void update_actions(FlowRef flow, DpActions actions) = 0;
+  // Credits a packet that userspace forwarded on the flow's behalf (the
+  // miss packet executed during flow setup) to the flow's statistics.
   virtual void credit_packet(FlowRef flow, const Packet& pkt,
                              uint64_t now_ns) = 0;
+  // The grace period: frees removed flows (and whatever else the datapath
+  // retires) once no reader can still reach them.
   virtual void purge_dead() = 0;
   virtual std::vector<FlowRef> dump() const = 0;
   virtual size_t flow_count() const = 0;
@@ -94,15 +154,19 @@ class DpBackend {
 
   // --- Simulated NIC offload tier (DESIGN.md §13) --------------------------
   //
-  // The control plane earns/revokes slots here; the backend keeps the slot
+  // The control plane earns/revokes slots here; the datapath keeps the slot
   // coherent with its owner on remove()/update_actions() automatically.
   // offload_commit() makes pending control-plane slot changes visible to the
-  // fast path (a republish on the sharded backend; a no-op on the single
+  // fast path (a republish on the sharded datapath; a no-op on the single
   // one, whose fast path reads the master directly). purge_dead() commits
   // too, so the revalidator's end-of-pass purge doubles as the publish.
 
-  // One dumped slot. Pointers reach into the backend's master table and stay
-  // valid until the next offload mutation (control thread only).
+  // The authoritative (master) table, or nullptr when the tier is off.
+  // Slot owners are the flows' FlowRefs.
+  virtual const OffloadTable* offload() const noexcept = 0;
+
+  // One dumped slot. Pointers reach into the master table and stay valid
+  // until the next offload mutation (control thread only).
   struct OffloadSlot {
     FlowRef owner;
     const FlowMask* mask;
@@ -112,36 +176,73 @@ class DpBackend {
     uint64_t bytes;
   };
 
-  virtual bool offload_enabled() const = 0;
-  virtual size_t offload_size() const = 0;
-  virtual size_t offload_capacity() const = 0;
-  virtual bool offload_contains(FlowRef flow) const = 0;
+  bool offload_enabled() const noexcept { return offload() != nullptr; }
+  size_t offload_size() const noexcept {
+    return offload() != nullptr ? offload()->size() : 0;
+  }
+  size_t offload_capacity() const noexcept {
+    return offload() != nullptr ? offload()->capacity() : 0;
+  }
+  bool offload_contains(FlowRef flow) const {
+    return offload() != nullptr && offload()->contains(flow);
+  }
+  std::vector<OffloadSlot> offload_dump() const;
+
+  // Programs a slot with a copy of the flow's match and actions. False when
+  // the tier is off, the table is full, or the flow already holds a slot.
   virtual bool offload_install(FlowRef flow, uint64_t now_ns) = 0;
   virtual bool offload_evict(FlowRef flow) = 0;
   virtual void offload_commit() = 0;
-  virtual std::vector<OffloadSlot> offload_dump() const = 0;
   // Test-only slot desynchronization for the invariant checker.
   virtual bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) = 0;
 
   // --- Upcalls -------------------------------------------------------------
 
-  virtual std::vector<Packet> take_upcalls(size_t max_batch) = 0;
-  virtual size_t upcall_queue_depth() const = 0;
-  virtual void set_upcall_sink(Datapath::UpcallSink sink) = 0;
-  virtual size_t flush_delayed_upcalls() = 0;
+  // The miss path: each missed packet is handed to the sink (the vswitchd
+  // bounded fair-queue path). A sink returning false refuses the upcall; a
+  // refusal, or a miss while no sink is set, counts as an upcall drop.
+  using UpcallSink = std::function<bool(Packet&&)>;
+  virtual void set_upcall_sink(UpcallSink sink) = 0;
+  // Hands upcalls parked by the delay fault to the sink (which may still
+  // refuse them).
+  virtual void flush_delayed_upcalls() = 0;
   virtual size_t delayed_upcall_count() const = 0;
 
   // --- Faults and policy knobs --------------------------------------------
 
+  // Non-owning; nullptr disables injection. Consulted at upcall delivery
+  // (drop / delay / duplicate) and at install (table-full / transient).
   virtual void set_fault_injector(FaultInjector* f) = 0;
+  // Scrambles the idx-th live entry's actions (modulo flow_count). The
+  // revalidator repairs it on its next full pass — the convergence property
+  // the fault-injection tests assert.
   virtual void corrupt_entry(size_t idx) = 0;
+  // Zeroes the idx-th live entry's last-used time so idle expiry reaps it.
   virtual void expire_entry(size_t idx) = 0;
+  // Runtime policy knob (graceful degradation under EMC thrash).
   virtual void set_emc_insert_inv_prob(uint32_t inv) = 0;
   virtual bool microflow_enabled() const = 0;
 
-  // Uniform statistics shape (the sharded backend maps its per-worker
-  // tallies into the same struct; stale_hints land in stale_microflow_hits).
-  virtual Datapath::Stats stats() const = 0;
+  struct Stats {
+    uint64_t packets = 0;
+    uint64_t offload_hits = 0;      // absorbed by the NIC tier (§13)
+    uint64_t microflow_hits = 0;
+    uint64_t megaflow_hits = 0;
+    uint64_t misses = 0;
+    uint64_t upcall_drops = 0;          // no sink, sink refusal, fault
+    uint64_t stale_microflow_hits = 0;  // corrected on first use (§6)
+    uint64_t tuples_searched = 0;       // total megaflow tables probed
+    uint64_t emc_inserts = 0;           // microflow entries installed
+    uint64_t emc_insert_skips = 0;      // skipped by probabilistic insertion
+    uint64_t install_fail_full = 0;     // install rejected: table full
+    uint64_t install_fail_transient = 0;  // install rejected: transient fault
+    uint64_t upcall_dup_enqueues = 0;   // extra deliveries (duplicate fault)
+    uint64_t upcalls_delayed = 0;       // parked by the delay fault
+    uint64_t entries_corrupted = 0;
+    uint64_t entries_expired = 0;
+  };
+  // Cumulative counters (the sharded datapath sums its per-worker tallies).
+  virtual Stats stats() const = 0;
 
   // EMC -> megaflow coherence probe for the invariant checker
   // (datapath/dp_check.h): hints that cannot safely resolve — a pointer
@@ -150,253 +251,12 @@ class DpBackend {
   virtual size_t emc_dangling_hints() const = 0;
 
   virtual size_t n_workers() const = 0;
-
-  // Downcasts for backend-specific drivers (benches, stress tests, legacy
-  // Switch::datapath()). nullptr when this is the other backend.
-  virtual Datapath* single() noexcept { return nullptr; }
-  virtual ShardedDatapath* sharded() noexcept { return nullptr; }
 };
 
-// `Datapath` behind the seam.
-class SingleDpBackend final : public DpBackend {
- public:
-  explicit SingleDpBackend(const DatapathConfig& cfg) : dp_(cfg) {}
-
-  Datapath::RxResult receive(const Packet& pkt, uint64_t now_ns) override {
-    return dp_.receive(pkt, now_ns);
-  }
-  void process_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                     Datapath::RxResult* results,
-                     Datapath::BatchSummary* summary) override {
-    dp_.process_batch(pkts, now_ns, results, summary);
-  }
-
-  using DpBackend::install;
-  FlowRef install(const Match& match, DpActions&& actions, uint64_t now_ns,
-                  const FlowKey* full_key = nullptr) override {
-    return dp_.install(match, std::move(actions), now_ns, full_key);
-  }
-  void remove(FlowRef flow) override { dp_.remove(as(flow)); }
-  void update_actions(FlowRef flow, DpActions actions) override {
-    dp_.update_actions(as(flow), std::move(actions));
-  }
-  void credit_packet(FlowRef flow, const Packet& pkt,
-                     uint64_t now_ns) override {
-    dp_.credit_packet(as(flow), pkt, now_ns);
-  }
-  void purge_dead() override { dp_.purge_dead(); }
-  std::vector<FlowRef> dump() const override;
-  size_t flow_count() const override { return dp_.flow_count(); }
-  size_t mask_count() const override { return dp_.mask_count(); }
-
-  bool offload_enabled() const override { return dp_.offload() != nullptr; }
-  size_t offload_size() const override {
-    return dp_.offload() != nullptr ? dp_.offload()->size() : 0;
-  }
-  size_t offload_capacity() const override {
-    return dp_.offload() != nullptr ? dp_.offload()->capacity() : 0;
-  }
-  bool offload_contains(FlowRef flow) const override {
-    return dp_.offload() != nullptr && dp_.offload()->contains(flow);
-  }
-  bool offload_install(FlowRef flow, uint64_t now_ns) override {
-    return dp_.offload_install(as(flow), now_ns);
-  }
-  bool offload_evict(FlowRef flow) override {
-    return dp_.offload_evict(as(flow));
-  }
-  void offload_commit() override {}  // fast path reads the master directly
-  std::vector<OffloadSlot> offload_dump() const override;
-  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) override {
-    return dp_.offload_corrupt(idx, kind);
-  }
-
-  const Match& flow_match(FlowRef flow) const override {
-    return as(flow)->match();
-  }
-  const FlowKey& flow_full_key(FlowRef flow) const override {
-    return as(flow)->full_key();
-  }
-  const DpActions& flow_actions(FlowRef flow) const override {
-    return as(flow)->actions();
-  }
-  uint64_t flow_packets(FlowRef flow) const override {
-    return as(flow)->packets();
-  }
-  uint64_t flow_bytes(FlowRef flow) const override {
-    return as(flow)->bytes();
-  }
-  uint64_t flow_used_ns(FlowRef flow) const override {
-    return as(flow)->used_ns();
-  }
-  FlowRecord& flow_record(FlowRef flow) override { return as(flow)->record(); }
-  const FlowRecord& flow_record(FlowRef flow) const override {
-    return as(flow)->record();
-  }
-
-  std::vector<Packet> take_upcalls(size_t max_batch) override {
-    return dp_.take_upcalls(max_batch);
-  }
-  size_t upcall_queue_depth() const override {
-    return dp_.upcall_queue_depth();
-  }
-  void set_upcall_sink(Datapath::UpcallSink sink) override {
-    dp_.set_upcall_sink(std::move(sink));
-  }
-  size_t flush_delayed_upcalls() override {
-    return dp_.flush_delayed_upcalls();
-  }
-  size_t delayed_upcall_count() const override {
-    return dp_.delayed_upcall_count();
-  }
-
-  void set_fault_injector(FaultInjector* f) override {
-    dp_.set_fault_injector(f);
-  }
-  void corrupt_entry(size_t idx) override { dp_.corrupt_entry(idx); }
-  void expire_entry(size_t idx) override { dp_.expire_entry(idx); }
-  void set_emc_insert_inv_prob(uint32_t inv) override {
-    dp_.set_emc_insert_inv_prob(inv);
-  }
-  bool microflow_enabled() const override {
-    return dp_.config().microflow_enabled;
-  }
-
-  Datapath::Stats stats() const override { return dp_.stats(); }
-  size_t emc_dangling_hints() const override {
-    return dp_.emc_dangling_hints();
-  }
-  size_t n_workers() const override { return 1; }
-  Datapath* single() noexcept override { return &dp_; }
-
- private:
-  static MegaflowEntry* as(FlowRef f) noexcept {
-    return static_cast<MegaflowEntry*>(f);
-  }
-  Datapath dp_;
-};
-
-// `ShardedDatapath` behind the seam. The seam itself stays single-threaded
-// (it is driven by the control thread); bursts are spread round-robin across
-// the worker slots so every per-worker EMC shard participates, modeling N rx
-// queues polled by N PMDs. The built-in worker pool can additionally stream
-// around the seam (benches, stress tests) via sharded().
-class MtDpBackend final : public DpBackend {
- public:
-  explicit MtDpBackend(const ShardedDatapathConfig& cfg) : dp_(cfg) {}
-
-  Datapath::RxResult receive(const Packet& pkt, uint64_t now_ns) override;
-  void process_batch(std::span<const Packet> pkts, uint64_t now_ns,
-                     Datapath::RxResult* results,
-                     Datapath::BatchSummary* summary) override;
-
-  using DpBackend::install;
-  FlowRef install(const Match& match, DpActions&& actions, uint64_t now_ns,
-                  const FlowKey* full_key = nullptr) override {
-    return dp_.install(match, std::move(actions), now_ns, full_key);
-  }
-  void remove(FlowRef flow) override { dp_.remove(as(flow)); }
-  void update_actions(FlowRef flow, DpActions actions) override {
-    dp_.update_actions(as(flow), std::move(actions));
-  }
-  void credit_packet(FlowRef flow, const Packet& pkt,
-                     uint64_t now_ns) override {
-    dp_.credit_packet(as(flow), pkt, now_ns);
-  }
-  void purge_dead() override { dp_.purge_dead(); }
-  std::vector<FlowRef> dump() const override;
-  size_t flow_count() const override { return dp_.flow_count(); }
-  size_t mask_count() const override { return dp_.mask_count(); }
-
-  bool offload_enabled() const override { return dp_.offload() != nullptr; }
-  size_t offload_size() const override {
-    return dp_.offload() != nullptr ? dp_.offload()->size() : 0;
-  }
-  size_t offload_capacity() const override {
-    return dp_.offload() != nullptr ? dp_.offload()->capacity() : 0;
-  }
-  bool offload_contains(FlowRef flow) const override {
-    return dp_.offload() != nullptr && dp_.offload()->contains(flow);
-  }
-  bool offload_install(FlowRef flow, uint64_t now_ns) override {
-    return dp_.offload_install(as(flow), now_ns);
-  }
-  bool offload_evict(FlowRef flow) override {
-    return dp_.offload_evict(as(flow));
-  }
-  void offload_commit() override { dp_.offload_commit(); }
-  std::vector<OffloadSlot> offload_dump() const override;
-  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) override {
-    return dp_.offload_corrupt(idx, kind);
-  }
-
-  const Match& flow_match(FlowRef flow) const override {
-    return as(flow)->match();
-  }
-  const FlowKey& flow_full_key(FlowRef flow) const override {
-    return as(flow)->full_key();
-  }
-  const DpActions& flow_actions(FlowRef flow) const override {
-    return *as(flow)->actions();
-  }
-  uint64_t flow_packets(FlowRef flow) const override {
-    return as(flow)->packets();
-  }
-  uint64_t flow_bytes(FlowRef flow) const override {
-    return as(flow)->bytes();
-  }
-  uint64_t flow_used_ns(FlowRef flow) const override {
-    return as(flow)->used_ns();
-  }
-  FlowRecord& flow_record(FlowRef flow) override { return as(flow)->record(); }
-  const FlowRecord& flow_record(FlowRef flow) const override {
-    return as(flow)->record();
-  }
-
-  std::vector<Packet> take_upcalls(size_t max_batch) override {
-    return dp_.take_upcalls(max_batch);
-  }
-  size_t upcall_queue_depth() const override {
-    return dp_.upcall_queue_depth();
-  }
-  void set_upcall_sink(Datapath::UpcallSink sink) override {
-    dp_.set_upcall_sink(std::move(sink));
-  }
-  size_t flush_delayed_upcalls() override {
-    return dp_.flush_delayed_upcalls();
-  }
-  size_t delayed_upcall_count() const override {
-    return dp_.delayed_upcall_count();
-  }
-
-  void set_fault_injector(FaultInjector* f) override {
-    dp_.set_fault_injector(f);
-  }
-  void corrupt_entry(size_t idx) override { dp_.corrupt_entry(idx); }
-  void expire_entry(size_t idx) override { dp_.expire_entry(idx); }
-  void set_emc_insert_inv_prob(uint32_t inv) override {
-    dp_.set_emc_insert_inv_prob(inv);
-  }
-  bool microflow_enabled() const override { return dp_.config().emc_enabled; }
-
-  Datapath::Stats stats() const override;
-  size_t emc_dangling_hints() const override {
-    return dp_.emc_dangling_hints();
-  }
-  size_t n_workers() const override { return dp_.config().n_workers; }
-  ShardedDatapath* sharded() noexcept override { return &dp_; }
-
- private:
-  static MtMegaflow* as(FlowRef f) noexcept {
-    return static_cast<MtMegaflow*>(f);
-  }
-  ShardedDatapath dp_;
-  size_t rr_ = 0;  // next worker slot for seam-driven bursts
-};
-
-// Backend factory: workers <= 1 keeps the single-threaded kernel datapath;
-// workers >= 2 builds a sharded one configured to match `cfg` (same EMC
-// capacity per shard, upcall bound, insertion probability, cap, and seed).
+// Datapath factory: workers <= 1 builds the single-threaded `Datapath`;
+// workers >= 2 builds a `ShardedDatapath` configured to match `cfg` (same
+// EMC capacity per shard, insertion probability, cap, offload slots and
+// seed).
 std::unique_ptr<DpBackend> make_dp_backend(const DatapathConfig& cfg,
                                            size_t workers);
 

@@ -167,7 +167,7 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
   }
 
   if (cfg.check_stats) {
-    const Datapath::Stats s = be.stats();
+    const DpBackend::Stats s = be.stats();
     if (s.packets !=
         s.offload_hits + s.microflow_hits + s.megaflow_hits + s.misses) {
       ++report.stats_violations;

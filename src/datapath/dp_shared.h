@@ -1,6 +1,7 @@
-// Definitions shared by both datapath backends (the single-threaded
-// `Datapath` and the multi-worker `ShardedDatapath`): the per-flow userspace
-// record both entry types embed, and the default configuration constants.
+// Definitions shared by both datapaths (the single-threaded `Datapath` and
+// the multi-worker `ShardedDatapath`): the tag base both entry types derive
+// from, the per-flow userspace record both embed, and the default
+// configuration constants.
 // Before this header each backend carried its own copy of these constants;
 // keeping one definition means the two backends stay configured identically
 // by default — which the backend-equivalence property tests rely on — and a
@@ -15,6 +16,15 @@
 namespace ovs {
 
 class OfRule;
+
+// Empty tag base of both datapath entry types (`MegaflowEntry`,
+// `MtMegaflow`): what a `DpBackend::FlowRef` points at. It adds no bytes
+// and moves no field of either entry (entry_layout_test pins both).
+class DpFlow {
+ protected:
+  DpFlow() = default;
+  ~DpFlow() = default;
+};
 
 // The OpenFlow rules a translation matched, in order (one per table it
 // visited): a translation's attribution list and the copy a flow's record
@@ -68,9 +78,6 @@ static_assert(sizeof(FlowRecord) == 96);
 }  // namespace ovs
 
 namespace ovs::dpdefault {
-
-// Miss queue to userspace (upcalls beyond this are dropped, ENOBUFS-style).
-inline constexpr size_t kMaxUpcallQueue = 4096;
 
 // Exact-match (microflow) cache capacity. The single-threaded datapath
 // arranges this as ways * sets; the sharded datapath gives each worker a

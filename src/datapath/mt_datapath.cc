@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 
 #include "util/fault.h"
 
@@ -59,7 +60,7 @@ ShardedDatapath::ShardedDatapath(ShardedDatapathConfig cfg)
   }
 }
 
-ShardedDatapath::~ShardedDatapath() { stop(); }
+ShardedDatapath::~ShardedDatapath() = default;
 
 // --- Worker fast path --------------------------------------------------------
 
@@ -154,7 +155,7 @@ void ShardedDatapath::process_chunk(WorkerSlot& slot, const Packet* pkts,
         ++off_hits;
         ++sum.offload_hits;
         offl[i] = oe;
-        entry[i] = static_cast<const MtMegaflow*>(oe->owner);
+        entry[i] = as(static_cast<FlowRef>(oe->owner));
         results[i] = {Path::kOffloadHit, &oe->actions, 0};
         continue;
       }
@@ -254,15 +255,7 @@ void ShardedDatapath::process_chunk(WorkerSlot& slot, const Packet* pkts,
 }
 
 void ShardedDatapath::deliver_locked(Packet&& pkt, uint64_t* drops) {
-  if (sink_) {
-    if (!sink_(std::move(pkt))) ++*drops;
-    return;
-  }
-  if (upcalls_.size() >= cfg_.max_upcall_queue) {
-    ++*drops;
-  } else {
-    upcalls_.push_back(std::move(pkt));
-  }
+  if (!sink_ || !sink_(std::move(pkt))) ++*drops;
 }
 
 void ShardedDatapath::flush_upcalls(std::vector<Packet>& missed) {
@@ -297,20 +290,16 @@ void ShardedDatapath::flush_upcalls(std::vector<Packet>& missed) {
   missed.clear();
 }
 
-size_t ShardedDatapath::flush_delayed_upcalls() {
+void ShardedDatapath::flush_delayed_upcalls() {
   uint64_t drops = 0;
-  size_t released = 0;
   {
     std::lock_guard<std::mutex> lk(upcall_mu_);
     while (!delayed_.empty()) {
-      const uint64_t before = drops;
       deliver_locked(std::move(delayed_.front()), &drops);
-      if (drops == before) ++released;
       delayed_.pop_front();
     }
   }
   if (drops != 0) upcall_drops_.fetch_add(drops, std::memory_order_relaxed);
-  return released;
 }
 
 size_t ShardedDatapath::delayed_upcall_count() const {
@@ -328,17 +317,6 @@ void ShardedDatapath::process_batch(size_t worker, std::span<const Packet> pkts,
   // subsequent table load after the flip, so the control thread can free
   // nothing this batch can still see once it observes us quiescent.
   slot.epoch.fetch_add(1, std::memory_order_acq_rel);
-  process_batch_in_epoch(slot, pkts, now_ns, results, summary);
-  // Leave: epoch even again (release: all our reads happen-before the
-  // control thread seeing us quiescent).
-  slot.epoch.fetch_add(1, std::memory_order_release);
-}
-
-void ShardedDatapath::process_batch_in_epoch(WorkerSlot& slot,
-                                             std::span<const Packet> pkts,
-                                             uint64_t now_ns,
-                                             RxResult* results,
-                                             BatchSummary* summary) {
   BatchSummary local;
   std::vector<Packet> missed;
   for (size_t off = 0; off < pkts.size(); off += kMaxBatch) {
@@ -348,6 +326,29 @@ void ShardedDatapath::process_batch_in_epoch(WorkerSlot& slot,
   }
   if (!missed.empty()) flush_upcalls(missed);
   if (summary != nullptr) *summary += local;
+  // Still inside the epoch: the callback reads the results' actions
+  // pointers, which purge_dead() on the control thread may free as soon as
+  // it observes this worker quiescent.
+  if (callback_)
+    callback_(worker, std::span<const RxResult>(results, pkts.size()));
+  // Leave: epoch even again (release: all our reads happen-before the
+  // control thread seeing us quiescent).
+  slot.epoch.fetch_add(1, std::memory_order_release);
+}
+
+DpBackend::RxResult ShardedDatapath::receive(const Packet& pkt,
+                                             uint64_t now_ns) {
+  RxResult res;
+  process_batch(std::span<const Packet>(&pkt, 1), now_ns, &res);
+  return res;
+}
+
+void ShardedDatapath::process_batch(std::span<const Packet> pkts,
+                                    uint64_t now_ns, RxResult* results,
+                                    BatchSummary* summary) {
+  const size_t worker = rr_;
+  rr_ = (rr_ + 1) % cfg_.n_workers;
+  process_batch(worker, pkts, now_ns, results, summary);
 }
 
 // --- Control path ------------------------------------------------------------
@@ -427,12 +428,13 @@ MtMegaflow* ShardedDatapath::install(const Match& match, DpActions&& actions,
   return e;
 }
 
-void ShardedDatapath::remove(MtMegaflow* entry) {
+void ShardedDatapath::remove(FlowRef flow) {
+  MtMegaflow* entry = as(flow);
   assert(!entry->dead());
   // The megaflow's offload slot dies with it — same pass, master first;
   // workers keep forwarding from the old view until the republish that
   // purge_dead() performs before it frees this entry.
-  if (off_ != nullptr && off_->evict(entry)) off_dirty_ = true;
+  if (off_ != nullptr && off_->evict(flow)) off_dirty_ = true;
   // Dead first: readers that still reach the entry (via a chain they are
   // mid-walk on, or a retired cuckoo snapshot) skip it from here on.
   entry->dead_.store(true, std::memory_order_release);
@@ -473,7 +475,8 @@ void ShardedDatapath::remove(MtMegaflow* entry) {
   entries_.pop_back();
 }
 
-void ShardedDatapath::update_actions(MtMegaflow* entry, DpActions actions) {
+void ShardedDatapath::update_actions(FlowRef flow, DpActions actions) {
+  MtMegaflow* entry = as(flow);
   const auto* fresh = new DpActions(std::move(actions));
   const DpActions* old =
       entry->actions_.exchange(fresh, std::memory_order_acq_rel);
@@ -482,7 +485,7 @@ void ShardedDatapath::update_actions(MtMegaflow* entry, DpActions actions) {
   retired_actions_.emplace_back(old);
   // Reprogram the slot's snapshot (revalidator repair reaches hardware in
   // the same pass it reaches the megaflow).
-  if (off_ != nullptr && off_->sync_actions(entry, *entry->actions()))
+  if (off_ != nullptr && off_->sync_actions(flow, *entry->actions()))
     off_dirty_ = true;
 }
 
@@ -541,16 +544,17 @@ void ShardedDatapath::publish_offload() {
   off_dirty_ = false;
 }
 
-bool ShardedDatapath::offload_install(MtMegaflow* e, uint64_t now_ns) {
+bool ShardedDatapath::offload_install(FlowRef flow, uint64_t now_ns) {
+  const MtMegaflow* e = as(flow);
   if (off_ == nullptr ||
-      !off_->install(e->match(), *e->actions(), e, now_ns))
+      !off_->install(e->match(), *e->actions(), flow, now_ns))
     return false;
   off_dirty_ = true;
   return true;
 }
 
-bool ShardedDatapath::offload_evict(MtMegaflow* e) {
-  if (off_ == nullptr || !off_->evict(e)) return false;
+bool ShardedDatapath::offload_evict(FlowRef flow) {
+  if (off_ == nullptr || !off_->evict(flow)) return false;
   off_dirty_ = true;
   return true;
 }
@@ -566,8 +570,8 @@ bool ShardedDatapath::offload_corrupt(size_t idx,
   return true;
 }
 
-std::vector<MtMegaflow*> ShardedDatapath::dump() const {
-  std::vector<MtMegaflow*> out;
+std::vector<DpBackend::FlowRef> ShardedDatapath::dump() const {
+  std::vector<FlowRef> out;
   out.reserve(entries_.size());
   for (const auto& e : entries_) out.push_back(e.get());
   return out;
@@ -584,33 +588,7 @@ size_t ShardedDatapath::mask_count() const noexcept {
   return live;
 }
 
-std::vector<Packet> ShardedDatapath::take_upcalls(size_t max_batch) {
-  std::vector<Packet> out;
-  uint64_t drops = 0;
-  {
-    std::lock_guard<std::mutex> lk(upcall_mu_);
-    const size_t n = std::min(max_batch, upcalls_.size());
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(upcalls_.front()));
-      upcalls_.pop_front();
-    }
-    // Delay-faulted upcalls become visible one handler round late.
-    while (!delayed_.empty()) {
-      deliver_locked(std::move(delayed_.front()), &drops);
-      delayed_.pop_front();
-    }
-  }
-  if (drops != 0) upcall_drops_.fetch_add(drops, std::memory_order_relaxed);
-  return out;
-}
-
-size_t ShardedDatapath::upcall_queue_depth() const {
-  std::lock_guard<std::mutex> lk(upcall_mu_);
-  return upcalls_.size();
-}
-
-ShardedDatapath::Stats ShardedDatapath::stats() const {
+DpBackend::Stats ShardedDatapath::stats() const {
   Stats s;
   for (const auto& sp : slots_) {
     s.packets += sp->packets.load(std::memory_order_relaxed);
@@ -618,7 +596,7 @@ ShardedDatapath::Stats ShardedDatapath::stats() const {
     s.microflow_hits += sp->microflow_hits.load(std::memory_order_relaxed);
     s.megaflow_hits += sp->megaflow_hits.load(std::memory_order_relaxed);
     s.misses += sp->misses.load(std::memory_order_relaxed);
-    s.stale_hints += sp->stale_hints.load(std::memory_order_relaxed);
+    s.stale_microflow_hits += sp->stale_hints.load(std::memory_order_relaxed);
     s.tuples_searched += sp->tuples_searched.load(std::memory_order_relaxed);
     s.emc_inserts += sp->emc_inserts.load(std::memory_order_relaxed);
     s.emc_insert_skips +=
@@ -628,7 +606,6 @@ ShardedDatapath::Stats ShardedDatapath::stats() const {
   s.install_fail_full = install_fail_full_.load(std::memory_order_relaxed);
   s.install_fail_transient =
       install_fail_transient_.load(std::memory_order_relaxed);
-  s.install_fails = s.install_fail_full + s.install_fail_transient;
   s.upcalls_delayed = upcalls_delayed_.load(std::memory_order_relaxed);
   s.upcall_dup_enqueues =
       upcall_dup_enqueues_.load(std::memory_order_relaxed);
@@ -647,77 +624,6 @@ size_t ShardedDatapath::emc_dangling_hints() const {
     });
   }
   return dangling;
-}
-
-// --- Worker pool -------------------------------------------------------------
-
-void ShardedDatapath::start() {
-  if (started_) return;
-  threads_.clear();
-  for (size_t w = 0; w < cfg_.n_workers; ++w)
-    threads_.push_back(std::make_unique<WorkerThread>());
-  started_ = true;
-  for (size_t w = 0; w < cfg_.n_workers; ++w)
-    threads_[w]->th = std::thread([this, w] { worker_loop(w); });
-}
-
-void ShardedDatapath::stop() {
-  if (!started_) return;
-  for (const auto& t : threads_) {
-    {
-      std::lock_guard<std::mutex> lk(t->mu);
-      t->stopping = true;
-    }
-    t->cv.notify_all();
-  }
-  for (const auto& t : threads_)
-    if (t->th.joinable()) t->th.join();
-  threads_.clear();
-  started_ = false;
-}
-
-void ShardedDatapath::submit(size_t worker, std::vector<Packet> burst,
-                             uint64_t now_ns) {
-  assert(started_ && worker < threads_.size());
-  WorkerThread& t = *threads_[worker];
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(t.mu);
-    t.q.emplace_back(std::move(burst), now_ns);
-  }
-  t.cv.notify_one();
-}
-
-void ShardedDatapath::drain() {
-  while (in_flight_.load(std::memory_order_acquire) != 0)
-    std::this_thread::yield();
-}
-
-void ShardedDatapath::worker_loop(size_t w) {
-  WorkerThread& t = *threads_[w];
-  std::vector<RxResult> results;
-  for (;;) {
-    std::pair<std::vector<Packet>, uint64_t> job;
-    {
-      std::unique_lock<std::mutex> lk(t.mu);
-      t.cv.wait(lk, [&] { return t.stopping || !t.q.empty(); });
-      if (t.q.empty()) return;  // stopping, queue drained
-      job = std::move(t.q.front());
-      t.q.pop_front();
-    }
-    results.resize(job.first.size());
-    // The callback runs INSIDE the worker's epoch: it reads the RxResult
-    // actions pointers, which purge_dead() on the control thread may free
-    // as soon as it observes this worker quiescent.
-    WorkerSlot& slot = *slots_[w];
-    slot.epoch.fetch_add(1, std::memory_order_acq_rel);
-    process_batch_in_epoch(slot, job.first, job.second, results.data(),
-                           nullptr);
-    if (callback_)
-      callback_(w, std::span<const RxResult>(results.data(), results.size()));
-    slot.epoch.fetch_add(1, std::memory_order_release);
-    in_flight_.fetch_sub(1, std::memory_order_release);
-  }
 }
 
 }  // namespace ovs

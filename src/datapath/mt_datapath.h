@@ -4,9 +4,12 @@
 //
 // Threading model, mirroring OVS userspace/DPDK forwarding:
 //
-//   * N *workers* call process_batch() concurrently, each passing its own
-//     worker id. A worker owns one ConcurrentEmc shard (its microflow
-//     cache), so EMC installs stay single-writer per shard.
+//   * N *workers* — threads the caller owns, run to completion — call
+//     process_batch(worker, ...) concurrently, each passing its own worker
+//     id. A worker owns one ConcurrentEmc shard (its microflow cache), so EMC
+//     installs stay single-writer per shard. Through the DpBackend interface
+//     (receive / process_batch without a worker id) the control thread
+//     itself drives the workers' slots, bursts rotating round-robin.
 //   * One *control* thread (the upcall handler / revalidator) calls
 //     install / remove / update_actions / purge_dead / dump. Publication is
 //     RCU-style: entries become visible with a single release-ordered hash
@@ -23,18 +26,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "datapath/concurrent_emc.h"
-#include "datapath/datapath.h"
+#include "datapath/dp_backend.h"
 #include "datapath/dp_shared.h"
 #include "datapath/offload_table.h"
 #include "packet/match.h"
@@ -47,11 +48,12 @@ namespace ovs {
 
 class FaultInjector;
 class ShardedDatapath;
+struct EntryLayoutProbe;  // entry_layout_test.cc
 
 // A megaflow entry in the concurrent table. Match is immutable after
 // construction; actions are swapped atomically (RCU: the old list is
 // retired, not freed); statistics are relaxed atomics bumped by workers.
-class MtMegaflow {
+class MtMegaflow : public DpFlow {
  public:
   const Match& match() const noexcept { return match_; }
   // Full-fidelity key of the packet that created this flow (the udpif key
@@ -83,6 +85,7 @@ class MtMegaflow {
 
  private:
   friend class ShardedDatapath;
+  friend struct EntryLayoutProbe;
 
   explicit MtMegaflow(Match m) : match_(std::move(m)) {}
 
@@ -119,7 +122,6 @@ struct ShardedDatapathConfig {
   size_t emc_capacity_per_shard = dpdefault::kEmcCapacity;
   size_t max_tuples = 1024;          // tuple directory capacity (masks)
   size_t tuple_capacity = 4096;      // initial cuckoo size per tuple
-  size_t max_upcall_queue = dpdefault::kMaxUpcallQueue;
   // Flow-table hard cap, like DatapathConfig::max_flows. 0 = unbounded.
   size_t max_flows = 0;
   // Probabilistic EMC insertion (§7.3, OVS emc-insert-inv-prob): each shard
@@ -131,16 +133,10 @@ struct ShardedDatapathConfig {
   uint64_t seed = dpdefault::kDpSeed;  // per-shard insertion RNG seeds
 };
 
-class ShardedDatapath {
+class ShardedDatapath final : public DpBackend {
  public:
-  using Path = Datapath::Path;
-  using RxResult = Datapath::RxResult;
-  using BatchSummary = Datapath::BatchSummary;
-
-  static constexpr size_t kMaxBatch = Datapath::kMaxBatch;
-
   explicit ShardedDatapath(ShardedDatapathConfig cfg = {});
-  ~ShardedDatapath();
+  ~ShardedDatapath() override;
 
   ShardedDatapath(const ShardedDatapath&) = delete;
   ShardedDatapath& operator=(const ShardedDatapath&) = delete;
@@ -150,11 +146,28 @@ class ShardedDatapath {
   // Same burst semantics as Datapath::process_batch: one hash per key,
   // one EMC probe per unique microflow, one classifier search per unique
   // microflow that missed the EMC, one statistics bump per matched megaflow.
-  // The whole call is one read-side critical section; RxResult::actions
-  // pointers stay valid until the control thread's next purge_dead().
+  // The whole call, the batch callback included, is one read-side critical
+  // section; RxResult::actions pointers stay valid until the control
+  // thread's next purge_dead().
   void process_batch(size_t worker, std::span<const Packet> pkts,
                      uint64_t now_ns, RxResult* results,
                      BatchSummary* summary = nullptr);
+
+  // Runs after each process_batch(worker, ...) on the worker's thread,
+  // inside its read-side critical section, so it may read the results'
+  // actions while the control thread removes and retires flows.
+  using BatchCallback =
+      std::function<void(size_t worker, std::span<const RxResult>)>;
+  void set_batch_callback(BatchCallback cb) { callback_ = std::move(cb); }
+
+  // The DpBackend fast path, for a caller that owns no workers (the
+  // Switch's control thread): one burst = one rx-queue poll, so each call
+  // goes to one worker slot and successive calls rotate, and every
+  // per-worker EMC shard sees the intra-burst dedup a real PMD would.
+  RxResult receive(const Packet& pkt, uint64_t now_ns) override;
+  void process_batch(std::span<const Packet> pkts, uint64_t now_ns,
+                     RxResult* results,
+                     BatchSummary* summary = nullptr) override;
 
   // --- Control path (one thread) -------------------------------------------
 
@@ -167,24 +180,23 @@ class ShardedDatapath {
   // moved from only when a new entry is created; the const& overload
   // installs a copy.
   MtMegaflow* install(const Match& match, DpActions&& actions,
-                      uint64_t now_ns, const FlowKey* full_key = nullptr);
+                      uint64_t now_ns,
+                      const FlowKey* full_key = nullptr) override;
   MtMegaflow* install(const Match& match, const DpActions& actions,
                       uint64_t now_ns, const FlowKey* full_key = nullptr) {
     return install(match, DpActions(actions), now_ns, full_key);
   }
 
   // Marks dead, unlinks, and parks the entry; freed by purge_dead().
-  void remove(MtMegaflow* entry);
+  void remove(FlowRef flow) override;
 
   // RCU actions swap: readers mid-batch keep executing the old list, which
   // is retired until the next grace period.
-  void update_actions(MtMegaflow* entry, DpActions actions);
+  void update_actions(FlowRef flow, DpActions actions) override;
 
-  // Credits a packet that userspace forwarded on the flow's behalf (the
-  // miss packet executed during flow setup) to the entry's statistics.
-  void credit_packet(MtMegaflow* entry, const Packet& pkt,
-                     uint64_t now_ns) noexcept {
-    entry->bump(1, pkt.size_bytes, now_ns);
+  void credit_packet(FlowRef flow, const Packet& pkt,
+                     uint64_t now_ns) override {
+    as(flow)->bump(1, pkt.size_bytes, now_ns);
   }
 
   // QSBR grace period: returns once every worker observed outside a batch
@@ -193,48 +205,53 @@ class ShardedDatapath {
 
   // synchronize(), then free dead entries, retired action lists, and
   // retired cuckoo slot arrays.
-  void purge_dead();
+  void purge_dead() override;
 
-  std::vector<MtMegaflow*> dump() const;  // control thread only
+  std::vector<FlowRef> dump() const override;  // control thread only
 
-  size_t flow_count() const noexcept {
+  size_t flow_count() const noexcept override {
     return n_flows_.load(std::memory_order_relaxed);
   }
-  size_t mask_count() const noexcept;  // tuples with live rules
+  size_t mask_count() const noexcept override;  // tuples with live rules
 
-  std::vector<Packet> take_upcalls(size_t max_batch);
-  size_t upcall_queue_depth() const;
+  const Match& flow_match(FlowRef f) const override { return as(f)->match(); }
+  const FlowKey& flow_full_key(FlowRef f) const override {
+    return as(f)->full_key();
+  }
+  const DpActions& flow_actions(FlowRef f) const override {
+    return *as(f)->actions();
+  }
+  uint64_t flow_packets(FlowRef f) const override { return as(f)->packets(); }
+  uint64_t flow_bytes(FlowRef f) const override { return as(f)->bytes(); }
+  uint64_t flow_used_ns(FlowRef f) const override { return as(f)->used_ns(); }
+  FlowRecord& flow_record(FlowRef f) override { return as(f)->record(); }
+  const FlowRecord& flow_record(FlowRef f) const override {
+    return as(f)->record();
+  }
 
-  // Miss-path sink: when set, upcalls are handed to the sink instead of the
-  // internal queue (the vswitchd bounded fair-queue path). A sink returning
-  // false refuses the upcall; the refusal is counted as a drop here. The
-  // sink is invoked under the upcall lock — concurrent worker flushes are
-  // serialized through it, so the sink itself need not be thread-safe, but
-  // it must not call back into this datapath's upcall API. Set it before
-  // workers start streaming.
-  void set_upcall_sink(Datapath::UpcallSink sink) {
+  // The sink is invoked under the upcall lock — concurrent worker flushes
+  // are serialized through it, so the sink itself need not be thread-safe,
+  // but it must not call back into this datapath's upcall API. Set it
+  // before workers start streaming.
+  void set_upcall_sink(UpcallSink sink) override {
     std::lock_guard<std::mutex> lk(upcall_mu_);
     sink_ = std::move(sink);
   }
 
-  // Non-owning; nullptr disables injection. Consulted at upcall flush
-  // (drop / delay / duplicate) and at install (table-full / transient).
   // FaultInjector is internally synchronized, so worker flushes may consult
   // it concurrently.
-  void set_fault_injector(FaultInjector* f) noexcept { fault_ = f; }
+  void set_fault_injector(FaultInjector* f) noexcept override { fault_ = f; }
 
-  // Scrambles the idx-th live entry's actions (modulo flow_count) via the
-  // RCU swap, so readers mid-batch stay safe. The revalidator repairs it on
-  // its next full pass.
-  void corrupt_entry(size_t idx);
-  // Zeroes the idx-th live entry's last-used time so idle expiry reaps it.
-  void expire_entry(size_t idx);
+  // The scrambled actions go through the RCU swap, so readers mid-batch
+  // stay safe.
+  void corrupt_entry(size_t idx) override;
+  void expire_entry(size_t idx) override;
 
-  // Runtime policy knob (graceful degradation under EMC thrash). Workers
-  // pick the new probability up on their next insertion attempt.
-  void set_emc_insert_inv_prob(uint32_t inv) noexcept {
+  // Workers pick the new probability up on their next insertion attempt.
+  void set_emc_insert_inv_prob(uint32_t inv) noexcept override {
     emc_insert_inv_prob_.store(inv == 0 ? 1 : inv, std::memory_order_relaxed);
   }
+  bool microflow_enabled() const noexcept override { return cfg_.emc_enabled; }
 
   // --- Simulated NIC offload tier (control thread; DESIGN.md §13) ----------
   //
@@ -246,64 +263,34 @@ class ShardedDatapath {
   // from a retired view; the view is only freed after a grace period, and
   // per-slot counters are shared across clones so no hit is lost.
 
-  // Authoritative (master) table, or nullptr when the tier is off. The view
-  // workers currently probe may lag it by one commit.
-  const OffloadTable* offload() const noexcept { return off_.get(); }
-  bool offload_install(MtMegaflow* e, uint64_t now_ns);
-  bool offload_evict(MtMegaflow* e);
+  // The master table; the view workers currently probe may lag it by one
+  // commit.
+  const OffloadTable* offload() const noexcept override { return off_.get(); }
+  bool offload_install(FlowRef flow, uint64_t now_ns) override;
+  bool offload_evict(FlowRef flow) override;
   // Publishes the master to workers if it changed since the last publish.
-  void offload_commit();
-  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind);
+  void offload_commit() override;
+  bool offload_corrupt(size_t idx, OffloadTable::Corruption kind) override;
 
-  // Releases upcalls parked by the delay fault into the shared queue
-  // (where the global cap may still drop them). Returns the count released.
-  size_t flush_delayed_upcalls();
-  size_t delayed_upcall_count() const;
+  void flush_delayed_upcalls() override;
+  size_t delayed_upcall_count() const override;
 
-  struct Stats {
-    uint64_t packets = 0;
-    uint64_t offload_hits = 0;     // NIC offload slot resolved the packet
-    uint64_t microflow_hits = 0;   // EMC-hinted tuple resolved the packet
-    uint64_t megaflow_hits = 0;    // full tuple-space search resolved it
-    uint64_t misses = 0;
-    uint64_t stale_hints = 0;      // hint probed, flow not there (§6)
-    uint64_t tuples_searched = 0;
-    uint64_t upcall_drops = 0;
-    uint64_t install_fails = 0;         // full + transient (sum of the two)
-    uint64_t install_fail_full = 0;     // table full (cap or injected)
-    uint64_t install_fail_transient = 0;  // injected transient fault
-    uint64_t upcalls_delayed = 0;       // parked by the delay fault
-    uint64_t upcall_dup_enqueues = 0;   // extra deliveries (duplicate fault)
-    uint64_t emc_inserts = 0;           // microflow shard entries installed
-    uint64_t emc_insert_skips = 0;      // skipped by probabilistic insertion
-    uint64_t entries_corrupted = 0;
-    uint64_t entries_expired = 0;
-  };
-  Stats stats() const;  // aggregated over workers; any thread
+  Stats stats() const override;  // aggregated over workers; any thread
 
-  // Invariant-checker hook (datapath/dp_check.h): EMC hints whose tuple
-  // index falls outside the directory. The directory is append-only, so by
-  // construction this is always zero — the checker enforces exactly that
+  // The EMC hints are tuple indexes; the directory is append-only, so by
+  // construction none falls outside it — the checker enforces exactly that
   // construction. Call with workers quiescent (shards are single-writer).
-  size_t emc_dangling_hints() const;
+  size_t emc_dangling_hints() const override;
+
+  size_t n_workers() const noexcept override { return cfg_.n_workers; }
 
   const ShardedDatapathConfig& config() const noexcept { return cfg_; }
 
-  // --- Optional built-in worker pool (for benches and stress tests) --------
-  //
-  // start() spawns cfg.n_workers threads; submit() hands worker `w` a burst;
-  // drain() blocks until every queued burst has been processed. Results are
-  // delivered to the callback (from the worker thread, inside its read-side
-  // critical section) or dropped if none is set.
-  using BatchCallback =
-      std::function<void(size_t worker, std::span<const RxResult>)>;
-  void set_batch_callback(BatchCallback cb) { callback_ = std::move(cb); }
-  void start();
-  void stop();
-  void submit(size_t worker, std::vector<Packet> burst, uint64_t now_ns);
-  void drain();
-
  private:
+  static MtMegaflow* as(FlowRef f) noexcept {
+    return static_cast<MtMegaflow*>(f);
+  }
+
   // One hash table per mask. The directory only ever appends (empty tuples
   // are reused for a matching new mask, never deleted), so a tuple index is
   // forever safe to dereference — the property the EMC hint relies on.
@@ -346,33 +333,19 @@ class ShardedDatapath {
     std::atomic<uint64_t> emc_insert_skips{0};
   };
 
-  struct WorkerThread {
-    std::thread th;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::pair<std::vector<Packet>, uint64_t>> q;
-    bool stopping = false;
-  };
-
   // Full tuple-space search (first match wins; §4.2). `skip` is a tuple
   // already probed via the EMC hint. Counts probed tuples into *searched.
   const MtMegaflow* classify(const FlowKey& key, uint32_t skip,
                              uint32_t* searched) const noexcept;
 
-  // Body of process_batch, for callers that already hold the epoch open
-  // (worker_loop keeps it open across the batch callback too).
-  void process_batch_in_epoch(WorkerSlot& slot, std::span<const Packet> pkts,
-                              uint64_t now_ns, RxResult* results,
-                              BatchSummary* summary);
   void process_chunk(WorkerSlot& slot, const Packet* pkts, size_t n,
                      uint64_t now_ns, RxResult* results, BatchSummary& sum,
                      std::vector<Packet>& missed);
   void flush_upcalls(std::vector<Packet>& missed);
-  // Hands one upcall to the sink or the bounded queue. Requires upcall_mu_.
+  // Hands one upcall to the sink. Requires upcall_mu_.
   void deliver_locked(Packet&& pkt, uint64_t* drops);
 
   MtTuple* writer_find_tuple(const FlowMask& mask, bool create);
-  void worker_loop(size_t w);
   // Clones the master, swings off_view_, retires the old clone (freed by
   // purge_dead after the next grace period). Control thread only.
   void publish_offload();
@@ -385,6 +358,8 @@ class ShardedDatapath {
   std::vector<std::unique_ptr<MtTuple>> tuples_;  // ownership (control)
 
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
+  size_t rr_ = 0;  // next worker slot for DpBackend-driven bursts
+  BatchCallback callback_;
 
   // Control-side bookkeeping.
   std::vector<std::unique_ptr<MtMegaflow>> entries_;
@@ -400,12 +375,11 @@ class ShardedDatapath {
   std::vector<std::unique_ptr<const OffloadTable>> retired_off_;
   bool off_dirty_ = false;
 
-  // Shared upcall queue (one lock per burst flush). The optional sink is
-  // invoked under the same lock, serializing concurrent worker flushes.
+  // Upcall delivery (one lock per burst flush): the sink is invoked under
+  // it, serializing concurrent worker flushes.
   mutable std::mutex upcall_mu_;
-  std::deque<Packet> upcalls_;
   std::deque<Packet> delayed_;  // delay-fault parking lot (under upcall_mu_)
-  Datapath::UpcallSink sink_;   // under upcall_mu_
+  UpcallSink sink_;             // under upcall_mu_
   std::atomic<uint64_t> upcall_drops_{0};
   std::atomic<uint64_t> install_fail_full_{0};
   std::atomic<uint64_t> install_fail_transient_{0};
@@ -415,12 +389,6 @@ class ShardedDatapath {
   std::atomic<uint64_t> entries_expired_{0};
   std::atomic<uint32_t> emc_insert_inv_prob_{1};
   FaultInjector* fault_ = nullptr;
-
-  // Worker pool.
-  std::vector<std::unique_ptr<WorkerThread>> threads_;
-  std::atomic<size_t> in_flight_{0};
-  bool started_ = false;
-  BatchCallback callback_;
 };
 
 }  // namespace ovs

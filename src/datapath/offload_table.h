@@ -44,7 +44,7 @@ class OffloadTable {
     FlowMask mask;
     FlowKey key;        // pre-masked, like Match::key
     DpActions actions;  // snapshot of the owner's actions at install/sync
-    void* owner = nullptr;  // the owning megaflow (DpBackend::FlowRef)
+    void* owner = nullptr;  // the owning megaflow, as its DpFlow*
     std::shared_ptr<OffloadCounters> counters;
     uint64_t installed_ns = 0;
   };

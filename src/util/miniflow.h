@@ -73,22 +73,6 @@ class MiniflowSchema {
     return true;
   }
 
-  // Structure-of-arrays full_hash over a batch: out[j] =
-  // full_hash(keys[idx[j]]) for j < n. The word loop is outermost and the
-  // key loop innermost, so one mask word is applied to the whole batch at a
-  // time and the lanes of different keys are independent.
-  void full_hash_batch(const FlowKey* keys, const uint8_t* idx, size_t n,
-                       uint64_t* out) const noexcept {
-    for (size_t j = 0; j < n; ++j) out[j] = 0;
-    for (size_t i = 0; i < words_.size(); ++i) {
-      const size_t w = words_[i];
-      const uint64_t mw = mask_w_[i];
-      for (size_t j = 0; j < n; ++j)
-        out[j] += flow_word_lane(w, keys[idx[j]].w[w] & mw);
-    }
-    for (size_t j = 0; j < n; ++j) out[j] = hash_finish(out[j]);
-  }
-
  private:
   // Lane of active word `i` (the i-th entry of the flat array) for `src`.
   uint64_t lane(size_t i, const FlowWords& src) const noexcept {

@@ -33,6 +33,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "datapath/datapath.h"
 #include "datapath/dp_backend.h"
 #include "datapath/dp_check.h"
 #include "ofproto/pipeline.h"
@@ -257,17 +258,10 @@ class Switch {
   // ovs-appctl "revalidator purge" analogue; also set by entry-fault
   // injection, whose corruption bypasses the generation counters).
   void force_full_revalidation() noexcept { reval_force_full_ = true; }
-  // The datapath seam: valid for either backend. Use this for stats /
-  // flow_count / upcall introspection.
+  // The datapath, whichever of the two runs (datapath_workers): stats,
+  // flows, offload and upcall introspection.
   DpBackend& backend() noexcept { return *be_; }
   const DpBackend& backend() const noexcept { return *be_; }
-  // Legacy accessor for the single-threaded backend (datapath_workers <= 1);
-  // asserts when the switch runs sharded. Prefer backend().
-  Datapath& datapath() noexcept {
-    Datapath* dp = be_->single();
-    assert(dp != nullptr && "datapath(): switch is running sharded; use backend()");
-    return *dp;
-  }
   const SwitchConfig& config() const noexcept { return cfg_; }
 
   // ovs-ofctl-style text interface (see ofproto/flow_parser.h). Returns an

@@ -1,14 +1,18 @@
-// Property test: Datapath::process_batch is observably identical to calling
-// receive() per packet — same per-packet path and actions, same upcall queue,
-// same per-entry statistics, same datapath counters — across randomized
-// workloads and every cache-flag combination. The only licensed divergence
-// is the cumulative tuples_searched counter: deduplicated burst followers
-// never physically probe a table.
+// Property test: process_batch is observably identical to calling receive()
+// per packet — same per-packet path and actions, same upcalls in the same
+// order, same per-entry statistics, same datapath counters — across
+// randomized workloads, with the EMC on and off, on both datapaths: the
+// single one (inline set-associative EMC) and a one-worker sharded one
+// (ConcurrentEmc shard, tuple-index hints). The only licensed divergence is
+// the cumulative tuples_searched counter: deduplicated burst followers never
+// physically probe a table.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "datapath/datapath.h"
+#include "datapath/mt_datapath.h"
 #include "packet/match.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -18,9 +22,23 @@ namespace {
 
 using testutil::dp_tcp_pkt;
 
+// The single datapath, or a sharded one with one worker (so every burst
+// lands on the same EMC shard, as on the single one).
+std::unique_ptr<DpBackend> make_dp(bool sharded, bool microflow) {
+  if (!sharded) {
+    DatapathConfig cfg;
+    cfg.microflow_enabled = microflow;
+    return std::make_unique<Datapath>(cfg);
+  }
+  ShardedDatapathConfig cfg;
+  cfg.n_workers = 1;
+  cfg.emc_enabled = microflow;
+  return std::make_unique<ShardedDatapath>(cfg);
+}
+
 // Installs the same K /8 megaflows into both datapaths; dsts 10.x–(10+K-1).x
 // are covered, anything above misses.
-void fill(Datapath& dp, int k) {
+void fill(DpBackend& dp, int k) {
   for (int i = 0; i < k; ++i) {
     dp.install(MatchBuilder().ip().nw_dst_prefix(
                    Ipv4(uint8_t(10 + i), 0, 0, 0), 8),
@@ -41,9 +59,11 @@ std::vector<Packet> random_workload(Rng& rng, size_t n, int k) {
   return pkts;
 }
 
-void expect_equivalent(Datapath& seq, Datapath& bat,
+void expect_equivalent(DpBackend& seq, DpBackend& bat,
                        const std::vector<Packet>& pkts, size_t batch_size,
                        uint64_t t0) {
+  testutil::UpcallCollector uq_s(seq), uq_b(bat);
+
   // Sequential reference: one receive() per packet.
   std::vector<Datapath::RxResult> want;
   want.reserve(pkts.size());
@@ -75,21 +95,21 @@ void expect_equivalent(Datapath& seq, Datapath& bat,
     }
   }
 
-  // Upcall queues: same packets in the same order.
-  auto uq_s = seq.take_upcalls(pkts.size() + 1);
-  auto uq_b = bat.take_upcalls(pkts.size() + 1);
-  ASSERT_EQ(uq_b.size(), uq_s.size());
-  for (size_t i = 0; i < uq_s.size(); ++i)
-    EXPECT_EQ(uq_b[i].key, uq_s[i].key) << "upcall " << i;
+  // Upcalls: same packets in the same order.
+  ASSERT_EQ(uq_b.pkts.size(), uq_s.pkts.size());
+  for (size_t i = 0; i < uq_s.pkts.size(); ++i)
+    EXPECT_EQ(uq_b.pkts[i].key, uq_s.pkts[i].key) << "upcall " << i;
 
   // Per-entry statistics (same install order => same dump order).
   auto es = seq.dump();
   auto eb = bat.dump();
   ASSERT_EQ(eb.size(), es.size());
   for (size_t i = 0; i < es.size(); ++i) {
-    EXPECT_EQ(eb[i]->packets(), es[i]->packets()) << "entry " << i;
-    EXPECT_EQ(eb[i]->bytes(), es[i]->bytes()) << "entry " << i;
-    EXPECT_EQ(eb[i]->used_ns(), es[i]->used_ns()) << "entry " << i;
+    EXPECT_EQ(bat.flow_packets(eb[i]), seq.flow_packets(es[i]))
+        << "entry " << i;
+    EXPECT_EQ(bat.flow_bytes(eb[i]), seq.flow_bytes(es[i])) << "entry " << i;
+    EXPECT_EQ(bat.flow_used_ns(eb[i]), seq.flow_used_ns(es[i]))
+        << "entry " << i;
   }
 
   // Datapath counters, minus the licensed tuples_searched divergence.
@@ -107,34 +127,33 @@ class BatchEquivalence
     : public ::testing::TestWithParam<std::tuple<bool, bool, size_t>> {};
 
 TEST_P(BatchEquivalence, RandomWorkloads) {
-  const auto [microflow, concurrent_emc, batch_size] = GetParam();
-  DatapathConfig cfg;
-  cfg.microflow_enabled = microflow;
-  cfg.use_concurrent_emc = concurrent_emc;
-
+  const auto [microflow, sharded, batch_size] = GetParam();
   for (uint64_t seed : {0x1ull, 0xBEEFull, 0x5EEDull}) {
-    Datapath seq(cfg), bat(cfg);
-    fill(seq, 6);
-    fill(bat, 6);
+    const auto seq = make_dp(sharded, microflow);
+    const auto bat = make_dp(sharded, microflow);
+    fill(*seq, 6);
+    fill(*bat, 6);
     Rng rng(seed);
     const auto pkts = random_workload(rng, 400, 6);
-    expect_equivalent(seq, bat, pkts, batch_size, /*t0=*/1000);
+    expect_equivalent(*seq, *bat, pkts, batch_size, /*t0=*/1000);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     FlagMatrix, BatchEquivalence,
     ::testing::Combine(::testing::Bool(),          // microflow_enabled
-                       ::testing::Bool(),          // use_concurrent_emc
+                       ::testing::Bool(),          // sharded (one worker)
                        ::testing::Values<size_t>(1, 8, 32, 128, 300)));
 
 // Removal mid-stream: batches must see the same stale-EMC corrections the
 // sequential path sees.
 TEST(BatchEquivalenceTest, RemovalStaleness) {
-  for (bool cemc : {false, true}) {
-    DatapathConfig cfg;
-    cfg.use_concurrent_emc = cemc;
-    Datapath seq(cfg), bat(cfg);
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single");
+    const auto seq_dp = make_dp(sharded, /*microflow=*/true);
+    const auto bat_dp = make_dp(sharded, /*microflow=*/true);
+    DpBackend& seq = *seq_dp;
+    DpBackend& bat = *bat_dp;
     fill(seq, 2);
     fill(bat, 2);
 

@@ -54,7 +54,7 @@ TEST(ConfigTest, RestoredSwitchBehavesIdentically) {
     sw->handle_upcalls(0);
   }
   EXPECT_EQ(a.port_stats(2).tx_packets, b.port_stats(2).tx_packets);
-  EXPECT_EQ(a.datapath().flow_count(), b.datapath().flow_count());
+  EXPECT_EQ(a.backend().flow_count(), b.backend().flow_count());
 }
 
 TEST(ConfigTest, LoadRejectsBadLinesWithLineNumbers) {

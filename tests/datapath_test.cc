@@ -5,6 +5,7 @@
 
 #include "packet/match.h"
 #include "sim/clock.h"
+#include "test_util.h"
 
 namespace ovs {
 namespace {
@@ -23,14 +24,13 @@ Packet tcp_pkt(Ipv4 dst, uint16_t sport, uint16_t dport) {
 
 TEST(DatapathTest, MissQueuesUpcall) {
   Datapath dp;
+  testutil::UpcallCollector up(dp);
   auto rx = dp.receive(tcp_pkt(Ipv4(9, 9, 9, 9), 1, 2), 0);
   EXPECT_EQ(rx.path, Datapath::Path::kMiss);
   EXPECT_EQ(rx.actions, nullptr);
-  EXPECT_EQ(dp.upcall_queue_depth(), 1u);
-  auto up = dp.take_upcalls(10);
-  ASSERT_EQ(up.size(), 1u);
-  EXPECT_EQ(up[0].key.nw_dst(), Ipv4(9, 9, 9, 9));
-  EXPECT_EQ(dp.upcall_queue_depth(), 0u);
+  ASSERT_EQ(up.pkts.size(), 1u);
+  EXPECT_EQ(up.pkts[0].key.nw_dst(), Ipv4(9, 9, 9, 9));
+  EXPECT_EQ(dp.stats().upcall_drops, 0u);
 }
 
 TEST(DatapathTest, MegaflowThenMicroflowHit) {
@@ -136,12 +136,12 @@ TEST(DatapathTest, TuplesSearchedCountsMasks) {
 }
 
 TEST(DatapathTest, UpcallQueueOverflowDrops) {
-  DatapathConfig cfg;
-  cfg.max_upcall_queue = 4;
-  Datapath dp(cfg);
+  // The sink's queue holds four; each upcall it refuses is a drop.
+  Datapath dp;
+  testutil::UpcallCollector up(dp, /*cap=*/4);
   for (uint16_t i = 0; i < 10; ++i)
     dp.receive(tcp_pkt(Ipv4(9, 9, 9, 9), i, 80), 0);
-  EXPECT_EQ(dp.upcall_queue_depth(), 4u);
+  EXPECT_EQ(up.pkts.size(), 4u);
   EXPECT_EQ(dp.stats().upcall_drops, 6u);
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "datapath/dp_backend.h"
+#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "util/rng.h"
 #include "vswitchd/switch.h"
@@ -31,7 +32,7 @@ void expect_clean(const Switch& sw, const std::string& context) {
 // --- Targeted violations ----------------------------------------------------
 
 TEST(DpCheckTest, EmptyAndSingleFlowCachesPass) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   EXPECT_TRUE(run_dp_check(be).ok());
   be.install(MatchBuilder().ip(), DpActions().output(2), 0);
   const DpCheckReport r = run_dp_check(be);
@@ -40,7 +41,7 @@ TEST(DpCheckTest, EmptyAndSingleFlowCachesPass) {
 }
 
 TEST(DpCheckTest, DetectsCrossMaskOverlapAndQuarantinesLaterEntry) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   // Entry A: ip dst 9/8. Entry B: any tcp. A tcp packet to 9.x matches
   // both, and the actions differ — exactly the misdelivery the kernel's
   // first-match semantics cannot tolerate.
@@ -64,7 +65,7 @@ TEST(DpCheckTest, DetectsCrossMaskOverlapAndQuarantinesLaterEntry) {
 }
 
 TEST(DpCheckTest, BenignOverlapIsCountedButNotQuarantined) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   be.install(MatchBuilder().tcp(), DpActions().output(2), 0);
@@ -84,7 +85,7 @@ TEST(DpCheckTest, BenignOverlapIsCountedButNotQuarantined) {
 TEST(DpCheckTest, OverlapDetectionWorksOnShardedBackend) {
   ShardedDatapathConfig cfg;
   cfg.n_workers = 2;
-  MtDpBackend be{cfg};
+  ShardedDatapath be{cfg};
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   be.install(MatchBuilder().tcp(), DpActions().output(3), 0);
@@ -95,7 +96,7 @@ TEST(DpCheckTest, OverlapDetectionWorksOnShardedBackend) {
 }
 
 TEST(DpCheckTest, DisjointEntriesPassMaskPairProbing) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   // Different masks whose regions cannot intersect: both constrain nw_dst
   // in their common mask to different values.
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
@@ -141,7 +142,7 @@ class DpCheckOffloadTest : public ::testing::Test {
     EXPECT_TRUE(run_dp_check(be_).ok());
   }
 
-  SingleDpBackend be_;
+  Datapath be_;
   DpBackend::FlowRef a_ = nullptr;
   DpBackend::FlowRef b_ = nullptr;
 };
@@ -183,7 +184,7 @@ TEST(DpCheckOffloadShardedTest, CatchesCorruptionOnShardedBackend) {
   ShardedDatapathConfig cfg;
   cfg.n_workers = 2;
   cfg.offload_slots = 8;
-  MtDpBackend be{cfg};
+  ShardedDatapath be{cfg};
   DpBackend::FlowRef f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
       DpActions().output(2), 0);

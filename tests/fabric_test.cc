@@ -118,10 +118,11 @@ TEST_F(FabricTest, TunnelMegaflowsMatchTunnelId) {
   // The receiving hypervisor's cache must key tunneled flows by tun_id
   // (ingress classification), so tenants stay isolated in the fast path.
   bool found_tunnel_flow = false;
-  for (const MegaflowEntry* e : fab_.hypervisor(1).datapath().dump()) {
-    if (e->match().mask.has_field(FieldId::kTunId)) {
+  const DpBackend& dp = fab_.hypervisor(1).backend();
+  for (DpBackend::FlowRef f : dp.dump()) {
+    if (dp.flow_match(f).mask.has_field(FieldId::kTunId)) {
       found_tunnel_flow = true;
-      EXPECT_TRUE(e->match().mask.is_exact(FieldId::kTunId));
+      EXPECT_TRUE(dp.flow_match(f).mask.is_exact(FieldId::kTunId));
     }
   }
   EXPECT_TRUE(found_tunnel_flow);

@@ -17,6 +17,7 @@
 
 #include "datapath/mt_datapath.h"
 #include "sim/clock.h"
+#include "test_util.h"
 #include "util/fault.h"
 #include "vswitchd/switch.h"
 #include "workload/table_gen.h"
@@ -224,14 +225,15 @@ TEST_P(FaultMatrixTest, ConvergesAfterFaultsStop) {
 
   // Every connection is cached and every cached answer equals a fresh
   // translation (the convergence + soundness property).
-  EXPECT_EQ(sw.datapath().flow_count(), kConns);
-  for (const MegaflowEntry* e : sw.datapath().dump()) {
-    const XlateResult want = sw.pipeline().translate(
-        e->match().key, clock.now(), /*side_effects=*/false);
-    EXPECT_EQ(e->actions(), want.actions) << e->match().key.to_string();
+  EXPECT_EQ(sw.backend().flow_count(), kConns);
+  for (DpBackend::FlowRef f : sw.backend().dump()) {
+    const FlowKey& key = sw.backend().flow_match(f).key;
+    const XlateResult want =
+        sw.pipeline().translate(key, clock.now(), /*side_effects=*/false);
+    EXPECT_EQ(sw.backend().flow_actions(f), want.actions) << key.to_string();
   }
   EXPECT_EQ(sw.retry_queue_depth(), 0u);
-  EXPECT_EQ(sw.datapath().delayed_upcall_count(), 0u);
+  EXPECT_EQ(sw.backend().delayed_upcall_count(), 0u);
   expect_accounting_invariants(sw);
 
   // The armed point actually exercised something (occurrences consumed);
@@ -278,7 +280,7 @@ TEST(FaultMatrixTest, ScenarioIsDeterministicFromSeed) {
         c.flow_setups,     c.setup_dups,      c.install_fails,
         c.upcalls_handled, c.upcalls_retried, c.retry_abandoned,
         c.upcalls_dropped, c.reval_stalls,    c.userspace_crashes,
-        c.flows_adopted,   c.reconcile_stalls, sw.datapath().flow_count(),
+        c.flows_adopted,   c.reconcile_stalls, sw.backend().flow_count(),
         fault.total_fired()};
   };
   EXPECT_EQ(run(), run());
@@ -308,7 +310,7 @@ TEST(FaultMatrixTest, CorruptedMegaflowsRepairedByRevalidator) {
     sw.inject(p, clock.now());
   }
   sw.handle_upcalls(clock.now());
-  ASSERT_EQ(sw.datapath().flow_count(), 16u);
+  ASSERT_EQ(sw.backend().flow_count(), 16u);
 
   // Corrupt every entry deterministically (window: all occurrences fire),
   // via the switch's own injection point so it learns repair is needed.
@@ -317,17 +319,18 @@ TEST(FaultMatrixTest, CorruptedMegaflowsRepairedByRevalidator) {
   const uint64_t base = fault.occurrences(FaultPoint::kEntryCorrupt);
   fault.arm_window(FaultPoint::kEntryCorrupt, base, base + 16);
   for (int i = 0; i < 16; ++i) sw.handle_upcalls(clock.now());
-  EXPECT_EQ(sw.datapath().stats().entries_corrupted, 16u);
+  EXPECT_EQ(sw.backend().stats().entries_corrupted, 16u);
   fault.disarm_all();
 
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());  // pipeline unchanged: repair relies on
                                     // the forced full revalidation
   EXPECT_GT(sw.counters().reval_updated_actions, 0u);
-  for (const MegaflowEntry* e : sw.datapath().dump()) {
-    const XlateResult want = sw.pipeline().translate(
-        e->match().key, clock.now(), /*side_effects=*/false);
-    EXPECT_EQ(e->actions(), want.actions) << e->match().key.to_string();
+  for (DpBackend::FlowRef f : sw.backend().dump()) {
+    const FlowKey& key = sw.backend().flow_match(f).key;
+    const XlateResult want =
+        sw.pipeline().translate(key, clock.now(), /*side_effects=*/false);
+    EXPECT_EQ(sw.backend().flow_actions(f), want.actions) << key.to_string();
   }
 }
 
@@ -350,7 +353,7 @@ TEST(RetryTest, TransientFailureRetriedWithBackoffUntilInstalled) {
   sw.handle_upcalls(clock.now());  // attempt 0 fails -> retry in 10ms
   EXPECT_EQ(sw.counters().install_fails, 1u);
   EXPECT_EQ(sw.retry_queue_depth(), 1u);
-  EXPECT_EQ(sw.datapath().flow_count(), 0u);
+  EXPECT_EQ(sw.backend().flow_count(), 0u);
 
   clock.advance(5 * kMillisecond);
   sw.handle_upcalls(clock.now());  // not due yet
@@ -364,7 +367,7 @@ TEST(RetryTest, TransientFailureRetriedWithBackoffUntilInstalled) {
   clock.advance(25 * kMillisecond);
   sw.handle_upcalls(clock.now());  // retry 2 succeeds
   EXPECT_EQ(sw.counters().upcalls_retried, 2u);
-  EXPECT_EQ(sw.datapath().flow_count(), 1u);
+  EXPECT_EQ(sw.backend().flow_count(), 1u);
   EXPECT_EQ(sw.counters().flow_setups, 1u);
   EXPECT_EQ(sw.counters().retry_abandoned, 0u);
   EXPECT_EQ(sw.retry_queue_depth(), 0u);
@@ -395,7 +398,7 @@ TEST(RetryTest, PersistentFailureIsAbandonedAfterMaxRetries) {
             1 + cfg.degradation.max_install_retries);
   EXPECT_EQ(sw.counters().retry_abandoned, 1u);
   EXPECT_EQ(sw.retry_queue_depth(), 0u);
-  EXPECT_EQ(sw.datapath().flow_count(), 0u);
+  EXPECT_EQ(sw.backend().flow_count(), 0u);
   expect_accounting_invariants(sw);
 }
 
@@ -416,12 +419,12 @@ TEST(RetryTest, DegradationOffLosesFailedInstallsSilently) {
   sw.handle_upcalls(clock.now());
   EXPECT_EQ(sw.counters().install_fails, 1u);
   EXPECT_EQ(sw.retry_queue_depth(), 0u);  // no retry scheduled
-  EXPECT_EQ(sw.datapath().flow_count(), 0u);
+  EXPECT_EQ(sw.backend().flow_count(), 0u);
   // Only re-missing traffic re-establishes the flow.
   clock.advance(kMillisecond);
   sw.inject(conn_packet(1, 0), clock.now());
   sw.handle_upcalls(clock.now());
-  EXPECT_EQ(sw.datapath().flow_count(), 1u);
+  EXPECT_EQ(sw.backend().flow_count(), 1u);
 }
 
 // --- Revalidator deadline AIMD ---------------------------------------------
@@ -469,7 +472,7 @@ TEST(DegradationTest, DeadlineOverrunShrinksEffectiveFlowLimit) {
   for (uint32_t i = 0; i < 400; ++i)
     sw.inject(conn_packet(1, i), clock.now());
   sw.handle_upcalls(clock.now());
-  ASSERT_EQ(sw.datapath().flow_count(), 400u);
+  ASSERT_EQ(sw.backend().flow_count(), 400u);
 
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());  // 400 * 6000 cycles = 1.2ms > deadline
@@ -480,7 +483,7 @@ TEST(DegradationTest, DeadlineOverrunShrinksEffectiveFlowLimit) {
   sw.run_maintenance(clock.now());  // scaled limit now in force
   EXPECT_LT(sw.effective_flow_limit(), base_limit);
   EXPECT_GE(sw.effective_flow_limit(), cfg.degradation.limit_floor);
-  EXPECT_LE(sw.datapath().flow_count(), base_limit);
+  EXPECT_LE(sw.backend().flow_count(), base_limit);
 }
 
 // --- EMC thrash -> probabilistic insertion ---------------------------------
@@ -496,7 +499,9 @@ TEST(DegradationTest, EmcThrashEngagesProbabilisticInsertionWithHysteresis) {
   // Warm the single catch-all megaflow.
   sw.inject(conn_packet(1, 0), clock.now());
   sw.handle_upcalls(clock.now());
-  ASSERT_EQ(sw.datapath().flow_count(), 1u);
+  ASSERT_EQ(sw.backend().flow_count(), 1u);
+  // The switch runs the single datapath; its config shows the live knob.
+  const auto& dp = static_cast<const Datapath&>(sw.backend());
 
   // Adversarial phase: never-repeating microflows. Every packet is a
   // megaflow hit that inserts a one-shot EMC entry — pure thrash.
@@ -506,14 +511,14 @@ TEST(DegradationTest, EmcThrashEngagesProbabilisticInsertionWithHysteresis) {
   sw.run_maintenance(clock.now());
   EXPECT_TRUE(sw.emc_degraded());
   EXPECT_EQ(sw.counters().emc_degrade_engaged, 1u);
-  EXPECT_EQ(sw.datapath().config().emc_insert_inv_prob,
+  EXPECT_EQ(dp.config().emc_insert_inv_prob,
             cfg.degradation.emc_degraded_inv_prob);
 
   // While degraded, most one-shot inserts are skipped.
-  const uint64_t skips0 = sw.datapath().stats().emc_insert_skips;
+  const uint64_t skips0 = sw.backend().stats().emc_insert_skips;
   for (uint32_t i = 3000; i < 4000; ++i)
     sw.inject(conn_packet(1, i), clock.now());
-  EXPECT_GT(sw.datapath().stats().emc_insert_skips, skips0 + 800);
+  EXPECT_GT(sw.backend().stats().emc_insert_skips, skips0 + 800);
 
   // Calm phase: a small repeating working set. Hits dominate attempts;
   // the detector disengages and normal insertion resumes.
@@ -523,7 +528,7 @@ TEST(DegradationTest, EmcThrashEngagesProbabilisticInsertionWithHysteresis) {
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());
   EXPECT_FALSE(sw.emc_degraded());
-  EXPECT_EQ(sw.datapath().config().emc_insert_inv_prob, 1u);
+  EXPECT_EQ(dp.config().emc_insert_inv_prob, 1u);
 }
 
 // --- Fair queue under a port storm -----------------------------------------
@@ -610,13 +615,14 @@ TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   cfg.n_workers = 2;
   ShardedDatapath dp(cfg);
   dp.set_fault_injector(&fault);
+  testutil::UpcallCollector up(dp);
 
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
 
   // First install fails (scripted table-full); second lands.
   fault.script(FaultPoint::kInstallTableFull, {0});
   EXPECT_EQ(dp.install(m, DpActions().output(2), 0), nullptr);
-  EXPECT_EQ(dp.stats().install_fails, 1u);
+  EXPECT_EQ(dp.stats().install_fail_full, 1u);
   MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
   ASSERT_NE(e, nullptr);
 
@@ -635,20 +641,20 @@ TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   EXPECT_EQ(dp.stats().upcall_drops, 1u);
   EXPECT_EQ(dp.stats().upcalls_delayed, 1u);
   EXPECT_EQ(dp.stats().upcall_dup_enqueues, 1u);
-  // Queue now holds the duplicated miss twice; the delayed one is parked.
-  EXPECT_EQ(dp.upcall_queue_depth(), 2u);
+  // The sink got the duplicated miss twice; the delayed one is parked.
+  EXPECT_EQ(up.pkts.size(), 2u);
   EXPECT_EQ(dp.delayed_upcall_count(), 1u);
 
-  // Draining releases the parked upcall for the next round.
-  EXPECT_EQ(dp.take_upcalls(16).size(), 2u);
+  // The flush hands the parked upcall over.
+  dp.flush_delayed_upcalls();
   EXPECT_EQ(dp.delayed_upcall_count(), 0u);
-  EXPECT_EQ(dp.take_upcalls(16).size(), 1u);
+  EXPECT_EQ(up.pkts.size(), 3u);
 
   // Conservation: every miss was delivered, parked, or dropped (the
   // duplicate adds one extra delivery).
   const auto s = dp.stats();
   EXPECT_EQ(s.misses + s.upcall_dup_enqueues,
-            3u /*taken*/ + s.upcall_drops);
+            3u /*delivered*/ + s.upcall_drops);
 }
 
 }  // namespace

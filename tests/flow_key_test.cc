@@ -228,28 +228,6 @@ TEST(FlowKeyHashTest, StageAccumulatorsFinishToFullHash) {
   }
 }
 
-TEST(FlowKeyHashTest, SoABatchHashEqualsFullHash) {
-  // A batch probe with full_hash_batch must produce the values insert
-  // stored via full_hash.
-  Rng rng(77);
-  std::vector<FlowKey> keys(16);
-  for (int i = 0; i < 200; ++i) {
-    const MiniflowSchema schema(random_sparse_mask(rng));
-    for (FlowKey& k : keys)
-      for (uint64_t& w : k.w) w = rng.next();
-    // A live subset in shuffled order.
-    std::vector<uint8_t> idx;
-    for (uint8_t j = 0; j < keys.size(); ++j)
-      if (rng.chance(0.7)) idx.push_back(j);
-    for (size_t j = idx.size(); j > 1; --j)
-      std::swap(idx[j - 1], idx[rng.uniform(j)]);
-    std::vector<uint64_t> out(idx.size());
-    schema.full_hash_batch(keys.data(), idx.data(), idx.size(), out.data());
-    for (size_t j = 0; j < idx.size(); ++j)
-      EXPECT_EQ(out[j], schema.full_hash(keys[idx[j]]));
-  }
-}
-
 TEST(FlowKeyHashTest, EmcSetLoadNearUniformOnSequentialTuples) {
   // 64k 5-tuples that differ in one field by +1 each, spread over the EMC's
   // sets by (hash >> 32). The mean load is 16. A uniformly random placement

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "packet/match.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ovs {
@@ -39,14 +40,14 @@ std::vector<ShardedDatapath::RxResult> run_batch(ShardedDatapath& dp,
 
 TEST(MtDatapathTest, MissQueuesUpcall) {
   ShardedDatapath dp;
+  testutil::UpcallCollector up(dp);
   auto res = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 9, 9, 9), 1, 2)}, 0);
   EXPECT_EQ(res[0].path, Path::kMiss);
   EXPECT_EQ(res[0].actions, nullptr);
-  EXPECT_EQ(dp.upcall_queue_depth(), 1u);
-  auto up = dp.take_upcalls(10);
-  ASSERT_EQ(up.size(), 1u);
-  EXPECT_EQ(up[0].key.nw_dst(), Ipv4(9, 9, 9, 9));
+  ASSERT_EQ(up.pkts.size(), 1u);
+  EXPECT_EQ(up.pkts[0].key.nw_dst(), Ipv4(9, 9, 9, 9));
   EXPECT_EQ(dp.stats().misses, 1u);
+  EXPECT_EQ(dp.stats().upcall_drops, 0u);
 }
 
 TEST(MtDatapathTest, MegaflowThenHintHit) {
@@ -120,7 +121,7 @@ TEST(MtDatapathTest, RemoveIsDeferredAndStaleHintCorrected) {
   // The hint now misdirects: corrected on first use, packet misses.
   auto r = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 20);
   EXPECT_EQ(r[0].path, Path::kMiss);
-  EXPECT_EQ(dp.stats().stale_hints, 1u);
+  EXPECT_EQ(dp.stats().stale_microflow_hits, 1u);
 
   dp.purge_dead();  // must not crash; entry freed after the grace period
   auto r2 = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 30);
@@ -176,8 +177,8 @@ TEST(MtDatapathTest, WorkersSeeSharedTable) {
   EXPECT_EQ(r3[0].path, Path::kMicroflowHit);
 }
 
-// The concurrency smoke test the TSan CI job runs: four workers pump
-// bursts through the pool while the control thread churns install /
+// The concurrency smoke test the TSan CI job runs: four worker threads pump
+// bursts, run to completion, while the control thread churns install /
 // update_actions / remove / purge_dead over an overlapping rule set.
 TEST(MtDatapathTest, ConcurrentChurnStress) {
   ShardedDatapathConfig cfg;
@@ -194,6 +195,12 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
     ASSERT_NE(live[i], nullptr);
   }
 
+  // The sink runs under the datapath's upcall lock: no atomics needed.
+  uint64_t upcalls = 0;
+  dp.set_upcall_sink([&](Packet&&) {
+    ++upcalls;
+    return true;
+  });
   std::atomic<uint64_t> delivered{0};
   dp.set_batch_callback(
       [&](size_t, std::span<const ShardedDatapath::RxResult> res) {
@@ -205,7 +212,6 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
           if (r.actions != nullptr && !r.actions->drops()) ++n;
         delivered.fetch_add(n, std::memory_order_relaxed);
       });
-  dp.start();
 
   constexpr int kBursts = 200;
   constexpr size_t kBurstLen = 32;
@@ -233,29 +239,35 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
     }
   });
 
-  Rng rng(0xFEED);
-  for (int b = 0; b < kBursts; ++b) {
-    const size_t w = b % cfg.n_workers;
-    std::vector<Packet> burst;
-    burst.reserve(kBurstLen);
-    for (size_t i = 0; i < kBurstLen; ++i) {
-      burst.push_back(tcp_pkt(
-          Ipv4(uint8_t(10 + rng.uniform(kPrefixes + 2)),  // some always-miss
-               uint8_t(rng.uniform(4)), 1, 1),
-          uint16_t(rng.uniform(8)), 80));
-    }
-    dp.submit(w, std::move(burst), uint64_t(b) * 1000);
-    dp.take_upcalls(64);  // drain so the shared queue never stays full
+  // Worker w runs bursts w, w + n_workers, ... (the burst-to-worker
+  // assignment of one rx queue per worker).
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < cfg.n_workers; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(0xFEED + w);
+      std::vector<Packet> burst(kBurstLen);
+      std::vector<ShardedDatapath::RxResult> res(kBurstLen);
+      for (int b = static_cast<int>(w); b < kBursts;
+           b += static_cast<int>(cfg.n_workers)) {
+        for (Packet& p : burst) {
+          p = tcp_pkt(Ipv4(uint8_t(10 + rng.uniform(kPrefixes + 2)),  // some
+                           uint8_t(rng.uniform(4)), 1, 1),  // always miss
+                      uint16_t(rng.uniform(8)), 80);
+        }
+        dp.process_batch(w, burst, uint64_t(b) * 1000, res.data());
+      }
+    });
   }
-  dp.drain();
+  for (std::thread& t : workers) t.join();
   stop_ctl.store(true, std::memory_order_relaxed);
   control.join();
-  dp.stop();
   dp.purge_dead();
 
   const auto s = dp.stats();
   EXPECT_EQ(s.packets, uint64_t(kBursts) * kBurstLen);
   EXPECT_EQ(s.microflow_hits + s.megaflow_hits + s.misses, s.packets);
+  EXPECT_EQ(upcalls + s.upcall_drops, s.misses);
+  EXPECT_GT(upcalls, 0u);
   EXPECT_GT(delivered.load(), 0u);
 }
 

@@ -8,6 +8,7 @@
 
 #include "datapath/dp_backend.h"
 #include "datapath/dp_check.h"
+#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "vswitchd/switch.h"
 
@@ -296,7 +297,7 @@ TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
   cfg.n_workers = 2;
   cfg.offload_slots = 4;
   cfg.emc_enabled = false;  // keep the non-offload path deterministic
-  MtDpBackend be{cfg};
+  ShardedDatapath be{cfg};
   DpBackend::FlowRef f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
       DpActions().output(2), 0);

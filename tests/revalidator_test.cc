@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "datapath/dp_backend.h"
+#include "datapath/mt_datapath.h"
 #include "ofproto/mac_learning.h"
 #include "vswitchd/switch.h"
 
@@ -271,10 +272,8 @@ TEST(RevalidatorDeterminism, MakespanShrinksWithThreads) {
 // swaps, removes, reinstalls). No assertion beyond internal consistency —
 // the point is the data-race-free execution under -DVSWITCH_TSAN.
 TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
-  DatapathConfig dcfg;
-  auto be = make_dp_backend(dcfg, 4);
-  ShardedDatapath* dp = be->sharded();
-  ASSERT_NE(dp, nullptr);
+  ShardedDatapath dp;  // four workers
+  DpBackend* be = &dp;
 
   Pipeline pl(/*n_tables=*/4, {});
   pl.add_port(1);
@@ -305,22 +304,22 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
   }
   ASSERT_EQ(be->flow_count(), kFlows);
 
-  dp->start();
   std::atomic<bool> stop{false};
-  std::thread traffic([&] {
-    uint64_t n = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::vector<Packet> burst;
-      for (size_t j = 0; j < 16; ++j)
-        burst.push_back(flow_pkt((n + j) % kFlows));
-      // Fixed timestamp: used_ns must never exceed the plan's now_ns, or
-      // the unsigned idle-age check would see a wrapped (huge) age.
-      dp->submit(n % 4, std::move(burst), kMs);
-      ++n;
-      if ((n & 15) == 0) dp->drain();
-    }
-    dp->drain();
-  });
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < dp.config().n_workers; ++w) {
+    workers.emplace_back([&, w] {
+      std::vector<Packet> burst(16);
+      std::vector<ShardedDatapath::RxResult> res(burst.size());
+      for (uint64_t n = w; !stop.load(std::memory_order_relaxed);
+           n += dp.config().n_workers) {
+        for (size_t j = 0; j < burst.size(); ++j)
+          burst[j] = flow_pkt((n + j) % kFlows);
+        // Fixed timestamp: used_ns must never exceed the plan's now_ns, or
+        // the unsigned idle-age check would see a wrapped (huge) age.
+        dp.process_batch(w, burst, kMs, res.data());
+      }
+    });
+  }
 
   Revalidator::Config rc;
   rc.n_threads = 4;
@@ -360,9 +359,7 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
     }
   }
   stop.store(true);
-  traffic.join();
-  dp->drain();
-  dp->stop();
+  for (std::thread& t : workers) t.join();
   EXPECT_EQ(be->flow_count(), kFlows);
   const Datapath::Stats s = be->stats();
   EXPECT_EQ(s.packets, s.microflow_hits + s.megaflow_hits + s.misses);

@@ -97,11 +97,11 @@ TEST(StormTest, UpcallQueueOverflowRecovers) {
   EXPECT_EQ(sw.upcall_queue_depth(), 128u);
   EXPECT_EQ(sw.counters().upcalls_dropped, 10000u - 128u);
   // The datapath records the sink refusals as its own upcall drops.
-  EXPECT_EQ(sw.datapath().stats().upcall_drops, 10000u - 128u);
+  EXPECT_EQ(sw.backend().stats().upcall_drops, 10000u - 128u);
 
   // Daemon catches up; the queued 128 become flows.
   EXPECT_EQ(sw.handle_upcalls(0), 128u);
-  EXPECT_EQ(sw.datapath().flow_count(), 128u);
+  EXPECT_EQ(sw.backend().flow_count(), 128u);
   EXPECT_EQ(sw.counters().upcalls_handled, 128u);
 
   // Normal service resumes.
@@ -157,7 +157,7 @@ TEST(ConvergenceTest, CacheConvergesAfterContinuousTableChurn) {
   for (const Packet& p : probes) {
     auto want =
         sw.pipeline().translate(p.key, clock.now(), /*side_effects=*/false);
-    auto rx = sw.datapath().receive(p, clock.now());
+    auto rx = sw.backend().receive(p, clock.now());
     ASSERT_NE(rx.actions, nullptr) << p.key.to_string();
     EXPECT_EQ(*rx.actions, want.actions) << p.key.to_string();
   }
@@ -190,7 +190,7 @@ TEST(FlowLimitTest, StormBoundedByDynamicLimit) {
     sw.handle_upcalls(clock.now());
     clock.advance(kSecond);
     sw.run_maintenance(clock.now());
-    EXPECT_LE(sw.datapath().flow_count(), 256u) << "second " << second;
+    EXPECT_LE(sw.backend().flow_count(), 256u) << "second " << second;
   }
   // Either path may have bounded the table: the shortened overflow idle
   // timeout ("Above the maximum size, OVS drops this idle time to force
@@ -256,13 +256,14 @@ TEST(AccountingTest, DatapathStatsConserve) {
   }
   sw.handle_upcalls(clock.now());
 
-  const auto& s = sw.datapath().stats();
+  const auto& s = sw.backend().stats();
   // Conservation: every packet took exactly one path.
   EXPECT_EQ(s.packets, s.microflow_hits + s.megaflow_hits + s.misses);
   // Every entry's packet count sums to at most the hits (entries can have
   // been evicted, so <=), and per-entry stats are internally consistent.
   uint64_t entry_pkts = 0;
-  for (const MegaflowEntry* e : sw.datapath().dump()) {
+  for (DpBackend::FlowRef f : sw.backend().dump()) {
+    const auto* e = static_cast<const MegaflowEntry*>(f);
     entry_pkts += e->packets();
     EXPECT_GE(e->bytes(), e->packets());  // >= 1 byte per packet
     EXPECT_GE(e->used_ns(), e->created_ns());
@@ -314,11 +315,12 @@ TEST(Ipv6EndToEndTest, PipelineRoutesAndTracksPrefixes) {
 
   // Prefix tracking must keep the megaflow from matching the host /128:
   // the address diverges from the host route inside the third group.
-  auto flows = sw.datapath().dump();
+  auto flows = sw.backend().dump();
   ASSERT_EQ(flows.size(), 1u);
-  const int plen = flows[0]->match().mask.prefix_len(FieldId::kIpv6Dst);
+  const FlowMask& mask = sw.backend().flow_match(flows[0]).mask;
+  const int plen = mask.prefix_len(FieldId::kIpv6Dst);
   ASSERT_GE(plen, 32);
-  EXPECT_LE(plen, 68) << flows[0]->match().mask.to_string();
+  EXPECT_LE(plen, 68) << mask.to_string();
 
   // The host route still wins for its exact address.
   Packet host = p;
@@ -344,7 +346,7 @@ TEST(RevalidatorTest, XlateErrorFlowsBecomeDrops) {
   EXPECT_EQ(sw.counters().xlate_errors, 1u);
   EXPECT_EQ(sw.port_stats(2).tx_packets, 0u);
   // The installed flow is a drop; repeat traffic stays in the fast path.
-  auto rx = sw.datapath().receive(p, 1);
+  auto rx = sw.backend().receive(p, 1);
   ASSERT_NE(rx.actions, nullptr);
   EXPECT_TRUE(rx.actions->drops());
 }

@@ -62,7 +62,7 @@ TEST_F(SwitchTest, MissThenSetupThenCacheHits) {
   EXPECT_EQ(sw_->inject(p2, clock_.now()), Datapath::Path::kMegaflowHit);
   EXPECT_EQ(sw_->handle_upcalls(clock_.now()), 0u);
   EXPECT_EQ(sw_->port_stats(2).tx_packets, 4u);
-  EXPECT_EQ(sw_->datapath().flow_count(), 1u);  // one megaflow covers all
+  EXPECT_EQ(sw_->backend().flow_count(), 1u);  // one megaflow covers all
 }
 
 TEST_F(SwitchTest, OutputHandlerObservesForwarding) {
@@ -89,8 +89,8 @@ TEST_F(SwitchTest, MegaflowsDisabledInstallsExactEntries) {
     sw_->handle_upcalls(0);
   }
   // One cache entry per connection, one mask ("Flows"=N, "Masks"=1).
-  EXPECT_EQ(sw_->datapath().flow_count(), 10u);
-  EXPECT_EQ(sw_->datapath().mask_count(), 1u);
+  EXPECT_EQ(sw_->backend().flow_count(), 10u);
+  EXPECT_EQ(sw_->backend().mask_count(), 1u);
   // A fresh connection always misses.
   EXPECT_EQ(
       sw_->inject(tcp_pkt(1, Ipv4(1, 1, 1, 1), Ipv4(10, 0, 0, 5), 7777, 80),
@@ -102,17 +102,17 @@ TEST_F(SwitchTest, IdleFlowsEvictedByRevalidator) {
   setup_l3_switch();
   sw_->inject(tcp_pkt(1, Ipv4(1, 1, 1, 1), Ipv4(10, 0, 0, 5), 1, 2), 0);
   sw_->handle_upcalls(0);
-  EXPECT_EQ(sw_->datapath().flow_count(), 1u);
+  EXPECT_EQ(sw_->backend().flow_count(), 1u);
 
   // Before the idle timeout: kept.
   clock_.advance(5 * kSecond);
   sw_->run_maintenance(clock_.now());
-  EXPECT_EQ(sw_->datapath().flow_count(), 1u);
+  EXPECT_EQ(sw_->backend().flow_count(), 1u);
 
   // Past the 10 s idle timeout: evicted.
   clock_.advance(6 * kSecond);
   sw_->run_maintenance(clock_.now());
-  EXPECT_EQ(sw_->datapath().flow_count(), 0u);
+  EXPECT_EQ(sw_->backend().flow_count(), 0u);
   EXPECT_EQ(sw_->counters().reval_deleted_idle, 1u);
 }
 
@@ -125,7 +125,7 @@ TEST_F(SwitchTest, TrafficKeepsFlowsAlive) {
     clock_.advance(1 * kSecond);
     sw_->inject(p, clock_.now());
     sw_->run_maintenance(clock_.now());
-    EXPECT_EQ(sw_->datapath().flow_count(), 1u) << "second " << i;
+    EXPECT_EQ(sw_->backend().flow_count(), 1u) << "second " << i;
   }
 }
 
@@ -161,7 +161,7 @@ TEST_F(SwitchTest, FlowDeletionInvalidatesCache) {
   clock_.advance(kSecond);
   sw_->run_maintenance(clock_.now());
   // The re-translation now misses (different wildcards): flow removed.
-  EXPECT_EQ(sw_->datapath().flow_count(), 0u);
+  EXPECT_EQ(sw_->backend().flow_count(), 0u);
   EXPECT_EQ(sw_->inject(p, clock_.now()), Datapath::Path::kMiss);
 }
 
@@ -179,9 +179,9 @@ TEST_F(SwitchTest, FlowLimitEnforced) {
     sw_->handle_upcalls(clock_.now());
     clock_.advance(kMillisecond);
   }
-  EXPECT_EQ(sw_->datapath().flow_count(), 200u);
+  EXPECT_EQ(sw_->backend().flow_count(), 200u);
   sw_->run_maintenance(clock_.now());
-  EXPECT_LE(sw_->datapath().flow_count(), 50u);
+  EXPECT_LE(sw_->backend().flow_count(), 50u);
   EXPECT_GT(sw_->counters().evicted_flow_limit, 0u);
 }
 

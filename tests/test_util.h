@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +51,29 @@ inline Packet dp_tcp_pkt(Ipv4 dst, uint16_t sport, uint16_t dport) {
   p.size_bytes = 60 + sport % 1400;
   return p;
 }
+
+// An upcall sink that keeps every upcall a datapath hands it, in arrival
+// order, and refuses any beyond `cap` (a full queue; the datapath counts
+// each refusal as an upcall drop). Detaches itself when it goes out of
+// scope, so it must not outlive the datapath.
+class UpcallCollector {
+ public:
+  std::vector<Packet> pkts;
+
+  explicit UpcallCollector(DpBackend& dp, size_t cap = SIZE_MAX) : dp_(dp) {
+    dp_.set_upcall_sink([this, cap](Packet&& p) {
+      if (pkts.size() >= cap) return false;
+      pkts.push_back(std::move(p));
+      return true;
+    });
+  }
+  ~UpcallCollector() { dp_.set_upcall_sink(nullptr); }
+  UpcallCollector(const UpcallCollector&) = delete;
+  UpcallCollector& operator=(const UpcallCollector&) = delete;
+
+ private:
+  DpBackend& dp_;
+};
 
 // Canonical rendering of the installed megaflow set, sorted so two caches
 // compare equal regardless of dump order (which differs across backends
