@@ -236,9 +236,6 @@ class Datapath final : public DpBackend {
   size_t n_workers() const noexcept override { return 1; }
 
   const DatapathConfig& config() const noexcept { return cfg_; }
-  void set_microflow_enabled(bool on) noexcept {
-    cfg_.microflow_enabled = on;
-  }
 
  private:
   struct MicroSlot {

@@ -318,13 +318,12 @@ void ShardedDatapath::process_batch(size_t worker, std::span<const Packet> pkts,
   // nothing this batch can still see once it observes us quiescent.
   slot.epoch.fetch_add(1, std::memory_order_acq_rel);
   BatchSummary local;
-  std::vector<Packet> missed;
   for (size_t off = 0; off < pkts.size(); off += kMaxBatch) {
     const size_t n = std::min(kMaxBatch, pkts.size() - off);
     process_chunk(slot, pkts.data() + off, n, now_ns, results + off, local,
-                  missed);
+                  slot.missed);
   }
-  if (!missed.empty()) flush_upcalls(missed);
+  if (!slot.missed.empty()) flush_upcalls(slot.missed);
   if (summary != nullptr) *summary += local;
   // Still inside the epoch: the callback reads the results' actions
   // pointers, which purge_dead() on the control thread may free as soon as

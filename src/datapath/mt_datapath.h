@@ -331,6 +331,9 @@ class ShardedDatapath final : public DpBackend {
     std::atomic<uint64_t> tuples_searched{0};
     std::atomic<uint64_t> emc_inserts{0};
     std::atomic<uint64_t> emc_insert_skips{0};
+    // The batch's misses on their way to the sink; owner worker only, kept
+    // across batches so a miss burst reuses its storage.
+    std::vector<Packet> missed;
   };
 
   // Full tuple-space search (first match wins; §4.2). `skip` is a tuple

@@ -73,11 +73,19 @@ struct Pipeline::XlateCtx {
       wc.w[i] |= consulted.w[i] & ~modified.w[i];
   }
 
-  void consult_field(FieldId f) noexcept {
+  // Marks `bits` (LSB-aligned within single-word field `f`) as consulted:
+  // a decision that reads only some bits of a field leaves the rest
+  // wildcarded, so the megaflow covers every value of them.
+  void consult_bits(FieldId f, uint64_t bits) noexcept {
+    const FieldInfo& fi = field_info(f);
+    assert(fi.width <= 64);
+    if (fi.width < 64) bits &= (uint64_t{1} << fi.width) - 1;
     FlowWildcards tmp;
-    tmp.set_exact(f);
+    tmp.w[fi.word] = bits << fi.shift;
     absorb(tmp);
   }
+
+  void consult_field(FieldId f) noexcept { consult_bits(f, ~uint64_t{0}); }
 
   void set_field(FieldId f, uint64_t v) noexcept {
     key.set(f, v);
@@ -87,19 +95,22 @@ struct Pipeline::XlateCtx {
 
 void Pipeline::do_normal(XlateCtx& ctx) {
   // Traditional L2 learning switch (§3.3's hard-coded pipelines; our NORMAL
-  // action). Consults in_port, vlan and both MACs.
+  // action). Learning keys on the whole of in_port, vlan and eth_src; the
+  // destination lookup on the whole of eth_dst, but only for unicast: a
+  // multicast destination floods on its group bit alone.
   ctx.consult_field(FieldId::kInPort);
   ctx.consult_field(FieldId::kVlanTci);
   ctx.consult_field(FieldId::kEthSrc);
-  ctx.consult_field(FieldId::kEthDst);
+  ctx.consult_bits(FieldId::kEthDst, EthAddr::kGroupBit);
 
   const uint16_t vlan = ctx.key.vlan_tci();
   if (ctx.side_effects)
     mac_.learn(ctx.key.eth_src(), vlan, ctx.key.in_port(), ctx.now_ns);
   ctx.res.tags |= MacLearning::tag(ctx.key.eth_src(), vlan);
-  ctx.res.tags |= MacLearning::tag(ctx.key.eth_dst(), vlan);
 
   if (!ctx.key.eth_dst().is_multicast()) {
+    ctx.consult_field(FieldId::kEthDst);
+    ctx.res.tags |= MacLearning::tag(ctx.key.eth_dst(), vlan);
     if (auto port = mac_.lookup(ctx.key.eth_dst(), vlan, ctx.now_ns)) {
       if (*port != ctx.key.in_port()) ctx.out.output(*port);
       return;
@@ -118,9 +129,12 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   ctx.consult_field(FieldId::kTpSrc);
   ctx.consult_field(FieldId::kTpDst);
   const bool is_tcp = ctx.key.nw_proto() == ipproto::kTcp;
-  // Only commit-capable TCP ct reads the flags word (FIN/RST teardown), so
-  // lookup-only ct rules keep megaflows flag-wildcarded.
-  if (ct.commit && is_tcp) ctx.consult_field(FieldId::kTcpFlags);
+  // Only commit-capable TCP ct reads the flags, and only FIN and RST (the
+  // teardown test below): SYN, ACK and PSH segments of one connection share
+  // a megaflow, and lookup-only ct rules keep every flag wildcarded.
+  constexpr uint16_t kTeardownFlags = tcpflags::kFin | tcpflags::kRst;
+  if (ct.commit && is_tcp)
+    ctx.consult_bits(FieldId::kTcpFlags, kTeardownFlags);
 
   // The lookup key is the current (possibly rewritten) tuple; every packet
   // this megaflow covers looks up the same one, because the tuple's
@@ -132,7 +146,7 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   const uint8_t state = ct_.lookup(conn);
   const bool teardown =
       ct.commit && is_tcp &&
-      (ctx.key.tcp_flags() & (tcpflags::kFin | tcpflags::kRst)) != 0 &&
+      (ctx.key.tcp_flags() & kTeardownFlags) != 0 &&
       (state & ct_state::kEstablished) != 0;
 
   if (ct.commit && ctx.side_effects) {

@@ -22,12 +22,15 @@ class EthAddr {
       : bits_((uint64_t{a} << 40) | (uint64_t{b} << 32) | (uint64_t{c} << 24) |
               (uint64_t{d} << 16) | (uint64_t{e} << 8) | uint64_t{f}) {}
 
+  // The I/G (group) bit: the least significant bit of the first octet.
+  static constexpr uint64_t kGroupBit = 1ULL << 40;
+
   constexpr uint64_t bits() const noexcept { return bits_; }
   constexpr bool is_broadcast() const noexcept {
     return bits_ == 0xffffffffffffULL;
   }
   constexpr bool is_multicast() const noexcept {
-    return (bits_ & (1ULL << 40)) != 0;
+    return (bits_ & kGroupBit) != 0;
   }
 
   std::string to_string() const {

@@ -68,8 +68,10 @@ std::string OracleSwitch::add_flow(const std::string& text) {
   if (!res.ok) return res.error;
   if (res.flow.table >= n_tables_)
     return "table " + std::to_string(res.flow.table) + " out of range";
-  log_.push_back({Mutation::Kind::kAddFlow, text});
-  epochs_.push_back({log_.size(), build_epoch(log_.size())});
+  Mutation m;
+  m.kind = Mutation::Kind::kAddFlow;
+  m.text = text;
+  push_mutation(std::move(m));
   return "";
 }
 
@@ -80,12 +82,14 @@ std::string OracleSwitch::del_flows(const std::string& text) {
   if (!res.ok) return res.error;
   if (res.flow.has_table && res.flow.table >= n_tables_)
     return "table " + std::to_string(res.flow.table) + " out of range";
-  log_.push_back({Mutation::Kind::kDelFlows, text});
-  epochs_.push_back({log_.size(), build_epoch(log_.size())});
+  Mutation m;
+  m.kind = Mutation::Kind::kDelFlows;
+  m.text = text;
+  push_mutation(std::move(m));
   return "";
 }
 
-void OracleSwitch::push_ct_mutation(Mutation m) {
+void OracleSwitch::push_mutation(Mutation m) {
   log_.push_back(std::move(m));
   epochs_.push_back({log_.size(), build_epoch(log_.size())});
 }
@@ -97,7 +101,7 @@ void OracleSwitch::ct_commit(const FlowKey& key, uint16_t zone,
   m.key = key;
   m.zone = zone;
   m.t = now_ns;
-  push_ct_mutation(std::move(m));
+  push_mutation(std::move(m));
 }
 
 void OracleSwitch::ct_commit_nat(const FlowKey& key, const CtNatSpec& nat,
@@ -109,7 +113,7 @@ void OracleSwitch::ct_commit_nat(const FlowKey& key, const CtNatSpec& nat,
   m.t = now_ns;
   m.has_nat = true;
   m.nat = nat;
-  push_ct_mutation(std::move(m));
+  push_mutation(std::move(m));
 }
 
 void OracleSwitch::ct_remove(const FlowKey& key, uint16_t zone) {
@@ -121,7 +125,7 @@ void OracleSwitch::ct_remove(const FlowKey& key, uint16_t zone) {
   m.kind = Mutation::Kind::kCtRemove;
   m.key = key;
   m.zone = zone;
-  push_ct_mutation(std::move(m));
+  push_mutation(std::move(m));
 }
 
 void OracleSwitch::ct_tick(uint64_t now_ns) {
@@ -131,14 +135,14 @@ void OracleSwitch::ct_tick(uint64_t now_ns) {
   Mutation m;
   m.kind = Mutation::Kind::kCtTick;
   m.t = now_ns;
-  push_ct_mutation(std::move(m));
+  push_mutation(std::move(m));
 }
 
 void OracleSwitch::ct_flush() {
   if (epochs_.back().pipe->conntrack().size() == 0) return;
   Mutation m;
   m.kind = Mutation::Kind::kCtFlush;
-  push_ct_mutation(std::move(m));
+  push_mutation(std::move(m));
 }
 
 void OracleSwitch::add_port(uint32_t port) {

@@ -113,7 +113,7 @@ class OracleSwitch {
     CtNatSpec nat;          // kCtCommit, when has_nat
   };
 
-  void push_ct_mutation(Mutation m);
+  void push_mutation(Mutation m);
 
   // Builds a fresh Pipeline by replaying mutations [0, n) of the log.
   std::unique_ptr<Pipeline> build_epoch(size_t n_mutations) const;

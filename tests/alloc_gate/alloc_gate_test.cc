@@ -10,14 +10,18 @@
 //   * a revalidation re-translation and a kKeepFresh decision allocate
 //     nothing;
 //   * handling an upcall that installs a fresh flow allocates at most once:
-//     the entry itself, which carries the actions and attribution inline.
+//     the entry itself, which carries the actions and attribution inline;
+//   * a one-worker ShardedDatapath hands a burst of misses to its upcall
+//     sink without allocating, as the single datapath does.
 // Counts are deterministic, so host noise cannot move this gate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "datapath/mt_datapath.h"
 #include "vswitchd/revalidator.h"
 #include "vswitchd/switch.h"
 #include "workload/table_gen.h"
@@ -223,6 +227,29 @@ TEST_F(AllocGate, RevalidationAllocatesNothingPerFlow) {
   maintain();
   EXPECT_GE(sw_.last_reval_pass().retranslated, flows.size());
   EXPECT_LE(g_allocs - m0, 2u);
+}
+
+TEST_F(AllocGate, ShardedMissBurstAllocatesNothing) {
+  ShardedDatapathConfig dc;
+  dc.n_workers = 1;
+  ShardedDatapath dp(dc);
+  size_t sunk = 0;
+  dp.set_upcall_sink([&sunk](Packet&&) {
+    ++sunk;
+    return true;
+  });
+  // No flows: every packet misses every tier and goes to the sink.
+  std::vector<Packet> burst;
+  for (size_t i = 0; i < 32; ++i) burst.push_back(pkt(i, true, kSyn));
+  std::array<DpBackend::RxResult, 32> res;
+  dp.process_batch(0, burst, now_, res.data());  // warm-up
+  constexpr size_t kBursts = 100;
+  const size_t a0 = g_allocs;
+  for (size_t b = 0; b < kBursts; ++b)
+    dp.process_batch(0, burst, now_, res.data());
+  EXPECT_EQ(g_allocs - a0, 0u);
+  EXPECT_EQ(sunk, (kBursts + 1) * burst.size());
+  EXPECT_EQ(dp.stats().misses, (kBursts + 1) * burst.size());
 }
 
 }  // namespace

@@ -362,8 +362,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "ct_nat_rebinding.scenario",
                       "ct_nat_pair_teardown.scenario",
                       "ct_zone_evict_reval.scenario"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      std::string name = param.param;
       name = name.substr(0, name.find('.'));
       return name;
     });

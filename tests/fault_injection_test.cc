@@ -57,7 +57,9 @@ void expect_accounting_invariants(const Switch& sw) {
   // Reconciliation verdicts only ever come from examined flows, and
   // blackout cycles only from taken crashes.
   EXPECT_LE(c.flows_adopted + c.flows_repaired, c.reval_flows_examined);
-  if (c.userspace_crashes == 0) EXPECT_EQ(c.reconcile_blackout_cycles, 0u);
+  if (c.userspace_crashes == 0) {
+    EXPECT_EQ(c.reconcile_blackout_cycles, 0u);
+  }
 }
 
 // --- FaultInjector unit behavior -------------------------------------------

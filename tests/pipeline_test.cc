@@ -190,6 +190,30 @@ TEST(PipelineTest, NormalWithoutSideEffectsDoesNotLearn) {
   EXPECT_EQ(p.mac_learning().size(), 0u);
 }
 
+TEST(PipelineTest, NormalFloodConsultsOnlyTheGroupBitOfEthDst) {
+  Pipeline p(1);
+  for (uint32_t port = 1; port <= 3; ++port) p.add_port(port);
+  p.table(0).add_flow(Match{}, 0, OfActions().normal());
+  FlowKey k = tcp_key(1, Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 3, 4);
+  k.set_eth_dst(kEthBroadcast);
+  const XlateResult flood = p.translate(k, 0);
+  EXPECT_EQ(flood.actions.to_string(), "output:2,output:3");
+  // One megaflow covers every multicast destination from this source.
+  FlowMask group;
+  group.w[field_info(FieldId::kEthDst).word] = EthAddr::kGroupBit;
+  FlowMask eth_dst_mask;
+  eth_dst_mask.set_exact(FieldId::kEthDst);
+  for (size_t i = 0; i < kFlowWords; ++i)
+    EXPECT_EQ(flood.megaflow.mask.w[i] & eth_dst_mask.w[i], group.w[i]);
+  k.set_eth_dst(EthAddr(0x01, 0x00, 0x5e, 0x00, 0x00, 0x07));
+  const XlateResult mcast = p.translate(k, 1);
+  EXPECT_EQ(mcast.actions, flood.actions);
+  EXPECT_EQ(mcast.megaflow, flood.megaflow);
+  // A unicast destination is looked up, so all of it is consulted.
+  k.set_eth_dst(EthAddr(0, 0, 0, 0, 0, 0xbb));
+  EXPECT_TRUE(p.translate(k, 2).megaflow.mask.is_exact(FieldId::kEthDst));
+}
+
 TEST(PipelineTest, ConnTrackStatefulFirewall) {
   // Table 0: send IP through ct into table 1; table 1: allow established,
   // allow new only from port 1 (and commit), drop otherwise.
