@@ -13,11 +13,9 @@
 // Swept axes:
 //   * EMC capacity (microflow_sets x ways slots);
 //   * emc-insert-inv-prob (the §7.3-style probabilistic-insertion
-//     mitigation: 1 = always insert, N = insert with probability 1/N);
-//   * backend: the single datapath's inline set-associative table
-//     (pseudo-random replacement) vs. a one-worker ShardedDatapath, whose
-//     EMC shard is a ConcurrentEmc (cuckoo-backed, FIFO eviction, tuple
-//     index hints).
+//     mitigation: 1 = always insert, N = insert with probability 1/N).
+// The EMC is the datapath's 2-way set-associative table with pseudo-random
+// replacement.
 //
 // Shape to match §7.3: with always-insert, heavy churn collapses the EMC
 // hit rate (each one-shot evicts a live entry for a hint that is never
@@ -26,13 +24,11 @@
 // the dominant win, visible in the Mpps column — and modestly protects the
 // hot set's residency; cache capacity is what moves the hit-rate columns.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "datapath/datapath.h"
-#include "datapath/mt_datapath.h"
 #include "workload/workloads.h"
 
 using namespace ovs;
@@ -62,24 +58,14 @@ struct SeriesResult {
   uint64_t skips = 0;
 };
 
-SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
+SeriesResult run_series(size_t emc_slots, uint32_t inv_prob,
                         double churn_frac, size_t hot_conns, size_t packets,
                         uint64_t seed) {
-  std::unique_ptr<DpBackend> be;
-  if (concurrent) {
-    ShardedDatapathConfig cfg;
-    cfg.n_workers = 1;
-    cfg.emc_capacity_per_shard = emc_slots;
-    cfg.emc_insert_inv_prob = inv_prob;
-    be = std::make_unique<ShardedDatapath>(cfg);
-  } else {
-    DatapathConfig cfg;
-    cfg.microflow_ways = 2;
-    cfg.microflow_sets = emc_slots / cfg.microflow_ways;
-    cfg.emc_insert_inv_prob = inv_prob;
-    be = std::make_unique<Datapath>(cfg);
-  }
-  DpBackend& dp = *be;
+  DatapathConfig cfg;
+  cfg.microflow_ways = 2;
+  cfg.microflow_sets = emc_slots / cfg.microflow_ways;
+  cfg.emc_insert_inv_prob = inv_prob;
+  Datapath dp(cfg);
   dp.install(MatchBuilder().ip(), DpActions().output(2), 0);
 
   std::vector<Packet> hot;
@@ -92,7 +78,7 @@ SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
   // Warm the hot set into the EMC.
   for (size_t i = 0; i < hot_conns * 4; ++i)
     dp.receive(hot[zipf.sample(rng)], i);
-  const DpBackend::Stats warm = dp.stats();
+  const Datapath::Stats warm = dp.stats();
 
   CostModel m;
   double cycles = 0;
@@ -112,7 +98,7 @@ SeriesResult run_series(size_t emc_slots, uint32_t inv_prob, bool concurrent,
   }
   // Each megaflow hit that (probabilistically) installed an EMC hint paid a
   // slot write; this is the CPU the mitigation recovers under churn.
-  const DpBackend::Stats s = dp.stats();
+  const Datapath::Stats s = dp.stats();
   const uint64_t inserts = s.emc_inserts - warm.emc_inserts;
   cycles += m.emc_insert * static_cast<double>(inserts);
 
@@ -146,31 +132,27 @@ int main(int argc, char** argv) {
               "churn; catch-all megaflow, %zu packets per cell\n",
               hot_conns, packets);
   print_rule('=');
-  std::printf("%10s %6s %6s %9s | %8s %8s %8s | %10s\n", "backend", "slots",
-              "churn", "inv_prob", "emc_hit", "hot_hit", "Mpps", "skips");
+  std::printf("%6s %6s %9s | %8s %8s %8s | %10s\n", "slots", "churn",
+              "inv_prob", "emc_hit", "hot_hit", "Mpps", "skips");
   print_rule();
-  for (bool concurrent : {false, true}) {
-    for (size_t slots : slot_sweep) {
-      for (double churn : churn_sweep) {
-        for (uint32_t inv : inv_sweep) {
-          const SeriesResult r = run_series(slots, inv, concurrent, churn,
-                                            hot_conns, packets, seed);
-          std::printf("%10s %6zu %5.0f%% %9u | %7.1f%% %7.1f%% %8.2f | %10llu\n",
-                      concurrent ? "concurrent" : "inline", slots,
-                      100 * churn, inv, 100 * r.emc_hit_rate,
-                      100 * r.hot_hit_rate, r.mpps,
-                      static_cast<unsigned long long>(r.skips));
-          const std::map<std::string, std::string> params = {
-              {"backend", concurrent ? "concurrent" : "inline"},
-              {"slots", std::to_string(slots)},
-              {"churn", std::to_string(churn)},
-              {"inv_prob", std::to_string(inv)}};
-          report.add("emc_hit_rate", r.emc_hit_rate, params, packets);
-          report.add("hot_hit_rate", r.hot_hit_rate, params, packets);
-          report.add("mpps", r.mpps, params, packets);
-        }
-        print_rule();
+  for (size_t slots : slot_sweep) {
+    for (double churn : churn_sweep) {
+      for (uint32_t inv : inv_sweep) {
+        const SeriesResult r =
+            run_series(slots, inv, churn, hot_conns, packets, seed);
+        std::printf("%6zu %5.0f%% %9u | %7.1f%% %7.1f%% %8.2f | %10llu\n",
+                    slots, 100 * churn, inv, 100 * r.emc_hit_rate,
+                    100 * r.hot_hit_rate, r.mpps,
+                    static_cast<unsigned long long>(r.skips));
+        const std::map<std::string, std::string> params = {
+            {"slots", std::to_string(slots)},
+            {"churn", std::to_string(churn)},
+            {"inv_prob", std::to_string(inv)}};
+        report.add("emc_hit_rate", r.emc_hit_rate, params, packets);
+        report.add("hot_hit_rate", r.hot_hit_rate, params, packets);
+        report.add("mpps", r.mpps, params, packets);
       }
+      print_rule();
     }
   }
   std::printf(
@@ -178,9 +160,7 @@ int main(int argc, char** argv) {
       "for the per-miss EMC-insert cost, and under 80%% churn that trade\n"
       "is decisive (Mpps rises ~60%% from inv_prob=1 to 32 while the hot\n"
       "set's residency holds). Cache capacity, not insertion policy, moves\n"
-      "the hit-rate columns. Both replacement policies (pseudo-random\n"
-      "inline, FIFO concurrent) degrade alike under churn and respond to\n"
-      "the same mitigation.\n");
+      "the hit-rate columns.\n");
   report.write();
   return 0;
 }

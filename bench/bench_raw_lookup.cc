@@ -11,20 +11,16 @@
 // Results land in BENCH_raw_lookup.json via BenchReport (schema shared
 // with every other bench in this directory):
 //   --iters_mult=N   scales every iteration count (default 1)
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "classifier/classifier.h"
-#include "datapath/concurrent_emc.h"
 #include "datapath/datapath.h"
-#include "util/cuckoo.h"
 #include "util/miniflow.h"
 #include "util/prefix_trie.h"
 #include "workload/table_gen.h"
@@ -196,65 +192,6 @@ int bench_main(int argc, char** argv) {
     const double rate = measure(
         iters, [&](size_t i) { keep(trie.lookup(queries[i & 1023])); });
     report_row(report, "trie_lookups", rate, {}, iters);
-  }
-
-  // --- Cuckoo substrate (§4.1) -----------------------------------------------
-  {
-    CuckooMap64 m(1 << 16);
-    for (uint64_t k = 1; k <= 40000; ++k) m.insert(k, hash_mix64(k));
-    uint64_t v = 0;
-    const size_t iters = 1000000 * mult;
-    const double rate = measure(iters, [&](size_t i) {
-      keep(m.find((i % 40000) + 1, &v));
-    });
-    report_row(report, "cuckoo_finds", rate, {}, iters);
-  }
-  {
-    CuckooMap64 m(1 << 16);
-    for (uint64_t k = 1; k <= 40000; ++k) m.insert(k, k);
-    const size_t iters = 500000 * mult;
-    const double rate = measure(iters, [&](size_t i) {
-      const uint64_t k = 100000 + i;
-      m.insert(k, k);
-      m.erase(k);
-    });
-    report_row(report, "cuckoo_insert_erase", rate, {}, iters);
-  }
-
-  // --- §4.1 concurrent EMC: 3 readers vs 1 writer ----------------------------
-  {
-    ConcurrentEmc emc(8192);
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> reads{0};
-    std::thread writer([&] {
-      Rng rng(77);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const uint64_t h = rng.uniform(16384);
-        emc.install(h, hash_mix64(h | 1));
-      }
-    });
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t)
-      readers.emplace_back([&, t] {
-        Rng rng(78 + t);
-        uint64_t n = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          keep(emc.lookup(rng.uniform(16384)));
-          ++n;
-        }
-        reads.fetch_add(n, std::memory_order_relaxed);
-      });
-    const double window_s = 0.2 * static_cast<double>(mult);
-    const double t0 = now_s();
-    while (now_s() - t0 < window_s) std::this_thread::yield();
-    stop.store(true);
-    writer.join();
-    for (auto& th : readers) th.join();
-    const double rate =
-        static_cast<double>(reads.load()) / (now_s() - t0) / 3.0;
-    report_row(report, "concurrent_emc_reads_per_thread", rate,
-               {{"readers", "3"}, {"writers", "1"}},
-               reads.load());
   }
 
   // --- Full-key hash ---------------------------------------------------------

@@ -94,7 +94,7 @@ Packet make_packet(uint32_t in_port, Ipv4 src, Ipv4 dst, uint16_t sport) {
 
 std::vector<std::string> canonical_flows(const Switch& sw) {
   std::vector<std::string> out;
-  for (DpBackend::FlowRef f : sw.backend().dump())
+  for (Datapath::FlowRef f : sw.backend().dump())
     out.push_back(sw.backend().flow_match(f).to_string() + " -> " +
                   sw.backend().flow_actions(f).to_string());
   std::sort(out.begin(), out.end());
@@ -194,7 +194,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
       for (size_t k = 0; k < P.corrupted; ++k)
         sw.backend().corrupt_entry(
             (k * 97) % std::max<uint64_t>(1, out.flows_at_crash));
-      const std::vector<DpBackend::FlowRef> live = sw.backend().dump();
+      const std::vector<Datapath::FlowRef> live = sw.backend().dump();
       if (!live.empty()) {
         const Match& m = sw.backend().flow_match(live[0]);
         MatchBuilder rogue = MatchBuilder().tcp().nw_dst_prefix(
@@ -206,7 +206,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
       if (coldstart) {
         // Ablation: the surviving cache is discarded, so recovery must
         // rebuild every flow through the upcall path.
-        for (DpBackend::FlowRef f : sw.backend().dump())
+        for (Datapath::FlowRef f : sw.backend().dump())
           sw.backend().remove(f);
         sw.backend().purge_dead();
       }

@@ -118,7 +118,7 @@ Totals run_measurement(const Params& p) {
         sw.pipeline().mac_learning().take_changed_tags();
     t.tag_bits_max =
         std::max<uint64_t>(t.tag_bits_max, __builtin_popcountll(changed));
-    const std::vector<DpBackend::FlowRef> flows = sw.backend().dump();
+    const std::vector<Datapath::FlowRef> flows = sw.backend().dump();
     Revalidator::Config rc;
     rc.n_threads = 1;
     rc.idle_ns = cfg.idle_timeout_ns;

@@ -65,7 +65,7 @@ int main() {
   // The megaflows: ACL-tenant flows match L4 ports; the other tenant's
   // flows leave them wildcarded (§5.3's logical-datapath example).
   std::printf("\n-- generated megaflows --\n");
-  for (DpBackend::FlowRef f : sw.backend().dump())
+  for (Datapath::FlowRef f : sw.backend().dump())
     std::printf("  %-10s mask{%s}\n",
                 sw.backend().flow_actions(f).drops() ? "[drop]" : "[fwd]",
                 sw.backend().flow_match(f).mask.to_string().c_str());

@@ -64,7 +64,7 @@ int main() {
   std::printf("packet 1: %s\n", path_name(sw.inject(p1, clock.now())));
   sw.handle_upcalls(clock.now());
   std::printf("  userspace translated the miss and installed a megaflow:\n");
-  for (DpBackend::FlowRef f : sw.backend().dump())
+  for (Datapath::FlowRef f : sw.backend().dump())
     std::printf("    megaflow{%s} actions=%s\n",
                 sw.backend().flow_match(f).mask.to_string().c_str(),
                 sw.backend().flow_actions(f).to_string().c_str());

@@ -78,7 +78,7 @@ int main() {
 
   std::printf("\nconnections tracked: %zu\n", sw.pipeline().conntrack().size());
   std::printf("megaflows installed (per-connection, as ct requires):\n");
-  for (DpBackend::FlowRef f : sw.backend().dump())
+  for (Datapath::FlowRef f : sw.backend().dump())
     std::printf("  %-7s %s\n",
                 sw.backend().flow_actions(f).drops() ? "[drop]" : "[allow]",
                 sw.backend().flow_match(f).key.to_string().c_str());

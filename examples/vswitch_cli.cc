@@ -75,7 +75,7 @@ struct Cli {
       for (const std::string& f : sw.dump_flows())
         std::printf("  %s\n", f.c_str());
     } else if (cmd == "dump-megaflows") {
-      for (DpBackend::FlowRef f : sw.backend().dump())
+      for (Datapath::FlowRef f : sw.backend().dump())
         std::printf("  mask{%s} key{%s} packets=%llu actions=%s\n",
                     sw.backend().flow_match(f).mask.to_string().c_str(),
                     sw.backend().flow_match(f).key.to_string().c_str(),

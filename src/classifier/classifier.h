@@ -62,8 +62,7 @@ class Classifier {
   //
   // The lookup path is const and data-race-free: it mutates nothing but the
   // atomic statistics counters, so any number of reader threads may call it
-  // concurrently as long as no thread is mutating the classifier (RCU-style
-  // single-writer publication; see datapath/mt_datapath.h).
+  // concurrently as long as no thread is mutating the classifier.
   const Rule* lookup(const FlowKey& pkt, FlowWildcards* wc = nullptr,
                      uint32_t* n_searched = nullptr) const noexcept;
 

@@ -84,6 +84,10 @@ void Tuple::insert(Rule* rule) {
 
   chain_insert(rule);
 
+  // A refilled tuple may still hold its last priority's zero-count node.
+  if (n_rules_ == 0 && !prio_counts_.empty() &&
+      prio_counts_.begin()->first != rule->priority())
+    prio_counts_.clear();
   ++n_rules_;
   ++prio_counts_[rule->priority()];
   recompute_pri_max();
@@ -105,8 +109,14 @@ void Tuple::remove(Rule* rule) noexcept {
 
   --n_rules_;
   auto it = prio_counts_.find(rule->priority());
-  if (--it->second == 0) prio_counts_.erase(it);
+  if (--it->second == 0 && n_rules_ != 0) prio_counts_.erase(it);
   recompute_pri_max();
+}
+
+void Tuple::reset_tables() noexcept {
+  rules_.reset();
+  for (HashCounter& set : stage_sets_) set.reset();
+  metadata_values_.reset();
 }
 
 void Tuple::chain_insert(Rule* rule) {
@@ -200,7 +210,18 @@ Tuple* StagedTssEngine::find_tuple(const FlowMask& mask) const noexcept {
 }
 
 Tuple* StagedTssEngine::get_tuple(const FlowMask& mask) {
-  if (Tuple* t = find_tuple(mask)) return t;
+  if (Tuple* t = find_tuple(mask)) {
+    if (!t->empty()) return t;
+    // A spare (live tuples are never empty): back into service, at the end
+    // of the probe order like a new tuple.
+    auto it = std::find_if(spare_.begin(), spare_.end(),
+                           [&](const auto& up) { return up.get() == t; });
+    tuples_.push_back(std::move(*it));
+    spare_.erase(it);
+    sorted_.push_back(t);
+    sort_dirty_ = true;
+    return t;
+  }
   auto owned = std::make_unique<Tuple>(mask);
   Tuple* t = owned.get();
   tuples_.push_back(std::move(owned));
@@ -212,10 +233,16 @@ Tuple* StagedTssEngine::get_tuple(const FlowMask& mask) {
 
 void StagedTssEngine::sort_tuples_if_dirty() noexcept {
   if (!sort_dirty_) return;
-  std::stable_sort(sorted_.begin(), sorted_.end(),
-                   [](const Tuple* a, const Tuple* b) {
-                     return a->pri_max() > b->pri_max();
-                   });
+  // Insertion sort by descending pri_max: stable, so the same order
+  // std::stable_sort gives, but it allocates no buffer. Each mutation moves
+  // at most one tuple, so the list is nearly sorted and this is linear.
+  for (size_t i = 1; i < sorted_.size(); ++i) {
+    Tuple* t = sorted_[i];
+    size_t j = i;
+    for (; j > 0 && sorted_[j - 1]->pri_max() < t->pri_max(); --j)
+      sorted_[j] = sorted_[j - 1];
+    sorted_[j] = t;
+  }
   sort_dirty_ = false;
 }
 
@@ -259,12 +286,18 @@ void StagedTssEngine::remove(Rule* rule) noexcept {
   trie_update(*rule, /*add=*/false);
   --n_rules_;
   if (t->empty()) {
-    tuples_by_mask_.erase(flow_mask_hash(t->mask()),
-                          [&](const Tuple* tp) { return tp == t; });
     sorted_.erase(std::find(sorted_.begin(), sorted_.end(), t));
     auto it = std::find_if(tuples_.begin(), tuples_.end(),
                            [&](const auto& up) { return up.get() == t; });
+    t->reset_tables();
+    spare_.push_back(std::move(*it));
     tuples_.erase(it);
+    if (spare_.size() > kMaxSpareTuples) {
+      const Tuple* oldest = spare_.front().get();
+      tuples_by_mask_.erase(flow_mask_hash(oldest->mask()),
+                            [&](const Tuple* tp) { return tp == oldest; });
+      spare_.erase(spare_.begin());
+    }
   } else if (t->pri_max() != old_pri_max) {
     sort_dirty_ = true;
   }

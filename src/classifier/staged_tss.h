@@ -87,6 +87,9 @@ class Tuple {
 
   void insert(Rule* rule);
   void remove(Rule* rule) noexcept;
+  // Empties the hash tables of a tuple whose last rule went, keeping their
+  // storage: a refill with the same mask then allocates nothing.
+  void reset_tables() noexcept;
 
   // The final table's same-masked-key discipline: rules with identical
   // masked keys hang off one bucket in descending priority order, so a
@@ -131,7 +134,9 @@ class Tuple {
   // Metadata values present among rules (only if partitions_metadata_).
   HashCounter metadata_values_;
 
-  // Rule count per priority, for pri_max maintenance.
+  // Rule count per priority, for pri_max maintenance. An emptied tuple
+  // keeps the node of its last priority (count 0), so a refill at that
+  // priority — every megaflow is priority 0 — allocates nothing.
   std::map<int32_t, uint32_t> prio_counts_;
   int32_t pri_max_ = 0;
 
@@ -163,7 +168,10 @@ class StagedTssEngine {
  private:
   struct TrieCtx;  // per-lookup lazily computed trie results
 
+  // Live or spare tuple with this mask.
   Tuple* find_tuple(const FlowMask& mask) const noexcept;
+  // The live tuple for `mask`: an existing one, a spare brought back, or a
+  // new one.
   Tuple* get_tuple(const FlowMask& mask);
 
   // Is the trie of field `f` in use under this config (ports and addresses
@@ -190,8 +198,15 @@ class StagedTssEngine {
   };
 
   const ClassifierConfig cfg_;  // fixed: trie upkeep depends on it
-  std::vector<std::unique_ptr<Tuple>> tuples_;       // owned
+  std::vector<std::unique_ptr<Tuple>> tuples_;       // owned, live
   std::vector<Tuple*> sorted_;                       // by pri_max desc
+  // Emptied tuples, oldest first, still indexed by mask in tuples_by_mask_
+  // but out of tuples_ and sorted_ (so mask_count() and the probe order
+  // ignore them). When a mask flaps — its last megaflow idles out and the
+  // next install brings it back — the install reuses the tuple's storage
+  // instead of rebuilding it. Bounded; the oldest spare is freed first.
+  std::vector<std::unique_ptr<Tuple>> spare_;
+  static constexpr size_t kMaxSpareTuples = 16;
   bool sort_dirty_ = false;
   HashBuckets<Tuple*> tuples_by_mask_;
   size_t n_rules_ = 0;

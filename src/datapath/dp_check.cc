@@ -47,9 +47,9 @@ void note(DpCheckReport& r, const DpCheckConfig& cfg, std::string detail) {
 
 }  // namespace
 
-DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
+DpCheckReport run_dp_check(const Datapath& be, const DpCheckConfig& cfg) {
   DpCheckReport report;
-  const std::vector<DpBackend::FlowRef> flows = be.dump();
+  const std::vector<Datapath::FlowRef> flows = be.dump();
   report.flows_checked = flows.size();
 
   std::vector<size_t> doomed;  // dump indices to quarantine
@@ -138,7 +138,7 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
     std::unordered_map<const void*, size_t> live;
     live.reserve(flows.size());
     for (size_t i = 0; i < flows.size(); ++i) live.emplace(flows[i], i);
-    for (const DpBackend::OffloadSlot& s : be.offload_dump()) {
+    for (const Datapath::OffloadSlot& s : be.offload_dump()) {
       ++report.offload_checked;
       const auto it = live.find(s.owner);
       if (it == live.end()) {
@@ -167,7 +167,7 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
   }
 
   if (cfg.check_stats) {
-    const DpBackend::Stats s = be.stats();
+    const Datapath::Stats s = be.stats();
     if (s.packets !=
         s.offload_hits + s.microflow_hits + s.megaflow_hits + s.misses) {
       ++report.stats_violations;
@@ -189,10 +189,9 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
   return report;
 }
 
-size_t quarantine_flows(DpBackend& be, const DpCheckReport& report) {
-  for (DpBackend::FlowRef o : report.offload_flush) be.offload_evict(o);
-  if (!report.offload_flush.empty()) be.offload_commit();
-  for (DpBackend::FlowRef f : report.quarantine) be.remove(f);
+size_t quarantine_flows(Datapath& be, const DpCheckReport& report) {
+  for (Datapath::FlowRef o : report.offload_flush) be.offload_evict(o);
+  for (Datapath::FlowRef f : report.quarantine) be.remove(f);
   if (!report.quarantine.empty()) be.purge_dead();
   return report.quarantine.size();
 }

@@ -14,14 +14,14 @@
 //     action lists cannot misdeliver and are tallied separately as benign;
 //   * EMC -> megaflow coherence — every microflow hint must still resolve
 //     safely (a dead-but-unpurged target is legal, §6 corrects it on first
-//     use; a dangling one is not), via DpBackend::emc_dangling_hints();
+//     use; a dangling one is not), via Datapath::emc_dangling_hints();
 //   * stats conservation — packets == microflow_hits + megaflow_hits +
 //     misses; a broken ledger means a path was double- or un-counted.
 //
 // Runnable from tests, as a periodic background self-check in the fleet sim,
 // and as the post-reconciliation gate in Switch::restart(). Offending
 // entries are listed for quarantine (delete + count) rather than left to
-// misdeliver; quarantine_flows() applies the list for raw-backend callers,
+// misdeliver; quarantine_flows() applies the list for raw-datapath callers,
 // Switch::self_check() applies it with its own counters and costs.
 #pragma once
 
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 
 namespace ovs {
 
@@ -69,11 +69,11 @@ struct DpCheckReport {
   // Entries to delete, in dump order: the later entry of each offending
   // pair (the earlier one is what first-match semantics already serve) and
   // every duplicate beyond the first.
-  std::vector<DpBackend::FlowRef> quarantine;
+  std::vector<Datapath::FlowRef> quarantine;
   // Offload slots to invalidate (listed by owner ref — possibly dangling,
   // compared by address only): the repair for every offload violation is
   // evicting the slot, letting traffic fall back to the megaflow path.
-  std::vector<DpBackend::FlowRef> offload_flush;
+  std::vector<Datapath::FlowRef> offload_flush;
   std::vector<std::string> details;  // capped at cfg.max_details
 
   uint64_t violations() const noexcept {
@@ -84,12 +84,12 @@ struct DpCheckReport {
   bool ok() const noexcept { return violations() == 0; }
 };
 
-// Control-plane pass over a quiescent backend (same threading contract as
+// Control-plane pass over a quiescent datapath (same threading contract as
 // dump/revalidation: no concurrent mutation, workers outside batches).
-DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg = {});
+DpCheckReport run_dp_check(const Datapath& be, const DpCheckConfig& cfg = {});
 
 // Deletes every entry in report.quarantine. Returns the number removed.
 // Each entry's FlowRecord dies with it.
-size_t quarantine_flows(DpBackend& be, const DpCheckReport& report);
+size_t quarantine_flows(Datapath& be, const DpCheckReport& report);
 
 }  // namespace ovs

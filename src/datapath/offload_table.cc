@@ -2,23 +2,11 @@
 
 namespace ovs {
 
-std::unique_ptr<OffloadTable> OffloadTable::clone() const {
-  auto out = std::make_unique<OffloadTable>(capacity_);
-  out->groups_.reserve(groups_.size());
-  for (const MaskGroup& g : groups_) {
-    MaskGroup ng;
-    ng.mask = g.mask;
-    ng.schema = g.schema;
-    for (const auto& [h, e] : g.slots) {
-      auto ne = std::make_unique<Entry>(*e);  // shares e->counters
-      out->by_owner_.emplace(ne->owner, ne.get());
-      ng.slots.emplace(h, std::move(ne));
-    }
-    out->groups_.push_back(std::move(ng));
-  }
-  out->n_entries_ = n_entries_;
-  return out;
-}
+namespace {
+
+char kOrphanOwner;  // the owner of every kOrphanSlot-corrupted slot
+
+}  // namespace
 
 const OffloadTable::Entry* OffloadTable::probe(
     const FlowKey& pkt) const noexcept {
@@ -32,7 +20,7 @@ const OffloadTable::Entry* OffloadTable::probe(
 }
 
 bool OffloadTable::install(const Match& match, const DpActions& actions,
-                           void* owner, uint64_t now_ns) {
+                           void* owner, void* replica, uint64_t now_ns) {
   if (n_entries_ >= capacity_ || by_owner_.count(owner) != 0) return false;
   MaskGroup* group = nullptr;
   for (MaskGroup& g : groups_)
@@ -49,7 +37,7 @@ bool OffloadTable::install(const Match& match, const DpActions& actions,
   e->key = match.key;
   e->actions = actions;
   e->owner = owner;
-  e->counters = std::make_shared<OffloadCounters>();
+  e->replica = replica;
   e->installed_ns = now_ns;
   by_owner_.emplace(owner, e.get());
   group->slots.emplace(group->schema.full_hash(match.key), std::move(e));
@@ -117,12 +105,11 @@ bool OffloadTable::corrupt(size_t idx, Corruption kind) {
       break;
     case Corruption::kOrphanSlot:
       by_owner_.erase(victim->owner);
-      victim->owner = this;  // points at no megaflow, live or parked
+      victim->owner = &kOrphanOwner;  // no megaflow, live or parked
       by_owner_.emplace(victim->owner, victim);
       break;
     case Corruption::kInflateHits:
-      victim->counters->hits.fetch_add(uint64_t{1} << 40,
-                                       std::memory_order_relaxed);
+      victim->hits.fetch_add(uint64_t{1} << 40, std::memory_order_relaxed);
       break;
   }
   return true;

@@ -11,10 +11,10 @@
 //
 // The table itself is a passive single-threaded structure; placement policy
 // (which megaflows earn a slot) lives in vswitchd (Switch::revalidate), and
-// the sharded datapath publishes immutable clones RCU-style (the MT sharing
-// choice, DESIGN.md §13). Lookup cost is modeled as one flat
-// CostModel::offload_probe regardless of the mask-group walk below — the
-// walk simulates a TCAM's parallel match, it does not price it.
+// each datapath worker shard keeps its own copy, programmed in lockstep.
+// Lookup cost is modeled as one flat CostModel::offload_probe regardless of
+// the mask-group walk below — the walk simulates a TCAM's parallel match,
+// it does not price it.
 #pragma once
 
 #include <atomic>
@@ -30,40 +30,35 @@
 
 namespace ovs {
 
-// Per-slot hit counters, shared (via shared_ptr) across RCU clones of the
-// table so forwarding credited against an old published view is never lost
-// when the control thread republishes.
-struct OffloadCounters {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> bytes{0};
-};
-
 class OffloadTable {
  public:
   struct Entry {
     FlowMask mask;
     FlowKey key;        // pre-masked, like Match::key
     DpActions actions;  // snapshot of the owner's actions at install/sync
-    void* owner = nullptr;  // the owning megaflow, as its DpFlow*
-    std::shared_ptr<OffloadCounters> counters;
+    // The owning megaflow's flow handle, by which the control plane names
+    // the slot in every copy of the table.
+    void* owner = nullptr;
+    // The megaflow entry a hit on this copy credits: the owner's replica in
+    // the worker shard that holds this copy.
+    void* replica = nullptr;
+    // Bumped by the holding shard's worker only; relaxed atomics so the
+    // control thread can read them while workers stream.
+    mutable std::atomic<uint64_t> hits{0};
+    mutable std::atomic<uint64_t> bytes{0};
     uint64_t installed_ns = 0;
   };
 
   explicit OffloadTable(size_t capacity) : capacity_(capacity) {}
 
-  // Deep-copies the slots but shares the per-slot counters: the RCU
-  // republication path on the sharded backend.
-  std::unique_ptr<OffloadTable> clone() const;
-
   // First (and, megaflows being disjoint, only) matching slot; nullptr on
-  // miss. Does not touch counters — the caller credits the hit so clones
-  // stay usable through a const pointer.
+  // miss. Does not touch counters — the caller credits the hit.
   const Entry* probe(const FlowKey& pkt) const noexcept;
 
   // Programs a slot. Fails (returns false) when the table is full or the
   // owner already holds a slot.
   bool install(const Match& match, const DpActions& actions, void* owner,
-               uint64_t now_ns);
+               void* replica, uint64_t now_ns);
   // Invalidates the owner's slot; false when it holds none.
   bool evict(const void* owner);
   // Rewrites the owner's action snapshot in place (revalidator repair).
@@ -86,8 +81,9 @@ class OffloadTable {
   // Test-only corruption, mirroring Datapath::corrupt_entry: desynchronizes
   // the idx-th slot (modulo size) so the invariant checker has something to
   // catch. kStaleActions scrambles the action snapshot, kOrphanSlot points
-  // the owner at a nonexistent flow, kInflateHits makes the slot claim more
-  // traffic than its owner ever saw.
+  // the owner at a nonexistent flow (one sentinel shared by every table, so
+  // copies corrupted in lockstep still name the slot alike), kInflateHits
+  // makes the slot claim more traffic than its owner ever saw.
   enum class Corruption : uint8_t { kStaleActions, kOrphanSlot, kInflateHits };
   bool corrupt(size_t idx, Corruption kind);
 

@@ -80,9 +80,8 @@ struct FleetConfig {
   size_t explosion_detect_subtables = 0;  // detector mask-count trigger
   double explosion_detect_probe_ewma = 0.0;  // detector probe-EWMA trigger
 
-  // True multi-worker hypervisors: each Switch runs the sharded datapath
-  // with this many kernel-side workers (0/1 = the classic single-threaded
-  // backend) and this many revalidator plan threads (§4.3).
+  // Multi-worker hypervisors: each Switch's datapath runs this many worker
+  // shards (0/1 = one) and this many revalidator plan threads (§4.3).
   size_t datapath_workers = 0;
   size_t revalidator_threads = 1;
 

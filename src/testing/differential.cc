@@ -46,7 +46,7 @@ std::vector<DiffConfig> standard_configs() {
       }
     }
   }
-  // Offload-on points, one per backend: a small table (16 slots) keeps
+  // Offload-on points, one per worker count: a small table (16 slots) keeps
   // placement churning (install/evict/challenge) even in short scenarios,
   // which is where a stale or dangling slot would show up as a trace or
   // probe divergence against the cache-free oracle.

@@ -41,7 +41,7 @@ namespace ovs::fuzz {
 // semantics the switch supports must agree with the one oracle.
 struct DiffConfig {
   std::string name;
-  size_t datapath_workers = 0;  // 0 = single-threaded Datapath, >=2 sharded
+  size_t datapath_workers = 0;  // datapath worker shards (0 or 1 = one)
   size_t rx_batch = 1;          // 1 = per-packet inject, >1 = inject_batch
   RevalidationMode reval_mode = RevalidationMode::kTwoTier;
   size_t revalidator_threads = 1;
@@ -63,8 +63,8 @@ struct DiffConfig {
   SwitchConfig to_switch_config() const;
 };
 
-// The 10 sound configurations: {single, sharded} x {per-packet, batched}
-// x {kFull, kTwoTier}, plus one offload-on point per backend.
+// The 10 sound configurations: {one, four datapath workers} x {per-packet,
+// batched} x {kFull, kTwoTier}, plus one offload-on point per worker count.
 std::vector<DiffConfig> standard_configs();
 
 // The classifier-configuration points beyond the standard lattice: the

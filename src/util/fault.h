@@ -18,9 +18,9 @@
 //                          deterministically (a scripted outage);
 //   * script {i, j, ...} — exact occurrence indices fire (surgical tests).
 //
-// Thread-safe: decision points live on the single-threaded Switch/Datapath
-// slow path *and* on ShardedDatapath worker upcall flushes, so all state is
-// guarded by a mutex (the cost is irrelevant off the fast path).
+// Thread-safe: decision points live on the Switch's slow path *and* on the
+// datapath workers' upcall flushes, so all state is guarded by a mutex
+// (the cost is irrelevant off the fast path).
 #pragma once
 
 #include <algorithm>

@@ -9,6 +9,7 @@
 // them.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -75,6 +76,13 @@ class HashBuckets {
 
   void clear() noexcept {
     slots_.clear();
+    size_ = tombstones_ = 0;
+  }
+
+  // Empties the table but keeps its storage, so refilling it up to its old
+  // size allocates nothing.
+  void reset() noexcept {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
     size_ = tombstones_ = 0;
   }
 
@@ -150,6 +158,8 @@ class HashCounter {
   }
 
   size_t distinct() const noexcept { return counts_.size(); }
+
+  void reset() noexcept { counts_.reset(); }
 
  private:
   struct Entry {

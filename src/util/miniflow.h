@@ -1,9 +1,8 @@
 // Miniflow-style sparse hashing over mask-active flow words, shared by every
-// structure that keys a hash table by a masked FlowKey: classifier subtables,
-// the sharded datapath's megaflow tuples, and the EMC
-// tuple-index hints. Real flow masks touch 2-5 of the 15 key words, so each
-// consumer precomputes which words carry mask bits once per mask and then
-// hashes/compares only those.
+// structure that keys a hash table by a masked FlowKey: classifier subtables
+// and the NIC offload table's mask groups. Real flow masks touch 2-5 of the
+// 15 key words, so each consumer precomputes which words carry mask bits
+// once per mask and then hashes/compares only those.
 //
 // The schema stores (word index, mask word) pairs in ascending word order,
 // with per-stage offsets so the classifier's staged lookup (§5.3) can hash

@@ -15,12 +15,12 @@ bool ct_stale(const FlowRecord& rec, const std::vector<uint32_t>& changed) {
          std::binary_search(changed.begin(), changed.end(), rec.ct_key);
 }
 
-// One partition of the plan phase. Read-only against the backend and the
+// One partition of the plan phase. Read-only against the datapath and the
 // pipeline (translate with side_effects=false), so partitions are
 // embarrassingly parallel; each writes decisions only at its own indices
 // and updates only into its own scratch.
-void plan_range(DpBackend& be, Pipeline& pl,
-                const std::vector<DpBackend::FlowRef>& flows, size_t lo,
+void plan_range(Datapath& be, Pipeline& pl,
+                const std::vector<Datapath::FlowRef>& flows, size_t lo,
                 size_t hi, uint64_t now_ns, const Revalidator::Config& cfg,
                 std::vector<RevalDecision>& decisions, RevalPartition& part,
                 uint8_t part_id) {
@@ -28,7 +28,7 @@ void plan_range(DpBackend& be, Pipeline& pl,
   ps = RevalPassStats{};
   part.updates.clear();
   for (size_t i = lo; i < hi; ++i) {
-    DpBackend::FlowRef f = flows[i];
+    Datapath::FlowRef f = flows[i];
     RevalDecision& d = decisions[i];
     ++ps.examined;
     ps.total_cycles += cfg.reval_per_flow;
@@ -107,8 +107,8 @@ void plan_range(DpBackend& be, Pipeline& pl,
 
 }  // namespace
 
-RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
-                                 const std::vector<DpBackend::FlowRef>& flows,
+RevalPassStats Revalidator::plan(Datapath& be, Pipeline& pl,
+                                 const std::vector<Datapath::FlowRef>& flows,
                                  uint64_t now_ns, const Config& cfg,
                                  RevalPlan* out) {
   std::vector<RevalDecision>& decisions = out->decisions;

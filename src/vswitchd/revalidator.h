@@ -19,10 +19,10 @@
 //     changed set, DESIGN.md §15) first, skipping the full re-translation
 //     for flows whose inputs cannot have changed.
 //   * apply — the control thread walks the verdicts in dump order and
-//     performs every mutation: batched deletes, RCU action swaps
+//     performs every mutation: batched deletes, action updates
 //     (update_actions), tags and attribution written into each flow's
 //     FlowRecord, statistics pushes. Keeping all writes on one thread
-//     preserves the backends' single-writer contract and makes the pass
+//     preserves the datapath's single-writer contract and makes the pass
 //     outcome independent of the thread count. Plan threads read only the
 //     record's tags, attribution and ct dependency, and the changed set.
 //
@@ -34,7 +34,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "ofproto/pipeline.h"
 
 namespace ovs {
@@ -138,14 +138,14 @@ class Revalidator {
     double per_table_lookup = 0;
   };
 
-  // Plans one pass over `flows` (a backend dump). Thread-safe against
-  // concurrent fast-path traffic on the sharded backend; the caller must
-  // not mutate the backend or the pipeline until plan() returns. Decisions
+  // Plans one pass over `flows` (a datapath dump). Thread-safe against
+  // concurrent fast-path traffic from datapath workers; the caller must
+  // not mutate the datapath or the pipeline until plan() returns. Decisions
   // land at the flow's dump index, so the serial apply is deterministic
   // regardless of n_threads. `out` is reused: its previous decisions and
   // updates are discarded, its buffers kept.
-  static RevalPassStats plan(DpBackend& be, Pipeline& pl,
-                             const std::vector<DpBackend::FlowRef>& flows,
+  static RevalPassStats plan(Datapath& be, Pipeline& pl,
+                             const std::vector<Datapath::FlowRef>& flows,
                              uint64_t now_ns, const Config& cfg,
                              RevalPlan* out);
 };

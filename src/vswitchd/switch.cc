@@ -35,17 +35,17 @@ ConnTrackerConfig ct_config(const SwitchConfig& cfg) {
 Switch::Switch(SwitchConfig cfg)
     : cfg_(merge_offload(std::move(cfg))),
       pipeline_(cfg_.n_tables, cfg_.classifier, ct_config(cfg_)),
-      be_(make_dp_backend(cfg_.datapath, cfg_.datapath_workers)),
+      dp_(cfg_.datapath, cfg_.datapath_workers),
       effective_limit_(cfg_.flow_limit),
       queue_(cfg_.upcall_queue),
       fault_(cfg_.fault) {
   // Misses land in the bounded per-port fair queue at enqueue time; a
   // refusal here is counted by the datapath as an upcall drop (preserving
   // its misses == delivered + dropped conservation) and by the switch as
-  // an upcalls_dropped (the queue's per-port counters say why). On the
-  // sharded backend the sink runs under its upcall lock, so concurrent
-  // worker flushes are serialized before touching the queue.
-  be_->set_upcall_sink([this](Packet&& pkt) {
+  // an upcalls_dropped (the queue's per-port counters say why). The sink
+  // runs under the datapath's upcall lock, so concurrent worker flushes are
+  // serialized before touching the queue.
+  dp_.set_upcall_sink([this](Packet&& pkt) {
     // A crashed/reconciling daemon has no upcall listener: the kernel keeps
     // forwarding cached flows, but misses are refused until serving resumes
     // (the blackout a restart causes for NEW flows, DESIGN.md §9).
@@ -57,7 +57,7 @@ Switch::Switch(SwitchConfig cfg)
     ++counters_.upcalls_dropped;
     return false;
   });
-  be_->set_fault_injector(fault_);
+  dp_.set_fault_injector(fault_);
 }
 
 void Switch::add_port(uint32_t port) { pipeline_.add_port(port); }
@@ -262,7 +262,7 @@ size_t Switch::inject_batch(std::span<const Packet> pkts, uint64_t now_ns) {
   if (pkts.empty()) return 0;
   results_.resize(pkts.size());
   Datapath::BatchSummary sum;
-  be_->process_batch(pkts, now_ns, results_.data(), &sum);
+  dp_.process_batch(pkts, now_ns, results_.data(), &sum);
 
   // Burst cost model: fixed dispatch overhead plus a reduced per-packet
   // cost; cache work is charged per *deduplicated* probe, which is where
@@ -285,7 +285,7 @@ size_t Switch::inject_batch(std::span<const Packet> pkts, uint64_t now_ns) {
 }
 
 Datapath::Path Switch::inject(const Packet& pkt, uint64_t now_ns) {
-  const Datapath::RxResult rx = be_->receive(pkt, now_ns);
+  const Datapath::RxResult rx = dp_.receive(pkt, now_ns);
 
   // Kernel-side cycle accounting. An offload hit never reaches the CPU
   // cache hierarchy: it pays the per-packet descriptor cost and the slot
@@ -293,19 +293,19 @@ Datapath::Path Switch::inject(const Packet& pkt, uint64_t now_ns) {
   // probe whenever the tier is enabled — the NIC looked and missed.
   const CostModel& m = cfg_.cost;
   double cycles = m.per_packet;
-  if (be_->offload_enabled()) cycles += m.offload_probe;
+  if (dp_.offload_enabled()) cycles += m.offload_probe;
   switch (rx.path) {
     case Datapath::Path::kOffloadHit:
       break;
     case Datapath::Path::kMicroflowHit:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (dp_.microflow_enabled()) cycles += m.microflow_probe;
       break;
     case Datapath::Path::kMegaflowHit:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (dp_.microflow_enabled()) cycles += m.microflow_probe;
       cycles += m.per_tuple * rx.tuples_searched;
       break;
     case Datapath::Path::kMiss:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (dp_.microflow_enabled()) cycles += m.microflow_probe;
       cycles += m.per_tuple * rx.tuples_searched + m.miss_kernel;
       break;
   }
@@ -332,9 +332,9 @@ Switch::InstallResult Switch::install_from_xlate(XlateResult& xr,
     for (size_t i = 0; i < kFlowWords; ++i) match.mask.w[i] = ~uint64_t{0};
     match.key = pkt.key;
   }
-  const size_t before = be_->flow_count();
-  DpBackend::FlowRef e =
-      be_->install(match, std::move(xr.actions), now_ns, &pkt.key);
+  const size_t before = dp_.flow_count();
+  Datapath::FlowRef e =
+      dp_.install(match, std::move(xr.actions), now_ns, &pkt.key);
   if (e == nullptr) {
     // Kernel refused the flow (table full, transient fault). The miss
     // packet was still forwarded by userspace; only the cache entry is
@@ -344,18 +344,18 @@ Switch::InstallResult Switch::install_from_xlate(XlateResult& xr,
     return InstallResult::kFailed;
   }
   InstallResult res;
-  if (be_->flow_count() > before) {
+  if (dp_.flow_count() > before) {
     ++counters_.flow_setups;
     // The new flow took the actions; the record takes the rest of the
     // same translation.
-    FlowRecord& rec = be_->flow_record(e);
+    FlowRecord& rec = dp_.flow_record(e);
     rec.tags = xr.tags;
     rec.ct_key = xr.ct_key;
     rec.ct_lookups = xr.ct_lookups;
     rec.rules = std::move(xr.matched_rules);
     rec.captured_gen = pipeline_.tables_generation();
     rec.captured = true;
-    if (forward != nullptr) *forward = &be_->flow_actions(e);
+    if (forward != nullptr) *forward = &dp_.flow_actions(e);
     res = InstallResult::kInstalled;
   } else {
     // A duplicate leaves the whole record — tags, attribution, ct
@@ -370,7 +370,7 @@ Switch::InstallResult Switch::install_from_xlate(XlateResult& xr,
   }
   // The miss packet is forwarded by userspace on the flow's behalf; it
   // counts toward the flow's statistics like any other packet.
-  be_->credit_packet(e, pkt, now_ns);
+  dp_.credit_packet(e, pkt, now_ns);
   return res;
 }
 
@@ -421,15 +421,15 @@ size_t Switch::process_retries(uint64_t now_ns) {
 void Switch::maybe_inject_entry_faults() {
   if (fault_ == nullptr) return;
   if (fault_->should_fire(FaultPoint::kEntryCorrupt) &&
-      be_->flow_count() > 0) {
-    be_->corrupt_entry(fault_->pick(be_->flow_count()));
+      dp_.flow_count() > 0) {
+    dp_.corrupt_entry(fault_->pick(dp_.flow_count()));
     // Corruption bypasses the pipeline generation: force the next
     // revalidation to re-translate everything so it repairs the entry.
     reval_force_full_ = true;
   }
   if (fault_->should_fire(FaultPoint::kEntryExpire) &&
-      be_->flow_count() > 0) {
-    be_->expire_entry(fault_->pick(be_->flow_count()));
+      dp_.flow_count() > 0) {
+    dp_.expire_entry(fault_->pick(dp_.flow_count()));
   }
 }
 
@@ -473,7 +473,7 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
   maybe_inject_entry_faults();
   // Delay-faulted upcalls surface into the fair queue now; they are
   // serviced on the next invocation (observably one round late).
-  be_->flush_delayed_upcalls();
+  dp_.flush_delayed_upcalls();
   return handled;
 }
 
@@ -526,7 +526,7 @@ void Switch::revalidate(uint64_t now_ns) {
                                    limit_scale_));
   }
 
-  const bool over_limit = be_->flow_count() > effective_limit_;
+  const bool over_limit = dp_.flow_count() > effective_limit_;
   // Above the maximum size, drop the idle time to force the table to
   // shrink (§6).
   const uint64_t idle_ns =
@@ -576,8 +576,8 @@ void Switch::revalidate(uint64_t now_ns) {
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
-  std::vector<DpBackend::FlowRef> flows = be_->dump();
-  last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
+  std::vector<Datapath::FlowRef> flows = dp_.dump();
+  last_pass_ = Revalidator::plan(dp_, pipeline_, flows, now_ns, rc,
                                  &reval_plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
@@ -596,12 +596,12 @@ void Switch::revalidate(uint64_t now_ns) {
   // Apply phase (serial, dump order): all mutations happen here, on the
   // control thread, so the outcome is independent of the thread count.
   for (size_t i = 0; i < flows.size(); ++i) {
-    DpBackend::FlowRef f = flows[i];
+    Datapath::FlowRef f = flows[i];
     const RevalDecision& d = reval_plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         push_flow_stats(f, now_ns);  // final stats (validated internally)
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
@@ -622,8 +622,7 @@ void Switch::revalidate(uint64_t now_ns) {
         push_flow_stats(f, now_ns);
         break;
       case RevalDecision::Kind::kUpdateActions:
-        // RCU swap on sharded.
-        be_->update_actions(f, std::move(reval_plan_.update(d).actions));
+        dp_.update_actions(f, std::move(reval_plan_.update(d).actions));
         refresh_attribution(f, d);
         push_flow_stats(f, now_ns);
         ++counters_.reval_updated_actions;
@@ -633,7 +632,7 @@ void Switch::revalidate(uint64_t now_ns) {
         // carried its traffic since the last pass); refused internally when
         // a table change may have freed them.
         push_flow_stats(f, now_ns);
-        be_->remove(f);  // shape changed: let traffic re-establish it
+        dp_.remove(f);  // shape changed: let traffic re-establish it
         ++counters_.reval_deleted_stale;
         break;
     }
@@ -648,27 +647,25 @@ void Switch::revalidate(uint64_t now_ns) {
   // Hard eviction if still above the limit: oldest-used first, like
   // userspace "must be able to delete flows ... as quickly as it can
   // install new flows" (§6).
-  if (be_->flow_count() > effective_limit_) {
-    std::vector<DpBackend::FlowRef> live = be_->dump();
+  if (dp_.flow_count() > effective_limit_) {
+    std::vector<Datapath::FlowRef> live = dp_.dump();
     std::sort(live.begin(), live.end(),
-              [this](DpBackend::FlowRef a, DpBackend::FlowRef b) {
-                return be_->flow_used_ns(a) < be_->flow_used_ns(b);
+              [this](Datapath::FlowRef a, Datapath::FlowRef b) {
+                return dp_.flow_used_ns(a) < dp_.flow_used_ns(b);
               });
-    size_t excess = be_->flow_count() - effective_limit_;
+    size_t excess = dp_.flow_count() - effective_limit_;
     for (size_t i = 0; i < excess; ++i) {
-      be_->remove(live[i]);
+      dp_.remove(live[i]);
       ++counters_.evicted_flow_limit;
     }
   }
 
   // Offload placement rides the same dump cadence as revalidation: the
   // EWMAs fold in this interval's measured per-flow traffic, then slots are
-  // earned/revoked. Runs on the post-eviction survivor set, and before
-  // purge_dead() so the sharded backend's republish makes the slot changes
-  // visible in the same pass.
-  if (be_->offload_enabled()) offload_placement(be_->dump(), now_ns);
+  // earned/revoked. Runs on the post-eviction survivor set.
+  if (dp_.offload_enabled()) offload_placement(dp_.dump(), now_ns);
 
-  be_->purge_dead();  // grace period (also publishes offload changes)
+  dp_.purge_dead();  // grace period
 
   // Deadline check: AIMD the flow limit. A pass that blew the deadline
   // halves the table it will tolerate next time; a clean pass wins a
@@ -693,27 +690,27 @@ void Switch::revalidate(uint64_t now_ns) {
   }
 }
 
-void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
+void Switch::offload_placement(const std::vector<Datapath::FlowRef>& flows,
                                uint64_t now_ns) {
-  if (!be_->offload_enabled()) return;
+  if (!dp_.offload_enabled()) return;
   const CostModel& m = cfg_.cost;
   const double alpha = cfg_.offload_ewma_alpha;
 
   // Fold this dump interval's per-flow packet deltas into the EWMAs. A
   // flow first seen this pass scores its lifetime count (it has exactly one
   // interval of history: its record was born with last_packets == 0).
-  for (DpBackend::FlowRef f : flows) {
-    FlowRecord& rec = be_->flow_record(f);
-    const uint64_t pkts = be_->flow_packets(f);
+  for (Datapath::FlowRef f : flows) {
+    FlowRecord& rec = dp_.flow_record(f);
+    const uint64_t pkts = dp_.flow_packets(f);
     const double delta = static_cast<double>(pkts - rec.last_packets);
     rec.ewma = rec.seen ? alpha * delta + (1.0 - alpha) * rec.ewma : delta;
     rec.last_packets = pkts;
     rec.seen = true;
-    rec.offloaded = be_->offload_contains(f);
+    rec.offloaded = dp_.offload_contains(f);
   }
 
   struct Ranked {
-    DpBackend::FlowRef f;
+    Datapath::FlowRef f;
     double ewma;
   };
   std::vector<Ranked> incumbents, challengers;
@@ -724,18 +721,18 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   // Decayed-cold incumbents lose their slot even with no challenger: a slot
   // earning fewer than offload_min_ewma packets per interval is dead NIC
   // capacity.
-  for (DpBackend::FlowRef f : flows) {
-    FlowRecord& rec = be_->flow_record(f);
+  for (Datapath::FlowRef f : flows) {
+    FlowRecord& rec = dp_.flow_record(f);
     if (rec.offloaded && rec.ewma < cfg_.offload_min_ewma) {
-      if (be_->offload_evict(f)) {
+      if (dp_.offload_evict(f)) {
         rec.offloaded = false;
         ++counters_.offload_evicts;
         cpu_.user_cycles += m.offload_evict;
       }
     }
   }
-  for (DpBackend::FlowRef f : flows) {
-    const FlowRecord& rec = be_->flow_record(f);
+  for (Datapath::FlowRef f : flows) {
+    const FlowRecord& rec = dp_.flow_record(f);
     if (rec.offloaded)
       incumbents.push_back({f, rec.ewma});
     else if (rec.ewma >= cfg_.offload_min_ewma)
@@ -748,9 +745,9 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   // Free slots go to the hottest challengers outright.
   size_t ci = 0;
   while (ci < challengers.size() &&
-         be_->offload_size() < be_->offload_capacity()) {
-    if (be_->offload_install(challengers[ci].f, now_ns)) {
-      be_->flow_record(challengers[ci].f).offloaded = true;
+         dp_.offload_size() < dp_.offload_capacity()) {
+    if (dp_.offload_install(challengers[ci].f, now_ns)) {
+      dp_.flow_record(challengers[ci].f).offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
     }
@@ -770,13 +767,13 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
     if (challengers[ci].ewma <=
         incumbents[ii].ewma * cfg_.offload_challenge_factor)
       break;  // sorted: no later pair can succeed either
-    if (be_->offload_evict(incumbents[ii].f)) {
-      be_->flow_record(incumbents[ii].f).offloaded = false;
+    if (dp_.offload_evict(incumbents[ii].f)) {
+      dp_.flow_record(incumbents[ii].f).offloaded = false;
       ++counters_.offload_evicts;
       cpu_.user_cycles += m.offload_evict;
     }
-    if (be_->offload_install(challengers[ci].f, now_ns)) {
-      be_->flow_record(challengers[ci].f).offloaded = true;
+    if (dp_.offload_install(challengers[ci].f, now_ns)) {
+      dp_.flow_record(challengers[ci].f).offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
     }
@@ -786,41 +783,40 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
 }
 
 void Switch::offload_reconcile() {
-  if (!be_->offload_enabled()) return;
+  if (!dp_.offload_enabled()) return;
   const CostModel& m = cfg_.cost;
   // Adopt-or-flush (DESIGN.md §13): the restarted daemon walks the NIC
   // state it did not program. A slot is adopted when its owner survived the
   // reconciliation ladder AND its snapshot matches the owner's (repaired)
-  // actions — which the backend's coherence hooks guarantee for every
+  // actions — which the datapath's coherence hooks guarantee for every
   // surviving owner, so a flush here means the coherence machinery failed
   // or the hardware state was tampered with. Adopted slots seed the
   // placement EWMA with their lifetime hit counts, so hot hardware flows
   // are not displaced by the first post-restart pass.
-  std::unordered_set<DpBackend::FlowRef> live;
-  for (DpBackend::FlowRef f : be_->dump()) live.insert(f);
-  for (const DpBackend::OffloadSlot& s : be_->offload_dump()) {
+  std::unordered_set<Datapath::FlowRef> live;
+  for (Datapath::FlowRef f : dp_.dump()) live.insert(f);
+  for (const Datapath::OffloadSlot& s : dp_.offload_dump()) {
     const bool coherent = live.count(s.owner) != 0 &&
-                          *s.actions == be_->flow_actions(s.owner);
+                          *s.actions == dp_.flow_actions(s.owner);
     if (coherent) {
-      FlowRecord& rec = be_->flow_record(s.owner);
+      FlowRecord& rec = dp_.flow_record(s.owner);
       rec.offloaded = true;
-      rec.last_packets = be_->flow_packets(s.owner);
+      rec.last_packets = dp_.flow_packets(s.owner);
       rec.ewma = std::max(rec.ewma, static_cast<double>(s.hits));
       rec.seen = true;
       ++counters_.offload_adopted;
     } else {
-      be_->offload_evict(s.owner);
+      dp_.offload_evict(s.owner);
       cpu_.user_cycles += m.offload_evict;
       ++counters_.offload_flushed;
     }
   }
-  be_->offload_commit();
 }
 
 void Switch::update_emc_policy() {
   const DegradationConfig& d = cfg_.degradation;
   if (!d.enabled) return;
-  const Datapath::Stats s = be_->stats();
+  const Datapath::Stats s = dp_.stats();
   const uint64_t attempts_now = s.emc_inserts + s.emc_insert_skips;
   const uint64_t attempts = attempts_now - emc_attempts_seen_;
   const uint64_t hits = s.microflow_hits - emc_hits_seen_;
@@ -839,10 +835,10 @@ void Switch::update_emc_policy() {
   const Valve::Step step =
       emc_degraded_.step(hot, ratio < d.emc_thrash_ratio / 2);
   if (step == Valve::Step::kEngage) {
-    be_->set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
+    dp_.set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
     ++counters_.emc_degrade_engaged;
   } else if (step == Valve::Step::kRelease) {
-    be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
+    dp_.set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
   }
 }
 
@@ -856,7 +852,7 @@ void Switch::update_cls_policy() {
   // its counters are the detector's input — the userspace classifier shape
   // is visible via cls_subtables() but is bounded by admission/partitioning
   // upstream.
-  const Datapath::Stats s = be_->stats();
+  const Datapath::Stats s = dp_.stats();
   const uint64_t dpkts = s.packets - dp_packets_seen_;
   const uint64_t dtuples = s.tuples_searched - dp_tuples_seen_;
   dp_packets_seen_ = s.packets;
@@ -867,7 +863,7 @@ void Switch::update_cls_policy() {
     probe_ewma_ = d.mask_probe_ewma_alpha * probe +
                   (1.0 - d.mask_probe_ewma_alpha) * probe_ewma_;
   }
-  const size_t masks = be_->mask_count();
+  const size_t masks = dp_.mask_count();
   const bool count_hot = d.mask_explosion_subtables > 0 &&
                          masks >= d.mask_explosion_subtables;
   const bool probe_hot = d.mask_probe_ewma_threshold > 0.0 &&
@@ -920,13 +916,13 @@ size_t Switch::cls_max_probe_depth() const noexcept {
 
 size_t Switch::attribution_count() const {
   size_t n = 0;
-  for (DpBackend::FlowRef f : be_->dump()) n += be_->flow_record(f).captured;
+  for (Datapath::FlowRef f : dp_.dump()) n += dp_.flow_record(f).captured;
   return n;
 }
 
-void Switch::refresh_attribution(DpBackend::FlowRef f,
+void Switch::refresh_attribution(Datapath::FlowRef f,
                                  const RevalDecision& d) {
-  FlowRecord& rec = be_->flow_record(f);
+  FlowRecord& rec = dp_.flow_record(f);
   rec.tags = d.tags;
   rec.ct_key = d.ct_key;
   rec.ct_lookups = d.ct_lookups;
@@ -935,13 +931,13 @@ void Switch::refresh_attribution(DpBackend::FlowRef f,
   rec.captured = true;
 }
 
-void Switch::adopt_attribution(DpBackend::FlowRef f, const RevalDecision& d) {
+void Switch::adopt_attribution(Datapath::FlowRef f, const RevalDecision& d) {
   refresh_attribution(f, d);
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
-  FlowRecord& rec = be_->flow_record(f);
-  rec.pushed_packets = be_->flow_packets(f);
-  rec.pushed_bytes = be_->flow_bytes(f);
+  FlowRecord& rec = dp_.flow_record(f);
+  rec.pushed_packets = dp_.flow_packets(f);
+  rec.pushed_bytes = dp_.flow_bytes(f);
 }
 
 void Switch::crash() {
@@ -973,12 +969,12 @@ void Switch::crash() {
   // process state; the entries and the offload table are kernel and NIC
   // state and survive, still forwarding, until restart() adopts or
   // flushes them.
-  for (DpBackend::FlowRef f : be_->dump()) be_->flow_record(f) = FlowRecord{};
+  for (Datapath::FlowRef f : dp_.dump()) dp_.flow_record(f) = FlowRecord{};
   limit_scale_ = 1.0;
   effective_limit_ = cfg_.flow_limit;
   emc_degraded_ = Valve{};
-  be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
-  const Datapath::Stats s = be_->stats();
+  dp_.set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
+  const Datapath::Stats s = dp_.stats();
   emc_attempts_seen_ = s.emc_inserts + s.emc_insert_skips;
   emc_hits_seen_ = s.microflow_hits;
   mask_explosion_ = Valve{};
@@ -1030,7 +1026,7 @@ bool Switch::restart(uint64_t now_ns) {
   // the crash-time tags died with the daemon, so every flow re-translates
   // against the rebuilt tables. Plan parallelizes across revalidator
   // threads; the apply below is serial in dump order, which is what makes
-  // the outcome independent of the thread count and the backend.
+  // the outcome independent of the thread count and the worker count.
   force_full_revalidation();
   Revalidator::Config rc;
   rc.n_threads = std::max<size_t>(1, cfg_.revalidator_threads);
@@ -1041,8 +1037,8 @@ bool Switch::restart(uint64_t now_ns) {
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
-  const std::vector<DpBackend::FlowRef> flows = be_->dump();
-  last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
+  const std::vector<Datapath::FlowRef> flows = dp_.dump();
+  last_pass_ = Revalidator::plan(dp_, pipeline_, flows, now_ns, rc,
                                  &reval_plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   const double sync_cycles =
@@ -1052,12 +1048,12 @@ bool Switch::restart(uint64_t now_ns) {
   blackout_cycles += last_pass_.total_cycles + sync_cycles;
 
   for (size_t i = 0; i < flows.size(); ++i) {
-    DpBackend::FlowRef f = flows[i];
+    Datapath::FlowRef f = flows[i];
     const RevalDecision& d = reval_plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         // Sat idle through the blackout; no attribution exists yet.
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
@@ -1068,17 +1064,17 @@ bool Switch::restart(uint64_t now_ns) {
         ++counters_.flows_adopted;
         break;
       case RevalDecision::Kind::kUpdateActions:
-        be_->update_actions(f, std::move(reval_plan_.update(d).actions));
+        dp_.update_actions(f, std::move(reval_plan_.update(d).actions));
         adopt_attribution(f, d);
         ++counters_.flows_repaired;
         break;
       case RevalDecision::Kind::kDeleteStale:
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_stale;
         break;
     }
   }
-  be_->purge_dead();
+  dp_.purge_dead();
 
   // Adopt-or-flush the surviving offload table through the same ladder
   // (DESIGN.md §13) before the invariant gate judges it.
@@ -1107,32 +1103,31 @@ bool Switch::restart(uint64_t now_ns) {
 }
 
 DpCheckReport Switch::self_check() {
-  DpCheckReport rep = run_dp_check(*be_);
+  DpCheckReport rep = run_dp_check(dp_);
   cpu_.user_cycles +=
       cfg_.cost.dp_check_per_flow * static_cast<double>(rep.flows_checked);
   // Incoherent offload slots are flushed (the megaflow path serves the
   // traffic correctly); quarantined flows below drop their slots through
-  // the backend's remove() hook.
-  for (DpBackend::FlowRef o : rep.offload_flush) {
-    if (be_->offload_evict(o)) {
+  // the datapath's remove() hook.
+  for (Datapath::FlowRef o : rep.offload_flush) {
+    if (dp_.offload_evict(o)) {
       ++counters_.offload_evicts;
       cpu_.user_cycles += cfg_.cost.offload_evict;
     }
   }
-  if (!rep.offload_flush.empty()) be_->offload_commit();
   // No final statistics push: a quarantined entry broke the megaflow
   // invariants (misdelivering, overlapping, or corrupted), so the traffic
   // it counted cannot be trusted to belong to its attributed rules.
-  for (DpBackend::FlowRef f : rep.quarantine) {
-    be_->remove(f);
+  for (Datapath::FlowRef f : rep.quarantine) {
+    dp_.remove(f);
     ++counters_.flows_quarantined;
   }
-  if (!rep.quarantine.empty()) be_->purge_dead();
+  if (!rep.quarantine.empty()) dp_.purge_dead();
   return rep;
 }
 
-void Switch::push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns) {
-  FlowRecord& rec = be_->flow_record(f);
+void Switch::push_flow_stats(Datapath::FlowRef f, uint64_t now_ns) {
+  FlowRecord& rec = dp_.flow_record(f);
   // Rule pointers are only safe while no flow-table change happened since
   // capture. Keying on the TABLES generation (not the full pipeline
   // generation) lets MAC-learning churn — which cannot invalidate OfRule
@@ -1140,8 +1135,8 @@ void Switch::push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns) {
   // skip path able to push stats for flows it never re-translated.
   if (!rec.captured || rec.captured_gen != pipeline_.tables_generation())
     return;
-  const uint64_t dp_pkts = be_->flow_packets(f);
-  const uint64_t dp_bytes = be_->flow_bytes(f);
+  const uint64_t dp_pkts = dp_.flow_packets(f);
+  const uint64_t dp_bytes = dp_.flow_bytes(f);
   if (dp_pkts == rec.pushed_packets) return;
   const uint64_t dpkts = dp_pkts - rec.pushed_packets;
   const uint64_t dbytes = dp_bytes - rec.pushed_bytes;

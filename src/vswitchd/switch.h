@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "datapath/datapath.h"
-#include "datapath/dp_backend.h"
 #include "datapath/dp_check.h"
 #include "ofproto/pipeline.h"
 #include "sim/clock.h"
@@ -53,10 +52,9 @@ enum class RevalidationMode : uint8_t {
              // statistics (attribution survives MAC-only changes)
 };
 
-// Crash/restart lifecycle (DESIGN.md §9). The kernel datapath — the backend
-// — survives a userspace crash and keeps forwarding its cached megaflows;
-// the daemon's own state (tables, queues, flow records, degradation)
-// dies.
+// Crash/restart lifecycle (DESIGN.md §9). The kernel datapath survives a
+// userspace crash and keeps forwarding its cached megaflows; the daemon's
+// own state (tables, queues, flow records, degradation) dies.
 //
 //   kServing ──crash()──▶ kCrashed ──restart()──▶ kReconciling ──▶ kServing
 //
@@ -137,10 +135,10 @@ struct SwitchConfig {
   ClassifierConfig classifier;  // userspace tables (Table 1 toggles these)
   DatapathConfig datapath;
 
-  // Datapath backend selection: 0 or 1 keeps the single-threaded
-  // `Datapath`; >= 2 runs a `ShardedDatapath` with this many forwarding
-  // worker slots (per-worker EMC shards over one RCU megaflow table, §4.1),
-  // configured from `datapath` via make_dp_backend().
+  // Datapath forwarding workers: the datapath runs this many worker
+  // shards (0 or 1 = one), each a single-writer copy of the megaflow cache
+  // with its own EMC (§4.1; datapath/datapath.h). Bursts the switch injects
+  // rotate across them.
   size_t datapath_workers = 0;
 
   // Revalidator plan-phase threads (§4.3: "dividing flows among revalidator
@@ -258,10 +256,10 @@ class Switch {
   // ovs-appctl "revalidator purge" analogue; also set by entry-fault
   // injection, whose corruption bypasses the generation counters).
   void force_full_revalidation() noexcept { reval_force_full_ = true; }
-  // The datapath, whichever of the two runs (datapath_workers): stats,
-  // flows, offload and upcall introspection.
-  DpBackend& backend() noexcept { return *be_; }
-  const DpBackend& backend() const noexcept { return *be_; }
+  // The datapath (datapath_workers shards): stats, flows, offload and
+  // upcall introspection.
+  Datapath& backend() noexcept { return dp_; }
+  const Datapath& backend() const noexcept { return dp_; }
   const SwitchConfig& config() const noexcept { return cfg_; }
 
   // ovs-ofctl-style text interface (see ofproto/flow_parser.h). Returns an
@@ -356,7 +354,7 @@ class Switch {
   // Simulated daemon death. Snapshots the durable config (ports + OpenFlow
   // rules — the OVSDB role, §3.3), counts queued upcalls as dropped and
   // pending retries as abandoned so the slow-path ledgers stay balanced,
-  // and discards all other userspace state. The datapath backend is
+  // and discards all other userspace state. The datapath is
   // untouched: it keeps forwarding from its surviving megaflow cache.
   // No-op unless currently serving.
   void crash();
@@ -398,7 +396,7 @@ class Switch {
     uint64_t ct_changed_keys = 0;
     uint64_t evicted_flow_limit = 0;
     // NIC offload tier (DESIGN.md §13): slots programmed / invalidated by
-    // the placement policy (backend-internal evictions on megaflow removal
+    // the placement policy (datapath-internal evictions on megaflow removal
     // are not counted here), plus restart-reconciliation verdicts.
     uint64_t offload_installs = 0;
     uint64_t offload_evicts = 0;
@@ -552,7 +550,7 @@ class Switch {
   // Offload placement (DESIGN.md §13): folds this dump interval's per-flow
   // packet deltas into the EWMAs, then programs/evicts slots. Runs inside
   // revalidate() after the apply phase and inside restart() reconciliation.
-  void offload_placement(const std::vector<DpBackend::FlowRef>& flows,
+  void offload_placement(const std::vector<Datapath::FlowRef>& flows,
                          uint64_t now_ns);
   // Restart reconciliation for the offload table: slots whose owner
   // survived the ladder are adopted (their hit totals seed the EWMA so hot
@@ -563,15 +561,15 @@ class Switch {
   // the flow's FlowRecord: captured at install, refreshed whenever the
   // entry is (re-)translated, and gone with the entry. push_flow_stats
   // credits the rules with the traffic since the last push.
-  void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
+  void push_flow_stats(Datapath::FlowRef f, uint64_t now_ns);
   // Stores a fresh translation's tags, ct dependency and (when it changed)
   // rule list in the record.
-  void refresh_attribution(DpBackend::FlowRef f, const RevalDecision& d);
+  void refresh_attribution(Datapath::FlowRef f, const RevalDecision& d);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(DpBackend::FlowRef f, const RevalDecision& d);
+  void adopt_attribution(Datapath::FlowRef f, const RevalDecision& d);
 
   struct RetryEntry {
     Packet pkt;
@@ -581,7 +579,7 @@ class Switch {
 
   SwitchConfig cfg_;
   Pipeline pipeline_;
-  std::unique_ptr<DpBackend> be_;
+  Datapath dp_;
   OutputFn output_;
   ControllerFn controller_hook_;
   TraceFn trace_;

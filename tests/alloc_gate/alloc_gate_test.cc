@@ -11,8 +11,11 @@
 //     nothing;
 //   * handling an upcall that installs a fresh flow allocates at most once:
 //     the entry itself, which carries the actions and attribution inline;
-//   * a one-worker ShardedDatapath hands a burst of misses to its upcall
-//     sink without allocating, as the single datapath does.
+//   * a multi-worker datapath hands a burst of misses to its upcall sink
+//     without allocating;
+//   * a megaflow mask that empties and refills reuses its classifier
+//     subtable: an install allocates its entries, one per worker shard,
+//     and nothing else.
 // Counts are deterministic, so host noise cannot move this gate.
 #include <gtest/gtest.h>
 
@@ -21,7 +24,7 @@
 #include <new>
 #include <vector>
 
-#include "datapath/mt_datapath.h"
+#include "datapath/datapath.h"
 #include "vswitchd/revalidator.h"
 #include "vswitchd/switch.h"
 #include "workload/table_gen.h"
@@ -197,8 +200,8 @@ TEST_F(AllocGate, InstallAllocatesAtMostTheEntry) {
 TEST_F(AllocGate, RevalidationAllocatesNothingPerFlow) {
   crr(next_conn_, 128, /*teardown=*/false);  // live flows to revalidate
   next_conn_ += 128;
-  DpBackend& be = sw_.backend();
-  const std::vector<DpBackend::FlowRef> flows = be.dump();
+  Datapath& be = sw_.backend();
+  const std::vector<Datapath::FlowRef> flows = be.dump();
   ASSERT_GE(flows.size(), 256u);
 
   Revalidator::Config rc;
@@ -230,9 +233,7 @@ TEST_F(AllocGate, RevalidationAllocatesNothingPerFlow) {
 }
 
 TEST_F(AllocGate, ShardedMissBurstAllocatesNothing) {
-  ShardedDatapathConfig dc;
-  dc.n_workers = 1;
-  ShardedDatapath dp(dc);
+  Datapath dp({}, 2);
   size_t sunk = 0;
   dp.set_upcall_sink([&sunk](Packet&&) {
     ++sunk;
@@ -241,15 +242,44 @@ TEST_F(AllocGate, ShardedMissBurstAllocatesNothing) {
   // No flows: every packet misses every tier and goes to the sink.
   std::vector<Packet> burst;
   for (size_t i = 0; i < 32; ++i) burst.push_back(pkt(i, true, kSyn));
-  std::array<DpBackend::RxResult, 32> res;
-  dp.process_batch(0, burst, now_, res.data());  // warm-up
+  std::array<Datapath::RxResult, 32> res;
+  for (size_t w = 0; w < dp.n_workers(); ++w)  // warm-up
+    dp.process_batch(w, burst, now_, res.data());
   constexpr size_t kBursts = 100;
   const size_t a0 = g_allocs;
   for (size_t b = 0; b < kBursts; ++b)
-    dp.process_batch(0, burst, now_, res.data());
+    dp.process_batch(b % dp.n_workers(), burst, now_, res.data());
   EXPECT_EQ(g_allocs - a0, 0u);
-  EXPECT_EQ(sunk, (kBursts + 1) * burst.size());
-  EXPECT_EQ(dp.stats().misses, (kBursts + 1) * burst.size());
+  const size_t bursts = kBursts + dp.n_workers();
+  EXPECT_EQ(sunk, bursts * burst.size());
+  EXPECT_EQ(dp.stats().misses, bursts * burst.size());
+}
+
+TEST_F(AllocGate, FlappingMaskReusesItsSubtable) {
+  for (size_t workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    Datapath dp({}, workers);
+    // A resident flow keeps the classifier non-empty; the flapping mask
+    // (a /16 beside the resident /8) loses its last flow each round.
+    ASSERT_NE(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
+                         DpActions().output(1), 0),
+              nullptr);
+    auto flap = [&](uint8_t round) {
+      const Match m =
+          MatchBuilder().ip().nw_dst_prefix(Ipv4(10, round, 0, 0), 16);
+      Datapath::FlowRef f = dp.install(m, DpActions().output(2), 0);
+      EXPECT_EQ(dp.mask_count(), 2u);
+      dp.remove(f);
+      dp.purge_dead();
+      EXPECT_EQ(dp.mask_count(), 1u);
+    };
+    flap(0);  // warm-up: the subtable and the shards' vectors exist
+    constexpr uint8_t kRounds = 50;
+    const size_t a0 = g_allocs;
+    for (uint8_t r = 1; r <= kRounds; ++r) flap(r);
+    // One allocation per install per shard: the entry.
+    EXPECT_EQ(g_allocs - a0, kRounds * workers);
+  }
 }
 
 }  // namespace

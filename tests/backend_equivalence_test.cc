@@ -1,11 +1,13 @@
-// Backend equivalence property tests: the same trace driven through a
-// Switch over the single-threaded Datapath and a Switch over the sharded
-// multi-worker datapath must produce the same control-plane outcome — the
-// identical megaflow set (match + actions), the same flow setups, the same
-// forwarding counters and port statistics. Only *where* cache hits land
-// (EMC shard vs shared megaflow table) may differ between backends.
+// Worker-count equivalence property tests: the same trace driven through
+// Switches whose datapaths run 1 (datapath_workers = 0), 2 and 4 worker
+// shards must produce the same control-plane outcome — the identical
+// megaflow set (match + actions), the same flow setups, the same forwarding
+// counters and port statistics. Only *where* cache hits land (a worker's
+// EMC vs its megaflow classifier) may differ: each worker has its own EMC,
+// and the switch rotates bursts across the workers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,7 +43,7 @@ void install_rules(Switch& sw) {
 
 // The randomized trace: connection pool with churn, periodic upcall
 // handling and maintenance, and a mid-trace flow-table change so
-// revalidation has real repairs to publish on both backends.
+// revalidation has real repairs to publish to every worker.
 void drive_trace(Switch& sw, uint64_t seed, size_t n_pkts, size_t rx_batch) {
   Rng rng(seed);
   struct Conn {
@@ -88,7 +90,8 @@ void drive_trace(Switch& sw, uint64_t seed, size_t n_pkts, size_t rx_batch) {
     if ((i & 511) == 511) sw.run_maintenance(clock.now());
     if (i == n_pkts / 2) {
       // Reroute one /8 mid-trace: revalidation must repair the installed
-      // megaflows identically on both backends (same-shape action update).
+      // megaflows identically at every worker count (same-shape action
+      // update).
       sw.table(0).add_flow(
           MatchBuilder().ip().nw_dst_prefix(Ipv4(12, 0, 0, 0), 8), 15,
           OfActions().output(5));
@@ -120,8 +123,8 @@ void expect_equivalent(Switch& a, Switch& b) {
   const Datapath::Stats sb = b.backend().stats();
   EXPECT_EQ(sa.packets, sb.packets);
   EXPECT_EQ(sa.misses, sb.misses);
-  // EMC vs megaflow hit split legitimately differs (per-worker shards),
-  // but every packet that is not a miss is a hit on both backends.
+  // EMC vs megaflow hit split legitimately differs (per-worker EMCs), but
+  // every packet that is not a miss is a hit at every worker count.
   EXPECT_EQ(sa.microflow_hits + sa.megaflow_hits,
             sb.microflow_hits + sb.megaflow_hits);
   for (uint32_t port = 1; port <= 8; ++port) {
@@ -132,43 +135,39 @@ void expect_equivalent(Switch& a, Switch& b) {
   }
 }
 
+// The trace through 1, 2 and 4 workers; each multi-worker outcome must
+// equal the one-worker outcome.
+void expect_worker_counts_equivalent(uint64_t seed, size_t n_pkts,
+                                     size_t rx_batch) {
+  std::vector<std::unique_ptr<Switch>> sws;
+  for (size_t workers : {0, 2, 4}) {
+    SwitchConfig cfg = make_config(workers);
+    cfg.rx_batch = rx_batch;
+    sws.push_back(std::make_unique<Switch>(cfg));
+    install_rules(*sws.back());
+    drive_trace(*sws.back(), seed, n_pkts, rx_batch);
+  }
+  EXPECT_EQ(sws[0]->backend().n_workers(), 1u);
+  EXPECT_EQ(sws[1]->backend().n_workers(), 2u);
+  EXPECT_EQ(sws[2]->backend().n_workers(), 4u);
+  ASSERT_NE(sws[0]->backend().flow_count(), 0u);
+  for (size_t i = 1; i < sws.size(); ++i) {
+    SCOPED_TRACE(std::to_string(sws[i]->backend().n_workers()) + " workers");
+    expect_equivalent(*sws[0], *sws[i]);
+  }
+}
+
 TEST(BackendEquivalence, PerPacketTrace) {
-  Switch single(make_config(0));
-  Switch sharded(make_config(4));
-  install_rules(single);
-  install_rules(sharded);
-  drive_trace(single, 0xE9, 6000, 1);
-  drive_trace(sharded, 0xE9, 6000, 1);
-  EXPECT_EQ(single.backend().n_workers(), 1u);
-  EXPECT_EQ(sharded.backend().n_workers(), 4u);
-  ASSERT_NE(single.backend().flow_count(), 0u);
-  expect_equivalent(single, sharded);
+  expect_worker_counts_equivalent(0xE9, 6000, 1);
 }
 
 TEST(BackendEquivalence, BatchedTrace) {
-  SwitchConfig c0 = make_config(0);
-  SwitchConfig c4 = make_config(4);
-  c0.rx_batch = c4.rx_batch = 32;
-  Switch single(c0);
-  Switch sharded(c4);
-  install_rules(single);
-  install_rules(sharded);
-  drive_trace(single, 0x5EED, 6000, 32);
-  drive_trace(sharded, 0x5EED, 6000, 32);
-  ASSERT_NE(single.backend().flow_count(), 0u);
-  expect_equivalent(single, sharded);
+  expect_worker_counts_equivalent(0x5EED, 6000, 32);
 }
 
 TEST(BackendEquivalence, SeedSweep) {
-  for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    Switch single(make_config(0));
-    Switch sharded(make_config(2));
-    install_rules(single);
-    install_rules(sharded);
-    drive_trace(single, seed, 2000, 1);
-    drive_trace(sharded, seed, 2000, 1);
-    expect_equivalent(single, sharded);
-  }
+  for (uint64_t seed : {1ULL, 2ULL, 3ULL})
+    expect_worker_counts_equivalent(seed, 2000, 1);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Property test: process_batch is observably identical to calling receive()
 // per packet — same per-packet path and actions, same upcalls in the same
 // order, same per-entry statistics, same datapath counters — across
-// randomized workloads, with the EMC on and off, on both datapaths: the
-// single one (inline set-associative EMC) and a one-worker sharded one
-// (ConcurrentEmc shard, tuple-index hints). The only licensed divergence is
+// randomized workloads, with the EMC on and off, with one worker shard and
+// with two (bursts alternating between the workers, each with its own EMC).
+// The only licensed divergence is
 // the cumulative tuples_searched counter: deduplicated burst followers never
 // physically probe a table.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "datapath/datapath.h"
-#include "datapath/mt_datapath.h"
 #include "packet/match.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -22,23 +21,16 @@ namespace {
 
 using testutil::dp_tcp_pkt;
 
-// The single datapath, or a sharded one with one worker (so every burst
-// lands on the same EMC shard, as on the single one).
-std::unique_ptr<DpBackend> make_dp(bool sharded, bool microflow) {
-  if (!sharded) {
-    DatapathConfig cfg;
-    cfg.microflow_enabled = microflow;
-    return std::make_unique<Datapath>(cfg);
-  }
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 1;
-  cfg.emc_enabled = microflow;
-  return std::make_unique<ShardedDatapath>(cfg);
+// One worker shard, or two.
+std::unique_ptr<Datapath> make_dp(bool sharded, bool microflow) {
+  DatapathConfig cfg;
+  cfg.microflow_enabled = microflow;
+  return std::make_unique<Datapath>(cfg, sharded ? 2 : 1);
 }
 
 // Installs the same K /8 megaflows into both datapaths; dsts 10.x–(10+K-1).x
 // are covered, anything above misses.
-void fill(DpBackend& dp, int k) {
+void fill(Datapath& dp, int k) {
   for (int i = 0; i < k; ++i) {
     dp.install(MatchBuilder().ip().nw_dst_prefix(
                    Ipv4(uint8_t(10 + i), 0, 0, 0), 8),
@@ -59,18 +51,21 @@ std::vector<Packet> random_workload(Rng& rng, size_t n, int k) {
   return pkts;
 }
 
-void expect_equivalent(DpBackend& seq, DpBackend& bat,
+void expect_equivalent(Datapath& seq, Datapath& bat,
                        const std::vector<Packet>& pkts, size_t batch_size,
                        uint64_t t0) {
   testutil::UpcallCollector uq_s(seq), uq_b(bat);
 
-  // Sequential reference: one receive() per packet.
+  // Sequential reference: one receive() per packet, each burst's packets
+  // on the worker that takes the burst in the batched run.
   std::vector<Datapath::RxResult> want;
   want.reserve(pkts.size());
   uint64_t now = t0;
   for (size_t off = 0; off < pkts.size(); off += batch_size) {
     const size_t n = std::min(batch_size, pkts.size() - off);
-    for (size_t i = 0; i < n; ++i) want.push_back(seq.receive(pkts[off + i], now));
+    const size_t w = off / batch_size % seq.n_workers();
+    for (size_t i = 0; i < n; ++i)
+      want.push_back(seq.receive(w, pkts[off + i], now));
     now += 1000;
   }
 
@@ -79,7 +74,8 @@ void expect_equivalent(DpBackend& seq, DpBackend& bat,
   now = t0;
   for (size_t off = 0; off < pkts.size(); off += batch_size) {
     const size_t n = std::min(batch_size, pkts.size() - off);
-    bat.process_batch(std::span<const Packet>(pkts.data() + off, n), now,
+    bat.process_batch(off / batch_size % bat.n_workers(),
+                      std::span<const Packet>(pkts.data() + off, n), now,
                       got.data() + off);
     now += 1000;
   }
@@ -142,7 +138,7 @@ TEST_P(BatchEquivalence, RandomWorkloads) {
 INSTANTIATE_TEST_SUITE_P(
     FlagMatrix, BatchEquivalence,
     ::testing::Combine(::testing::Bool(),          // microflow_enabled
-                       ::testing::Bool(),          // sharded (one worker)
+                       ::testing::Bool(),          // sharded (two workers)
                        ::testing::Values<size_t>(1, 8, 32, 128, 300)));
 
 // Removal mid-stream: batches must see the same stale-EMC corrections the
@@ -152,8 +148,8 @@ TEST(BatchEquivalenceTest, RemovalStaleness) {
     SCOPED_TRACE(sharded ? "sharded" : "single");
     const auto seq_dp = make_dp(sharded, /*microflow=*/true);
     const auto bat_dp = make_dp(sharded, /*microflow=*/true);
-    DpBackend& seq = *seq_dp;
-    DpBackend& bat = *bat_dp;
+    Datapath& seq = *seq_dp;
+    Datapath& bat = *bat_dp;
     fill(seq, 2);
     fill(bat, 2);
 

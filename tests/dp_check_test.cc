@@ -2,15 +2,13 @@
 // violations are detected and quarantined, healthy caches pass, and — the
 // property test — every randomized table_gen workload the switch can
 // produce keeps the datapath disjoint, EMC-coherent, and stats-conserving
-// on both backends.
+// with one worker shard and with several.
 #include "datapath/dp_check.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "datapath/dp_backend.h"
-#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "util/rng.h"
 #include "vswitchd/switch.h"
@@ -45,10 +43,10 @@ TEST(DpCheckTest, DetectsCrossMaskOverlapAndQuarantinesLaterEntry) {
   // Entry A: ip dst 9/8. Entry B: any tcp. A tcp packet to 9.x matches
   // both, and the actions differ — exactly the misdelivery the kernel's
   // first-match semantics cannot tolerate.
-  DpBackend::FlowRef a = be.install(
+  Datapath::FlowRef a = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
       DpActions().output(2), 0);
-  DpBackend::FlowRef b =
+  Datapath::FlowRef b =
       be.install(MatchBuilder().tcp(), DpActions().output(3), 0);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
@@ -83,9 +81,7 @@ TEST(DpCheckTest, BenignOverlapIsCountedButNotQuarantined) {
 }
 
 TEST(DpCheckTest, OverlapDetectionWorksOnShardedBackend) {
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 2;
-  ShardedDatapath be{cfg};
+  Datapath be({}, 2);
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   be.install(MatchBuilder().tcp(), DpActions().output(3), 0);
@@ -143,8 +139,8 @@ class DpCheckOffloadTest : public ::testing::Test {
   }
 
   Datapath be_;
-  DpBackend::FlowRef a_ = nullptr;
-  DpBackend::FlowRef b_ = nullptr;
+  Datapath::FlowRef a_ = nullptr;
+  Datapath::FlowRef b_ = nullptr;
 };
 
 TEST_F(DpCheckOffloadTest, CoherentSlotsPass) {
@@ -159,7 +155,7 @@ TEST_F(DpCheckOffloadTest, CatchesStaleActionSnapshot) {
 }
 
 TEST_F(DpCheckOffloadTest, CatchesDanglingSlotAfterMegaflowDelete) {
-  // Bypass the backend's auto-evict (remove() would flush the slot) with the
+  // Bypass the datapath's auto-evict (remove() would flush the slot) with the
   // targeted corruption, modeling a reconciliation bug that re-keys a slot
   // to a dead owner.
   ASSERT_TRUE(be_.offload_corrupt(0, OffloadTable::Corruption::kOrphanSlot));
@@ -181,21 +177,37 @@ TEST_F(DpCheckOffloadTest, BackendRemoveKeepsSlotsCoherent) {
 }
 
 TEST(DpCheckOffloadShardedTest, CatchesCorruptionOnShardedBackend) {
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 2;
+  DatapathConfig cfg;
   cfg.offload_slots = 8;
-  ShardedDatapath be{cfg};
-  DpBackend::FlowRef f = be.install(
+  Datapath be(cfg, 2);
+  Datapath::FlowRef f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
       DpActions().output(2), 0);
   ASSERT_TRUE(be.offload_install(f, 0));
-  be.offload_commit();
-  ASSERT_TRUE(be.offload_corrupt(0, OffloadTable::Corruption::kStaleActions));
-  DpCheckReport r = run_dp_check(be);
-  EXPECT_EQ(r.offload_stale_actions, 1u);
-  quarantine_flows(be, r);
-  EXPECT_EQ(be.offload_size(), 0u);
-  EXPECT_TRUE(run_dp_check(be).ok());
+  for (OffloadTable::Corruption kind :
+       {OffloadTable::Corruption::kStaleActions,
+        OffloadTable::Corruption::kOrphanSlot,
+        OffloadTable::Corruption::kInflateHits}) {
+    ASSERT_TRUE(be.offload_corrupt(0, kind));
+    DpCheckReport r = run_dp_check(be);
+    EXPECT_EQ(r.offload_stale_actions + r.offload_dangling +
+                  r.offload_stat_violations,
+              1u);
+    // The flush evicts the slot from every worker's copy: both workers fall
+    // back to the megaflow path.
+    quarantine_flows(be, r);
+    EXPECT_EQ(be.offload_size(), 0u);
+    EXPECT_TRUE(run_dp_check(be).ok());
+    Datapath::RxResult res;
+    Packet p;
+    p.key.set_eth_type(ethertype::kIpv4);
+    p.key.set_nw_dst(Ipv4(9, 1, 1, 1));
+    for (size_t w = 0; w < be.n_workers(); ++w) {
+      be.process_batch(w, std::span<const Packet>(&p, 1), 0, &res);
+      EXPECT_NE(res.path, Datapath::Path::kOffloadHit) << "worker " << w;
+    }
+    ASSERT_TRUE(be.offload_install(f, 0));
+  }
 }
 
 // --- Property test: randomized workloads keep the invariant -----------------

@@ -118,8 +118,8 @@ TEST_F(FabricTest, TunnelMegaflowsMatchTunnelId) {
   // The receiving hypervisor's cache must key tunneled flows by tun_id
   // (ingress classification), so tenants stay isolated in the fast path.
   bool found_tunnel_flow = false;
-  const DpBackend& dp = fab_.hypervisor(1).backend();
-  for (DpBackend::FlowRef f : dp.dump()) {
+  const Datapath& dp = fab_.hypervisor(1).backend();
+  for (Datapath::FlowRef f : dp.dump()) {
     if (dp.flow_match(f).mask.has_field(FieldId::kTunId)) {
       found_tunnel_flow = true;
       EXPECT_TRUE(dp.flow_match(f).mask.is_exact(FieldId::kTunId));
@@ -149,8 +149,8 @@ TEST_F(FabricTest, FabricScalesToManyHypervisors) {
   EXPECT_GT(fab.total_flows(), 0u);
 }
 
-// Sharded hypervisors (datapath_workers >= 2) have no single Datapath, so
-// total_flows() must count through the backend seam.
+// Multi-worker hypervisors (datapath_workers >= 2) hold a replica of each
+// flow per worker; total_flows() counts flows, not replicas.
 TEST_F(FabricTest, TotalFlowsCountsShardedHypervisors) {
   Fabric::Config cfg;
   cfg.switch_config.datapath_workers = 2;

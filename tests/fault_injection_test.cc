@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "test_util.h"
 #include "util/fault.h"
@@ -228,7 +227,7 @@ TEST_P(FaultMatrixTest, ConvergesAfterFaultsStop) {
   // Every connection is cached and every cached answer equals a fresh
   // translation (the convergence + soundness property).
   EXPECT_EQ(sw.backend().flow_count(), kConns);
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
+  for (Datapath::FlowRef f : sw.backend().dump()) {
     const FlowKey& key = sw.backend().flow_match(f).key;
     const XlateResult want =
         sw.pipeline().translate(key, clock.now(), /*side_effects=*/false);
@@ -328,7 +327,7 @@ TEST(FaultMatrixTest, CorruptedMegaflowsRepairedByRevalidator) {
   sw.run_maintenance(clock.now());  // pipeline unchanged: repair relies on
                                     // the forced full revalidation
   EXPECT_GT(sw.counters().reval_updated_actions, 0u);
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
+  for (Datapath::FlowRef f : sw.backend().dump()) {
     const FlowKey& key = sw.backend().flow_match(f).key;
     const XlateResult want =
         sw.pipeline().translate(key, clock.now(), /*side_effects=*/false);
@@ -502,8 +501,8 @@ TEST(DegradationTest, EmcThrashEngagesProbabilisticInsertionWithHysteresis) {
   sw.inject(conn_packet(1, 0), clock.now());
   sw.handle_upcalls(clock.now());
   ASSERT_EQ(sw.backend().flow_count(), 1u);
-  // The switch runs the single datapath; its config shows the live knob.
-  const auto& dp = static_cast<const Datapath&>(sw.backend());
+  // The datapath's config shows the live knob.
+  const Datapath& dp = sw.backend();
 
   // Adversarial phase: never-repeating microflows. Every packet is a
   // megaflow hit that inserts a one-shot EMC entry — pure thrash.
@@ -613,9 +612,7 @@ TEST(UpcallFairnessTest, FifoAblationStarvesVictimPorts) {
 
 TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   FaultInjector fault(0x31);
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 2;
-  ShardedDatapath dp(cfg);
+  Datapath dp({}, 2);
   dp.set_fault_injector(&fault);
   testutil::UpcallCollector up(dp);
 
@@ -625,8 +622,10 @@ TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   fault.script(FaultPoint::kInstallTableFull, {0});
   EXPECT_EQ(dp.install(m, DpActions().output(2), 0), nullptr);
   EXPECT_EQ(dp.stats().install_fail_full, 1u);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef e = dp.install(m, DpActions().output(2), 0);
   ASSERT_NE(e, nullptr);
+  // Each install consults the fault once, whatever the number of shards.
+  EXPECT_EQ(fault.occurrences(FaultPoint::kInstallTableFull), 2u);
 
   // Misses: first upcall dropped, second delayed, third duplicated.
   fault.script(FaultPoint::kUpcallDrop, {0});

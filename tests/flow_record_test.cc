@@ -1,8 +1,9 @@
 // Lifecycle of the per-flow userspace record (datapath/dp_shared.h): it is
 // born blank with its datapath entry, captured and refreshed by vswitchd,
 // blanked by a daemon crash, and dies with the entry — so a flow never
-// inherits another flow's attribution or offload placement state. Runs on
-// both backends (record embedded in MegaflowEntry and in MtMegaflow).
+// inherits another flow's attribution or offload placement state. Runs with
+// one datapath worker and with several (the record lives on the flow
+// handle's entry, shard 0's replica).
 #include <gtest/gtest.h>
 
 #include "sim/clock.h"
@@ -53,12 +54,12 @@ class FlowRecordTest : public ::testing::TestWithParam<size_t> {
     clock_.advance(kSecond);
     sw_->run_maintenance(clock_.now());
   }
-  DpBackend::FlowRef only_flow() {
-    const std::vector<DpBackend::FlowRef> flows = sw_->backend().dump();
+  Datapath::FlowRef only_flow() {
+    const std::vector<Datapath::FlowRef> flows = sw_->backend().dump();
     EXPECT_EQ(flows.size(), 1u);
     return flows.empty() ? nullptr : flows[0];
   }
-  const FlowRecord& record(DpBackend::FlowRef f) {
+  const FlowRecord& record(Datapath::FlowRef f) {
     return sw_->backend().flow_record(f);
   }
 
@@ -75,7 +76,7 @@ TEST_P(FlowRecordTest, BackendInstallPushesNothingUntilRefreshed) {
   const Packet p = pkt_to(Ipv4(10, 0, 0, 1), 150);
   const XlateResult xr =
       sw_->pipeline().translate(p.key, clock_.now(), /*side_effects=*/false);
-  DpBackend::FlowRef f =
+  Datapath::FlowRef f =
       sw_->backend().install(xr.megaflow, xr.actions, clock_.now(), &p.key);
   ASSERT_NE(f, nullptr);
   EXPECT_FALSE(record(f).captured);
@@ -101,14 +102,14 @@ TEST_P(FlowRecordTest, DuplicateInstallKeepsFirstRecord) {
   const Packet p = pkt_to(Ipv4(10, 0, 0, 2));
   send(p, 3);
   poll();
-  DpBackend::FlowRef f = only_flow();
+  Datapath::FlowRef f = only_flow();
   ASSERT_NE(f, nullptr);
   ASSERT_TRUE(record(f).captured);
   ASSERT_EQ(record(f).pushed_packets, 3u);
   const RuleRefs rules = record(f).rules;
   ASSERT_EQ(rules.size(), 1u);
 
-  DpBackend::FlowRef dup = sw_->backend().install(
+  Datapath::FlowRef dup = sw_->backend().install(
       sw_->backend().flow_match(f), DpActions().output(2), clock_.now());
   EXPECT_EQ(dup, f);
   EXPECT_EQ(sw_->backend().flow_count(), 1u);
@@ -136,7 +137,7 @@ TEST_P(FlowRecordTest, CrashBlanksRecordsAndAdoptionSeedsPushedCounters) {
   sw_->crash();
   EXPECT_EQ(sw_->attribution_count(), 0u);
   ASSERT_EQ(sw_->backend().flow_count(), 4u);
-  for (DpBackend::FlowRef f : sw_->backend().dump()) {
+  for (Datapath::FlowRef f : sw_->backend().dump()) {
     const FlowRecord& rec = record(f);
     EXPECT_FALSE(rec.captured);
     EXPECT_TRUE(rec.rules.empty());
@@ -148,7 +149,7 @@ TEST_P(FlowRecordTest, CrashBlanksRecordsAndAdoptionSeedsPushedCounters) {
   ASSERT_TRUE(sw_->restart(clock_.now()));
   EXPECT_EQ(sw_->counters().flows_adopted, 4u);
   EXPECT_EQ(sw_->attribution_count(), 4u);
-  for (DpBackend::FlowRef f : sw_->backend().dump()) {
+  for (Datapath::FlowRef f : sw_->backend().dump()) {
     const FlowRecord& rec = record(f);
     EXPECT_TRUE(rec.captured);
     EXPECT_EQ(rec.pushed_packets, sw_->backend().flow_packets(f));
@@ -169,7 +170,7 @@ TEST_P(FlowRecordTest, ReinstalledFlowStartsFresh) {
   const Packet p = pkt_to(Ipv4(10, 0, 0, 3));
   send(p, 6);
   poll();
-  DpBackend::FlowRef f = only_flow();
+  Datapath::FlowRef f = only_flow();
   ASSERT_NE(f, nullptr);
   ASSERT_TRUE(record(f).captured);
   ASSERT_EQ(record(f).pushed_packets, 6u);
@@ -180,7 +181,7 @@ TEST_P(FlowRecordTest, ReinstalledFlowStartsFresh) {
   const DpActions actions = sw_->backend().flow_actions(f);
   sw_->backend().remove(f);
   sw_->backend().purge_dead();
-  DpBackend::FlowRef g =
+  Datapath::FlowRef g =
       sw_->backend().install(match, actions, clock_.now(), &p.key);
   ASSERT_NE(g, nullptr);
   const FlowRecord& rec = record(g);
@@ -203,7 +204,7 @@ TEST_P(FlowRecordTest, FirstPlacementScoresLifetimeCount) {
   build(/*offload_slots=*/4);
   const Packet p = pkt_to(Ipv4(10, 0, 0, 4));
   send(p, 7);
-  DpBackend::FlowRef f = only_flow();
+  Datapath::FlowRef f = only_flow();
   ASSERT_NE(f, nullptr);
   ASSERT_FALSE(record(f).seen);
   const uint64_t lifetime = sw_->backend().flow_packets(f);

@@ -28,10 +28,9 @@ SwitchConfig with_workers(size_t workers) {
   return cfg;
 }
 
-// Every case runs on both backends, so the per-flow record is exercised on
-// both entry types: FlowStatsTest drives the single-threaded datapath
-// (MegaflowEntry), ShardedFlowStatsTest a four-worker sharded one
-// (MtMegaflow). The case bodies are fixture members shared by the two.
+// Every case runs with one datapath worker (FlowStatsTest) and with four
+// (ShardedFlowStatsTest), whose flow counters sum four replicas. The case
+// bodies are fixture members shared by the two.
 class FlowStatsFixture : public ::testing::Test {
  protected:
   explicit FlowStatsFixture(size_t workers) : sw_(with_workers(workers)) {}

@@ -1,6 +1,8 @@
-// Tests for the multi-worker (PMD-style) datapath: shared concurrent
-// megaflow table, per-worker EMC shards, QSBR grace periods (§4.1).
-#include "datapath/mt_datapath.h"
+// Tests for the datapath's worker shards (PMD-style, §4.1): per-worker
+// single-writer copies of the megaflow cache, each with its own EMC, kept
+// in lockstep by the control path, and concurrent workers against a
+// churning control thread.
+#include "datapath/datapath.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,7 @@
 namespace ovs {
 namespace {
 
-using Path = ShardedDatapath::Path;
+using Path = Datapath::Path;
 
 Packet tcp_pkt(Ipv4 dst, uint16_t sport, uint16_t dport) {
   Packet p;
@@ -29,17 +31,16 @@ Packet tcp_pkt(Ipv4 dst, uint16_t sport, uint16_t dport) {
   return p;
 }
 
-std::vector<ShardedDatapath::RxResult> run_batch(ShardedDatapath& dp,
-                                                 size_t worker,
-                                                 const std::vector<Packet>& b,
-                                                 uint64_t now) {
-  std::vector<ShardedDatapath::RxResult> res(b.size());
+std::vector<Datapath::RxResult> run_batch(Datapath& dp, size_t worker,
+                                          const std::vector<Packet>& b,
+                                          uint64_t now) {
+  std::vector<Datapath::RxResult> res(b.size());
   dp.process_batch(worker, b, now, res.data());
   return res;
 }
 
 TEST(MtDatapathTest, MissQueuesUpcall) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   testutil::UpcallCollector up(dp);
   auto res = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 9, 9, 9), 1, 2)}, 0);
   EXPECT_EQ(res[0].path, Path::kMiss);
@@ -51,9 +52,9 @@ TEST(MtDatapathTest, MissQueuesUpcall) {
 }
 
 TEST(MtDatapathTest, MegaflowThenHintHit) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef e = dp.install(m, DpActions().output(2), 0);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(dp.flow_count(), 1u);
   EXPECT_EQ(dp.mask_count(), 1u);
@@ -63,36 +64,44 @@ TEST(MtDatapathTest, MegaflowThenHintHit) {
   ASSERT_NE(r1[0].actions, nullptr);
   EXPECT_EQ(r1[0].actions->to_string(), "output:2");
 
-  // Same microflow again: the EMC hint points at the right tuple.
+  // Same microflow again: worker 0's EMC hints at its own replica.
   auto r2 = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 20);
   EXPECT_EQ(r2[0].path, Path::kMicroflowHit);
 
   EXPECT_EQ(dp.stats().microflow_hits, 1u);
   EXPECT_EQ(dp.stats().megaflow_hits, 1u);
+  EXPECT_EQ(dp.flow_packets(e), 2u);
+  EXPECT_EQ(dp.flow_bytes(e), 200u);
+  EXPECT_EQ(dp.flow_used_ns(e), 20u);
+
+  // Another worker's traffic lands on its own replica; the flow's counters
+  // sum the replicas and its last-used time is the latest of them.
+  run_batch(dp, 3, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 15);
+  EXPECT_EQ(dp.flow_packets(e), 3u);
+  EXPECT_EQ(dp.flow_bytes(e), 300u);
+  EXPECT_EQ(dp.flow_used_ns(e), 20u);
   EXPECT_EQ(e->packets(), 2u);
-  EXPECT_EQ(e->bytes(), 200u);
-  EXPECT_EQ(e->used_ns(), 20u);
 }
 
 TEST(MtDatapathTest, DuplicateInstallReturnsExisting) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
-  MtMegaflow* a = dp.install(m, DpActions().output(2), 0);
-  MtMegaflow* b = dp.install(m, DpActions().output(3), 0);
+  Datapath::FlowRef a = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef b = dp.install(m, DpActions().output(3), 0);
   EXPECT_EQ(a, b);
   EXPECT_EQ(dp.flow_count(), 1u);
 }
 
 TEST(MtDatapathTest, BurstDedupGroupsStats) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef e = dp.install(m, DpActions().output(2), 0);
 
   // 32 copies of one microflow: the leader does the single classifier
   // search, every follower is a microflow hit, stats bump once.
   std::vector<Packet> burst(32, tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6));
-  std::vector<ShardedDatapath::RxResult> res(burst.size());
-  ShardedDatapath::BatchSummary sum;
+  std::vector<Datapath::RxResult> res(burst.size());
+  Datapath::BatchSummary sum;
   dp.process_batch(0, burst, 50, res.data(), &sum);
 
   EXPECT_EQ(res[0].path, Path::kMegaflowHit);
@@ -104,14 +113,14 @@ TEST(MtDatapathTest, BurstDedupGroupsStats) {
   EXPECT_EQ(sum.emc_probes, 1u);
   EXPECT_EQ(sum.megaflow_lookups, 1u);
   EXPECT_EQ(sum.groups, 1u);
-  EXPECT_EQ(e->packets(), 32u);
-  EXPECT_EQ(e->bytes(), 3200u);
+  EXPECT_EQ(dp.flow_packets(e), 32u);
+  EXPECT_EQ(dp.flow_bytes(e), 3200u);
 }
 
 TEST(MtDatapathTest, RemoveIsDeferredAndStaleHintCorrected) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef e = dp.install(m, DpActions().output(2), 0);
 
   run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 10);  // install hint
   dp.remove(e);
@@ -129,47 +138,69 @@ TEST(MtDatapathTest, RemoveIsDeferredAndStaleHintCorrected) {
 }
 
 TEST(MtDatapathTest, UpdateActionsSwapsRcuStyle) {
-  ShardedDatapath dp;
+  Datapath dp({}, 4);
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  Datapath::FlowRef e = dp.install(m, DpActions().output(2), 0);
 
   auto r1 = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 10);
   EXPECT_EQ(r1[0].actions->to_string(), "output:2");
 
+  // The update reaches every worker's replica, EMC-hinted or not.
   dp.update_actions(e, DpActions().output(7));
   auto r2 = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 20);
+  EXPECT_EQ(r2[0].path, Path::kMicroflowHit);
   EXPECT_EQ(r2[0].actions->to_string(), "output:7");
-  dp.purge_dead();  // frees the retired "output:2" list
+  auto r3 = run_batch(dp, 2, {tcp_pkt(Ipv4(9, 1, 2, 3), 5, 6)}, 20);
+  EXPECT_EQ(r3[0].actions->to_string(), "output:7");
+  EXPECT_EQ(dp.flow_actions(e).to_string(), "output:7");
 }
 
-TEST(MtDatapathTest, TupleDirectoryCapacity) {
-  ShardedDatapathConfig cfg;
-  cfg.max_tuples = 1;
-  ShardedDatapath dp(cfg);
-  EXPECT_NE(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
-                       DpActions().output(1), 0),
-            nullptr);
-  // Same mask reuses the tuple; a second mask does not fit.
-  EXPECT_NE(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
+TEST(MtDatapathTest, FlowCapHoldsAcrossShards) {
+  DatapathConfig cfg;
+  cfg.max_flows = 2;
+  Datapath dp(cfg, 4);
+  Datapath::FlowRef a =
+      dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
+                 DpActions().output(1), 0);
+  ASSERT_NE(a, nullptr);
+  EXPECT_NE(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 16),
                        DpActions().output(2), 0),
             nullptr);
-  EXPECT_EQ(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(11, 0, 0, 0), 16),
+  // The third flow does not fit; a re-install of an existing one still
+  // returns it. The refusal is counted once, not once per shard.
+  EXPECT_EQ(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(11, 0, 0, 0), 8),
                        DpActions().output(3), 0),
             nullptr);
+  EXPECT_EQ(dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
+                       DpActions().output(1), 0),
+            a);
+  EXPECT_EQ(dp.stats().install_fail_full, 1u);
+  EXPECT_EQ(dp.flow_count(), 2u);
+  EXPECT_EQ(dp.mask_count(), 2u);
+  // Every worker resolves both flows, and nothing else.
+  for (size_t w = 0; w < dp.n_workers(); ++w) {
+    auto r = run_batch(dp, w,
+                       {tcp_pkt(Ipv4(9, 1, 1, 1), 1, 1),
+                        tcp_pkt(Ipv4(10, 0, 2, 2), 1, 1),
+                        tcp_pkt(Ipv4(11, 1, 1, 1), 1, 1)},
+                       10);
+    EXPECT_EQ(r[0].path, Path::kMegaflowHit) << "worker " << w;
+    EXPECT_EQ(r[1].path, Path::kMegaflowHit) << "worker " << w;
+    EXPECT_EQ(r[2].path, Path::kMiss) << "worker " << w;
+  }
 }
 
 TEST(MtDatapathTest, WorkersSeeSharedTable) {
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 2;
-  ShardedDatapath dp(cfg);
+  Datapath dp({}, 2);
   dp.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   auto r0 = run_batch(dp, 0, {tcp_pkt(Ipv4(9, 1, 1, 1), 1, 1)}, 10);
   auto r1 = run_batch(dp, 1, {tcp_pkt(Ipv4(9, 2, 2, 2), 2, 2)}, 10);
   EXPECT_EQ(r0[0].path, Path::kMegaflowHit);
   EXPECT_EQ(r1[0].path, Path::kMegaflowHit);
-  // EMC shards are private: worker 0 resolved 9.1.1.1, but worker 1's shard
-  // has no hint for it, so worker 1 does a full search...
+  // Every shard holds the flow, but EMCs are private: worker 0 resolved
+  // 9.1.1.1, and worker 1's EMC has no hint for it, so worker 1 does a full
+  // search...
   auto r2 = run_batch(dp, 1, {tcp_pkt(Ipv4(9, 1, 1, 1), 1, 1)}, 20);
   EXPECT_EQ(r2[0].path, Path::kMegaflowHit);
   // ...which installed worker 1's own hint.
@@ -181,13 +212,13 @@ TEST(MtDatapathTest, WorkersSeeSharedTable) {
 // bursts, run to completion, while the control thread churns install /
 // update_actions / remove / purge_dead over an overlapping rule set.
 TEST(MtDatapathTest, ConcurrentChurnStress) {
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 4;
-  cfg.emc_capacity_per_shard = 512;
-  ShardedDatapath dp(cfg);
+  DatapathConfig cfg;
+  cfg.microflow_sets = 256;  // 512 EMC slots per worker
+  constexpr size_t kWorkers = 4;
+  Datapath dp(cfg, kWorkers);
 
   constexpr int kPrefixes = 16;
-  std::vector<MtMegaflow*> live(kPrefixes, nullptr);
+  std::vector<Datapath::FlowRef> live(kPrefixes, nullptr);
   for (int i = 0; i < kPrefixes; ++i) {
     live[i] = dp.install(
         MatchBuilder().ip().nw_dst_prefix(Ipv4(uint8_t(10 + i), 0, 0, 0), 8),
@@ -203,10 +234,10 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
   });
   std::atomic<uint64_t> delivered{0};
   dp.set_batch_callback(
-      [&](size_t, std::span<const ShardedDatapath::RxResult> res) {
+      [&](size_t, std::span<const Datapath::RxResult> res) {
         // Touch every result: actions pointers must stay valid for the
-        // whole read-side critical section even while the control thread
-        // removes and retires entries.
+        // whole burst even while the control thread removes and retires
+        // entries.
         uint64_t n = 0;
         for (const auto& r : res)
           if (r.actions != nullptr && !r.actions->drops()) ++n;
@@ -242,13 +273,13 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
   // Worker w runs bursts w, w + n_workers, ... (the burst-to-worker
   // assignment of one rx queue per worker).
   std::vector<std::thread> workers;
-  for (size_t w = 0; w < cfg.n_workers; ++w) {
+  for (size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
       Rng rng(0xFEED + w);
       std::vector<Packet> burst(kBurstLen);
-      std::vector<ShardedDatapath::RxResult> res(kBurstLen);
+      std::vector<Datapath::RxResult> res(kBurstLen);
       for (int b = static_cast<int>(w); b < kBursts;
-           b += static_cast<int>(cfg.n_workers)) {
+           b += static_cast<int>(kWorkers)) {
         for (Packet& p : burst) {
           p = tcp_pkt(Ipv4(uint8_t(10 + rng.uniform(kPrefixes + 2)),  // some
                            uint8_t(rng.uniform(4)), 1, 1),  // always miss
@@ -269,6 +300,20 @@ TEST(MtDatapathTest, ConcurrentChurnStress) {
   EXPECT_EQ(upcalls + s.upcall_drops, s.misses);
   EXPECT_GT(upcalls, 0u);
   EXPECT_GT(delivered.load(), 0u);
+
+  // The shards stayed in lockstep: every worker forwards each surviving
+  // flow with that flow's current actions, and no EMC hint dangles.
+  EXPECT_EQ(dp.emc_dangling_hints(), 0u);
+  for (int i = 0; i < kPrefixes; ++i) {
+    if (live[i] == nullptr) continue;
+    for (size_t w = 0; w < kWorkers; ++w) {
+      const Packet p = tcp_pkt(Ipv4(uint8_t(10 + i), 9, 9, 9), 1, 80);
+      auto r = run_batch(dp, w, {p}, uint64_t(kBursts) * 1000);
+      ASSERT_NE(r[0].actions, nullptr);
+      EXPECT_EQ(*r[0].actions, dp.flow_actions(live[i]))
+          << "prefix " << i << " worker " << w;
+    }
+  }
 }
 
 }  // namespace

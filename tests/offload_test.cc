@@ -1,14 +1,13 @@
 // Simulated NIC hardware-offload tier tests (DESIGN.md §13): the table
 // itself, earned-slot placement with hysteresis, revalidation keeping slots
-// coherent, crash/restart adopt-or-flush, and the sharded backend's
-// RCU-published view semantics.
+// coherent, crash/restart adopt-or-flush, and the per-worker copies of the
+// table a multi-worker datapath keeps in lockstep.
 #include "datapath/offload_table.h"
 
 #include <gtest/gtest.h>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "datapath/dp_check.h"
-#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "vswitchd/switch.h"
 
@@ -39,11 +38,11 @@ TEST(OffloadTableTest, InstallProbeEvict) {
   const Match ma = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
   const Match mb = MatchBuilder().ip().nw_dst_prefix(Ipv4(20, 0, 0, 0), 8);
 
-  EXPECT_TRUE(t.install(ma, DpActions().output(2), &owner_a, 5));
-  EXPECT_FALSE(t.install(ma, DpActions().output(2), &owner_a, 5))
+  EXPECT_TRUE(t.install(ma, DpActions().output(2), &owner_a, &owner_a, 5));
+  EXPECT_FALSE(t.install(ma, DpActions().output(2), &owner_a, &owner_a, 5))
       << "an owner holds at most one slot";
-  EXPECT_TRUE(t.install(mb, DpActions().output(3), &owner_b, 6));
-  EXPECT_FALSE(t.install(ma, DpActions().output(4), &owner_c, 7))
+  EXPECT_TRUE(t.install(mb, DpActions().output(3), &owner_b, &owner_b, 6));
+  EXPECT_FALSE(t.install(ma, DpActions().output(4), &owner_c, &owner_c, 7))
       << "table full";
   EXPECT_EQ(t.size(), 2u);
 
@@ -64,27 +63,36 @@ TEST(OffloadTableTest, InstallProbeEvict) {
   ASSERT_NE(t.probe(make_udp(20).key), nullptr);
 }
 
-TEST(OffloadTableTest, CloneSharesCountersButNotSlots) {
-  OffloadTable t(4);
-  int owner = 0;
-  ASSERT_TRUE(t.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
-                        DpActions().output(2), &owner, 0));
-  const std::unique_ptr<OffloadTable> view = t.clone();
+TEST(OffloadTableTest, LockstepCopiesNameSlotsAlike) {
+  // Two workers' copies of the table: one owner (the flow handle), one
+  // replica each (the entry a hit on that copy credits).
+  OffloadTable t0(4), t1(4);
+  int owner = 0, replica1 = 0;
+  const Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8);
+  ASSERT_TRUE(t0.install(m, DpActions().output(2), &owner, &owner, 0));
+  ASSERT_TRUE(t1.install(m, DpActions().output(2), &owner, &replica1, 0));
+  const OffloadTable::Entry* e0 = t0.probe(make_udp(10).key);
+  const OffloadTable::Entry* e1 = t1.probe(make_udp(10).key);
+  ASSERT_NE(e0, nullptr);
+  ASSERT_NE(e1, nullptr);
+  EXPECT_EQ(e0->owner, e1->owner);
+  EXPECT_EQ(e1->replica, &replica1);
 
-  // Credit a hit against the clone, the way a worker credits a published
-  // view; the master's slot must see it (shared counters).
-  const OffloadTable::Entry* ve = view->probe(make_udp(10).key);
-  ASSERT_NE(ve, nullptr);
-  ve->counters->hits.fetch_add(7, std::memory_order_relaxed);
-  EXPECT_EQ(t.find(&owner)->counters->hits.load(std::memory_order_relaxed),
-            7u);
+  // Each copy counts its own hits.
+  e1->hits.fetch_add(7, std::memory_order_relaxed);
+  EXPECT_EQ(t0.find(&owner)->hits.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(t1.find(&owner)->hits.load(std::memory_order_relaxed), 7u);
 
-  // Slot membership is a deep copy: evicting from the master leaves the
-  // old view intact (readers drain on the retired clone).
-  EXPECT_TRUE(t.evict(&owner));
-  EXPECT_NE(view->probe(make_udp(10).key), nullptr);
-  EXPECT_EQ(view->size(), 1u);
-  EXPECT_EQ(t.size(), 0u);
+  // An orphaned slot names the same (nonexistent) owner in every copy, so
+  // one flush by that owner clears them all.
+  ASSERT_TRUE(t0.corrupt(0, OffloadTable::Corruption::kOrphanSlot));
+  ASSERT_TRUE(t1.corrupt(0, OffloadTable::Corruption::kOrphanSlot));
+  const void* orphan = t0.probe(make_udp(10).key)->owner;
+  EXPECT_NE(orphan, &owner);
+  EXPECT_EQ(t1.probe(make_udp(10).key)->owner, orphan);
+  EXPECT_TRUE(t0.evict(orphan));
+  EXPECT_TRUE(t1.evict(orphan));
+  EXPECT_EQ(t0.size() + t1.size(), 0u);
 }
 
 // --- Earned-slot placement through the Switch revalidator -------------------
@@ -290,47 +298,40 @@ TEST_F(OffloadPlacementTest, RestartFlushesIncoherentSlot) {
   EXPECT_TRUE(run_dp_check(sw_->backend()).ok());
 }
 
-// --- Sharded backend: RCU view publication ----------------------------------
+// --- Worker shards: one table copy per worker ------------------------------
 
-TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
-  ShardedDatapathConfig cfg;
-  cfg.n_workers = 2;
+TEST(OffloadMtTest, SlotVisibleToEveryWorkerOnInstall) {
+  DatapathConfig cfg;
   cfg.offload_slots = 4;
-  cfg.emc_enabled = false;  // keep the non-offload path deterministic
-  ShardedDatapath be{cfg};
-  DpBackend::FlowRef f = be.install(
+  cfg.microflow_enabled = false;  // keep the non-offload path deterministic
+  Datapath be(cfg, 2);
+  Datapath::FlowRef f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
       DpActions().output(2), 0);
   ASSERT_NE(f, nullptr);
 
   const Packet p = make_udp(10);
-  EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kMegaflowHit);
+  EXPECT_EQ(be.receive(0, p, 0).path, Datapath::Path::kMegaflowHit);
 
-  // Programmed in the master but not yet published: the fast path still
-  // serves from the megaflow table.
+  // Programmed into every worker's copy in the same call.
   ASSERT_TRUE(be.offload_install(f, 0));
   EXPECT_TRUE(be.offload_contains(f));
-  EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kMegaflowHit);
+  EXPECT_EQ(be.receive(0, p, 0).path, Datapath::Path::kOffloadHit);
+  EXPECT_EQ(be.receive(1, p, 0).path, Datapath::Path::kOffloadHit);
 
-  be.offload_commit();
-  EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kOffloadHit);
-
-  // Hits credited against the published view reach the master's slot, and
-  // the owner megaflow was credited too (ledger conservation).
+  // The dump sums the copies' hits, and each copy credited its own replica
+  // of the owner megaflow (ledger conservation).
   uint64_t slot_hits = 0;
-  for (const DpBackend::OffloadSlot& s : be.offload_dump())
+  for (const Datapath::OffloadSlot& s : be.offload_dump())
     slot_hits += s.hits;
-  EXPECT_EQ(slot_hits, 1u);
+  EXPECT_EQ(slot_hits, 2u);
   EXPECT_EQ(be.flow_packets(f), 3u);
   EXPECT_TRUE(run_dp_check(be).ok());
 
-  // Eviction publishes through purge_dead (the revalidator's end-of-pass
-  // barrier) or an explicit commit.
+  // Eviction also reaches every copy at once.
   ASSERT_TRUE(be.offload_evict(f));
-  EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kOffloadHit)
-      << "stale published view still serves until the next commit";
-  be.offload_commit();
-  EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kMegaflowHit);
+  EXPECT_EQ(be.receive(0, p, 0).path, Datapath::Path::kMegaflowHit);
+  EXPECT_EQ(be.receive(1, p, 0).path, Datapath::Path::kMegaflowHit);
 }
 
 TEST(OffloadMtTest, ShardedSwitchServesOffloadHits) {
@@ -348,7 +349,7 @@ TEST(OffloadMtTest, ShardedSwitchServesOffloadHits) {
   sw.inject_batch(burst, clock.now());
   sw.handle_upcalls(clock.now());
   clock.advance(kSecond);
-  sw.run_maintenance(clock.now());  // placement + publish
+  sw.run_maintenance(clock.now());  // placement
   ASSERT_EQ(sw.backend().offload_size(), 1u);
 
   const auto before = sw.backend().stats().offload_hits;

@@ -81,15 +81,15 @@ class PreciseCtRevalTest : public ::testing::TestWithParam<size_t> {
 
   // The actions of the installed flow covering `p` ("" when none does).
   std::string actions_of(const Packet& p) {
-    const DpBackend& be = sw_->backend();
-    for (DpBackend::FlowRef f : be.dump())
+    const Datapath& be = sw_->backend();
+    for (Datapath::FlowRef f : be.dump())
       if (be.flow_match(f).matches(p.key)) return be.flow_actions(f).to_string();
     return "";
   }
 
   const FlowRecord* record_of(const Packet& p) {
-    const DpBackend& be = sw_->backend();
-    for (DpBackend::FlowRef f : be.dump())
+    const Datapath& be = sw_->backend();
+    for (Datapath::FlowRef f : be.dump())
       if (be.flow_match(f).matches(p.key)) return &be.flow_record(f);
     return nullptr;
   }

@@ -156,7 +156,7 @@ TEST(RestartRecoveryTest, RestartAdoptsRepairsAndDeletesInOnePass) {
   EXPECT_GT(c.reconcile_blackout_cycles, 0u);
 
   // Every surviving flow now answers exactly like a fresh translation.
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
+  for (Datapath::FlowRef f : sw.backend().dump()) {
     const XlateResult want =
         sw.pipeline().translate(sw.backend().flow_match(f).key, clock.now(),
                                 /*side_effects=*/false);
@@ -448,7 +448,7 @@ TEST(StatefulRestartTest, CrashFlushesConntrackAndRepairsStaleCtMegaflows) {
   // translation.
   sw.inject(pkt, clock.now());
   EXPECT_EQ("output:2", traces.back());
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
+  for (Datapath::FlowRef f : sw.backend().dump()) {
     const XlateResult want =
         sw.pipeline().translate(sw.backend().flow_match(f).key, clock.now(),
                                 /*side_effects=*/false);

@@ -1,7 +1,7 @@
 // Multi-threaded revalidator tests (§4.3, §6): two-tier tag fast path
 // semantics, MAC-move repair through the plan/apply split, thread-count
-// determinism, and a TSan-targeted churn stress against the sharded
-// backend (RevalidatorStress.*, run under -DVSWITCH_TSAN in CI).
+// determinism, and a TSan-targeted churn stress against concurrent
+// datapath workers (RevalidatorStress.*, run under -DVSWITCH_TSAN in CI).
 #include "vswitchd/revalidator.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "datapath/dp_backend.h"
-#include "datapath/mt_datapath.h"
+#include "datapath/datapath.h"
 #include "ofproto/mac_learning.h"
 #include "vswitchd/switch.h"
 
@@ -205,8 +204,8 @@ TEST(RevalidatorDeterminism, OutcomeIndependentOfThreadCount) {
     sw.run_maintenance(now);
 
     std::multiset<std::string> flows;
-    DpBackend& be = sw.backend();
-    for (DpBackend::FlowRef f : be.dump())
+    Datapath& be = sw.backend();
+    for (Datapath::FlowRef f : be.dump())
       flows.insert(be.flow_match(f).to_string() + " -> " +
                    be.flow_actions(f).to_string());
     return std::tuple(flows, sw.counters().reval_updated_actions,
@@ -267,13 +266,13 @@ TEST(RevalidatorDeterminism, MakespanShrinksWithThreads) {
   EXPECT_LT(s4.makespan_cycles, s1.makespan_cycles / 2);
 }
 
-// TSan churn stress: sharded workers stream packets while the control
-// thread runs multi-threaded plan passes and applies repairs (RCU action
-// swaps, removes, reinstalls). No assertion beyond internal consistency —
+// TSan churn stress: datapath workers stream packets while the control
+// thread runs multi-threaded plan passes and applies repairs (action
+// updates, removes, reinstalls). No assertion beyond internal consistency —
 // the point is the data-race-free execution under -DVSWITCH_TSAN.
 TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
-  ShardedDatapath dp;  // four workers
-  DpBackend* be = &dp;
+  Datapath dp({}, 4);
+  Datapath* be = &dp;
 
   Pipeline pl(/*n_tables=*/4, {});
   pl.add_port(1);
@@ -306,12 +305,12 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
-  for (size_t w = 0; w < dp.config().n_workers; ++w) {
+  for (size_t w = 0; w < dp.n_workers(); ++w) {
     workers.emplace_back([&, w] {
       std::vector<Packet> burst(16);
-      std::vector<ShardedDatapath::RxResult> res(burst.size());
+      std::vector<Datapath::RxResult> res(burst.size());
       for (uint64_t n = w; !stop.load(std::memory_order_relaxed);
-           n += dp.config().n_workers) {
+           n += dp.n_workers()) {
         for (size_t j = 0; j < burst.size(); ++j)
           burst[j] = flow_pkt((n + j) % kFlows);
         // Fixed timestamp: used_ns must never exceed the plan's now_ns, or
@@ -337,7 +336,7 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
               Ipv4(10, 0, 0, static_cast<uint8_t>(pass % kFlows))),
           static_cast<int32_t>(20 + pass), OfActions().output(1));
     }
-    const std::vector<DpBackend::FlowRef> flows = be->dump();
+    const std::vector<Datapath::FlowRef> flows = be->dump();
     const RevalPassStats ps =
         Revalidator::plan(*be, pl, flows, kMs + 1, rc, &plan);
     EXPECT_EQ(ps.examined, flows.size());

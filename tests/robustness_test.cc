@@ -262,7 +262,7 @@ TEST(AccountingTest, DatapathStatsConserve) {
   // Every entry's packet count sums to at most the hits (entries can have
   // been evicted, so <=), and per-entry stats are internally consistent.
   uint64_t entry_pkts = 0;
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
+  for (Datapath::FlowRef f : sw.backend().dump()) {
     const auto* e = static_cast<const MegaflowEntry*>(f);
     entry_pkts += e->packets();
     EXPECT_GE(e->bytes(), e->packets());  // >= 1 byte per packet

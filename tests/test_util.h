@@ -2,8 +2,8 @@
 // linear reference classifier, random rule/packet generators, and the
 // packet/trace builders the switch-level equivalence and recovery suites
 // replay. Keep these header-only and deterministic: equivalence tests
-// replay the same traces across backends and configurations, so a helper
-// that drifts between suites silently weakens the comparison.
+// replay the same traces across worker counts and configurations, so a
+// helper that drifts between suites silently weakens the comparison.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +60,7 @@ class UpcallCollector {
  public:
   std::vector<Packet> pkts;
 
-  explicit UpcallCollector(DpBackend& dp, size_t cap = SIZE_MAX) : dp_(dp) {
+  explicit UpcallCollector(Datapath& dp, size_t cap = SIZE_MAX) : dp_(dp) {
     dp_.set_upcall_sink([this, cap](Packet&& p) {
       if (pkts.size() >= cap) return false;
       pkts.push_back(std::move(p));
@@ -72,16 +72,16 @@ class UpcallCollector {
   UpcallCollector& operator=(const UpcallCollector&) = delete;
 
  private:
-  DpBackend& dp_;
+  Datapath& dp_;
 };
 
 // Canonical rendering of the installed megaflow set, sorted so two caches
-// compare equal regardless of dump order (which differs across backends
-// and install interleavings).
+// compare equal regardless of dump order (which depends on the install and
+// removal interleaving).
 inline std::vector<std::string> canonical_flows(const Switch& sw) {
   std::vector<std::string> out;
-  const DpBackend& be = sw.backend();
-  for (DpBackend::FlowRef f : be.dump())
+  const Datapath& be = sw.backend();
+  for (Datapath::FlowRef f : be.dump())
     out.push_back(be.flow_match(f).to_string() + " -> " +
                   be.flow_actions(f).to_string());
   std::sort(out.begin(), out.end());

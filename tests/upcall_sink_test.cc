@@ -1,4 +1,4 @@
-// The miss path, on both datapaths, driven through DpBackend& only: the
+// The miss path, with one and with four datapath workers: the
 // upcall sink is the one place a missed packet can go. A miss with no sink,
 // like a refusal, is an upcall drop; a delay-faulted upcall is parked and
 // reaches the sink only at flush_delayed_upcalls(), counted once.
@@ -8,7 +8,6 @@
 #include <string>
 
 #include "datapath/datapath.h"
-#include "datapath/dp_backend.h"
 #include "test_util.h"
 #include "util/fault.h"
 
@@ -17,22 +16,23 @@ namespace {
 
 using testutil::dp_tcp_pkt;
 
-// 0: the single datapath; 4: a four-worker sharded one.
+// 0: one worker shard; 4: four.
 class UpcallSinkTest : public ::testing::TestWithParam<size_t> {
  protected:
-  UpcallSinkTest() : be_(make_dp_backend(DatapathConfig{}, GetParam())) {}
+  UpcallSinkTest()
+      : be_(std::make_unique<Datapath>(DatapathConfig{}, GetParam())) {}
 
   // Every packet misses (no flow is installed); sport keeps them distinct.
-  DpBackend::RxResult miss(uint16_t sport) {
+  Datapath::RxResult miss(uint16_t sport) {
     return be_->receive(dp_tcp_pkt(Ipv4(9, 9, 9, 9), sport, 80), 0);
   }
 
-  std::unique_ptr<DpBackend> be_;
+  std::unique_ptr<Datapath> be_;
 };
 
 TEST_P(UpcallSinkTest, MissWithoutSinkCountsAsDrop) {
-  DpBackend& dp = *be_;
-  EXPECT_EQ(miss(1).path, DpBackend::Path::kMiss);
+  Datapath& dp = *be_;
+  EXPECT_EQ(miss(1).path, Datapath::Path::kMiss);
   EXPECT_EQ(dp.stats().misses, 1u);
   EXPECT_EQ(dp.stats().upcall_drops, 1u);
 
@@ -46,13 +46,13 @@ TEST_P(UpcallSinkTest, MissWithoutSinkCountsAsDrop) {
   }
 
   miss(4);  // the collector detached: sinkless again
-  const DpBackend::Stats s = dp.stats();
+  const Datapath::Stats s = dp.stats();
   EXPECT_EQ(s.misses, 4u);
   EXPECT_EQ(s.upcall_drops, 3u);
 }
 
 TEST_P(UpcallSinkTest, DelayedUpcallReachesSinkOnlyAtFlush) {
-  DpBackend& dp = *be_;
+  Datapath& dp = *be_;
   FaultInjector fault(0xD1);
   fault.script(FaultPoint::kUpcallDelay, {0});  // the first miss only
   dp.set_fault_injector(&fault);
@@ -73,7 +73,7 @@ TEST_P(UpcallSinkTest, DelayedUpcallReachesSinkOnlyAtFlush) {
 
   dp.flush_delayed_upcalls();  // nothing left to release
   EXPECT_EQ(up.pkts.size(), 2u);
-  const DpBackend::Stats s = dp.stats();
+  const Datapath::Stats s = dp.stats();
   EXPECT_EQ(s.upcalls_delayed, 1u);
   EXPECT_EQ(s.upcall_drops, 0u);
   EXPECT_EQ(s.misses, 2u);

@@ -234,7 +234,7 @@ TEST(XlateScratch, PlanDecisionsIndependentOfThreadCount) {
   sw.table(3).add_flow(MatchBuilder().reg(1, shadowed.port), 20,
                        OfActions().output(shadowed.port));
 
-  const std::vector<DpBackend::FlowRef> flows = sw.backend().dump();
+  const std::vector<Datapath::FlowRef> flows = sw.backend().dump();
   Revalidator::Config rc;
   rc.idle_ns = ~uint64_t{0} / 2;
   rc.maybe_stale = true;
