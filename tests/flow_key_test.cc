@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "datapath/dp_shared.h"
+#include "datapath/datapath.h"
 #include "packet/match.h"
 #include "util/miniflow.h"
 #include "util/rng.h"
@@ -235,7 +235,7 @@ TEST(FlowKeyHashTest, EmcSetLoadNearUniformOnSequentialTuples) {
   // draws), so the bound is 2x that max. The chi-square bound (expected
   // 4095 +- 91 for random placement) catches clumping that a max alone
   // misses, such as half the sets left empty (chi-square ~65k).
-  constexpr size_t kSets = dpdefault::kEmcSets;
+  constexpr size_t kSets = DatapathConfig{}.microflow_sets;
   constexpr size_t kKeys = 65536;
   constexpr double kMean = static_cast<double>(kKeys) / kSets;
   const FlowKey base = [] {
