@@ -1,17 +1,17 @@
 // Conntrack churn robustness bench (DESIGN.md §15): an attacker zone churns
 // a Zipf-distributed universe of connections through the bounded connection
 // table — explicit commits plus first-packet traffic, so every fresh
-// connection both competes for a conntrack slot and mints a per-connection
-// megaflow — while a quiet victim zone holds a small set of established
-// connections whose packets ride the ct_state=established route.
+// connection competes for a conntrack slot — while a quiet victim zone
+// holds a small set of established connections whose packets ride the
+// ct_state=established route. The datapath runs conntrack and
+// recirculates, so the churn mints no megaflows: a stateful megaflow
+// covers every connection its mask allows.
 //
 // Four configurations run the identical offered load:
 //
 //   off      — fair eviction, degradation policies disabled: the bounded
-//              table alone (the pre-§15 switch with caps);
-//   on       — fair eviction + ct-pressure degradation (ct_pressure_ratio):
-//              sustained occupancy ratchets the megaflow limit down, so the
-//              revalidator stops paying for the churn's cache bloat;
+//              table alone;
+//   on       — fair eviction with the degradation policies on;
 //   unfair   — the eviction-fairness ablation (globally-oldest eviction):
 //              the attacker's churn displaces the idle victim's state;
 //   replay   — the `on` run again from the same seed (determinism gate).
@@ -22,10 +22,9 @@
 //   2. eviction fairness: under fair eviction every victim connection
 //      survives the storm; under the unfair ablation at most half do
 //      (the attacker displaces the quiet zone's state);
-//   3. goodput floor: victim established-route goodput (packets per
-//      modeled CPU-second) with ct-pressure degradation on is at least
-//      `goodput_gate` x the off run's — shedding churn-minted megaflows
-//      buys back revalidation time;
+//   3. churn mints no megaflows: the datapath's flow count never exceeds
+//      `flow_bound` in any run (sampled every tick), however many
+//      connections the storm churns;
 //   4. deterministic replay: two `on` runs from one seed produce identical
 //      counter fingerprints.
 #include <algorithm>
@@ -62,7 +61,10 @@ struct Params {
   size_t victim_per_tick = 500;
   size_t handler_budget = 64;        // upcalls serviced per tick
   double remove_frac = 0.05;         // explicit teardowns per tick
-  double goodput_gate = 1.10;        // on/off victim goodput ratio floor
+  // Megaflows the two services' stages need, whatever the connection
+  // count: one pre-ct flow per service, one post-ct flow per ct_state each
+  // service's connections reach.
+  size_t flow_bound = 16;
   uint64_t seed = 23;
 };
 
@@ -85,12 +87,8 @@ struct Outcome {
   size_t victim_survivors = 0; // victim conns still established at end
   uint64_t victim_est_delivered = 0;  // packets out the established route
   double cpu_cycles = 0;       // user+kernel delta over the storm
-  uint64_t pressure_engaged = 0;
+  uint64_t flows_peak = 0;     // max datapath flow count sampled per tick
   uint64_t flows_at_end = 0;
-  // Precise ct revalidation, summed over passes: flows whose connection
-  // changed, and the tracker's changed-set size (DESIGN.md §15).
-  uint64_t reval_ct_changed = 0;
-  uint64_t ct_changed_keys = 0;
   std::vector<uint64_t> fingerprint;
 
   double goodput(const CostModel& cost) const {
@@ -117,10 +115,9 @@ FlowKey conn_key(uint32_t id, uint16_t service, uint32_t in_port) {
 Outcome run_churn(Config config, const Params& P) {
   SwitchConfig cfg;
   cfg.flow_limit = 20000;
-  cfg.ct_max_entries = P.ct_cap;
-  cfg.ct_fair_eviction = config != Config::kUnfair;
+  cfg.datapath.conntrack.max_entries = P.ct_cap;
+  cfg.datapath.conntrack.fair_eviction = config != Config::kUnfair;
   cfg.degradation.enabled = config != Config::kOff;
-  if (config != Config::kOff) cfg.degradation.ct_pressure_ratio = 0.9;
   Switch sw(cfg);
   for (uint32_t p : {kAttackPort, kVictimPort, kNewRoute, kEstRoute})
     sw.add_port(p);
@@ -190,6 +187,8 @@ Outcome run_churn(Config config, const Params& P) {
     const uint64_t sz = sw.conntrack().size();
     out.ct_size_peak = std::max(out.ct_size_peak, sz);
     if (sz > P.ct_cap) out.bounded = false;
+    out.flows_peak = std::max<uint64_t>(out.flows_peak,
+                                        sw.backend().flow_count());
     clock.advance(kMillisecond);
     if ((tick + 1) % 50 == 0) sw.run_maintenance(clock.now());
   }
@@ -202,16 +201,13 @@ Outcome run_churn(Config config, const Params& P) {
         ct_state::kEstablished)
       ++out.victim_survivors;
 
-  const ConnTracker::Stats& cs = sw.conntrack().stats();
+  const ConnTracker::Stats cs = sw.conntrack().stats();
   out.committed = cs.committed;
   out.evicted = cs.evicted_zone_cap + cs.evicted_global_cap;
-  out.pressure_engaged = sw.counters().ct_pressure_engaged;
   out.flows_at_end = sw.backend().flow_count();
 
   const Switch::Counters& c = sw.counters();
-  const Datapath::Stats& dp = sw.backend().stats();
-  out.reval_ct_changed = c.reval_ct_changed;
-  out.ct_changed_keys = c.ct_changed_keys;
+  const Datapath::Stats dp = sw.backend().stats();
   out.fingerprint = {cs.committed,
                      cs.refreshed,
                      cs.removed,
@@ -223,15 +219,13 @@ Outcome run_churn(Config config, const Params& P) {
                      c.upcalls_handled,
                      c.upcalls_dropped,
                      c.flow_limit_backoffs,
-                     c.ct_pressure_engaged,
                      c.evicted_flow_limit,
-                     c.reval_ct_changed,
-                     c.ct_changed_keys,
                      c.tx_packets,
                      dp.packets,
                      dp.misses,
                      out.victim_est_delivered,
                      out.flows_at_end,
+                     out.flows_peak,
                      out.ct_size_peak,
                      static_cast<uint64_t>(out.victim_survivors)};
   return out;
@@ -239,17 +233,13 @@ Outcome run_churn(Config config, const Params& P) {
 
 void print_row(Config cfg, const Outcome& o, const CostModel& cost) {
   std::printf(
-      "%-7s %10llu %10llu %8llu %7s %9zu %12.0f %8llu %7llu %9llu %9llu\n",
-      config_name(cfg),
-              static_cast<unsigned long long>(o.committed),
-              static_cast<unsigned long long>(o.evicted),
-              static_cast<unsigned long long>(o.ct_size_peak),
-              o.bounded ? "yes" : "NO",
-              o.victim_survivors, o.goodput(cost),
-              static_cast<unsigned long long>(o.pressure_engaged),
-              static_cast<unsigned long long>(o.flows_at_end),
-              static_cast<unsigned long long>(o.reval_ct_changed),
-              static_cast<unsigned long long>(o.ct_changed_keys));
+      "%-7s %10llu %10llu %8llu %7s %9zu %12.0f %10llu %7llu\n",
+      config_name(cfg), static_cast<unsigned long long>(o.committed),
+      static_cast<unsigned long long>(o.evicted),
+      static_cast<unsigned long long>(o.ct_size_peak),
+      o.bounded ? "yes" : "NO", o.victim_survivors, o.goodput(cost),
+      static_cast<unsigned long long>(o.flows_peak),
+      static_cast<unsigned long long>(o.flows_at_end));
 }
 
 void report_run(BenchReport& report, Config cfg, const Outcome& o,
@@ -263,12 +253,7 @@ void report_run(BenchReport& report, Config cfg, const Outcome& o,
              params);
   report.add("victim_goodput_pps", o.goodput(cost), params,
              o.victim_est_delivered);
-  report.add("pressure_engaged", static_cast<double>(o.pressure_engaged),
-             params);
-  report.add("reval_ct_changed", static_cast<double>(o.reval_ct_changed),
-             params);
-  report.add("ct_changed_keys", static_cast<double>(o.ct_changed_keys),
-             params);
+  report.add("flows_peak", static_cast<double>(o.flows_peak), params);
 }
 
 }  // namespace
@@ -287,7 +272,7 @@ int main(int argc, char** argv) {
   P.attack_per_tick = flags.u64("attack_per_tick", P.attack_per_tick);
   P.ct_cap = flags.u64("ct_cap", P.ct_cap);
   P.zipf_alpha = flags.f64("zipf_alpha", P.zipf_alpha);
-  P.goodput_gate = flags.f64("goodput_gate", P.goodput_gate);
+  P.flow_bound = flags.u64("flow_bound", P.flow_bound);
   P.seed = flags.u64("seed", P.seed);
   const CostModel cost;
 
@@ -296,11 +281,11 @@ int main(int argc, char** argv) {
               "%zu victim conns, %zu ticks x %zu commits\n",
               P.conn_universe, P.zipf_alpha, P.ct_cap, P.victim_conns,
               P.ticks, P.attack_per_tick);
-  print_rule('=', 98);
-  std::printf("%-7s %10s %10s %8s %7s %9s %12s %8s %7s %9s %9s\n", "config",
+  print_rule('=', 90);
+  std::printf("%-7s %10s %10s %8s %7s %9s %12s %10s %7s\n", "config",
               "committed", "evicted", "ct_peak", "bounded", "survivors",
-              "goodput_pps", "engaged", "flows", "ct_chg", "chg_keys");
-  print_rule('-', 98);
+              "goodput_pps", "flows_peak", "flows");
+  print_rule('-', 90);
 
   const Outcome off = run_churn(Config::kOff, P);
   print_row(Config::kOff, off, cost);
@@ -312,17 +297,17 @@ int main(int argc, char** argv) {
   print_row(Config::kUnfair, unfair, cost);
   report_run(report, Config::kUnfair, unfair, cost);
   const Outcome replay = run_churn(Config::kOn, P);
-  print_rule('-', 98);
+  print_rule('-', 90);
 
   const bool gate_bounded = off.bounded && on.bounded && unfair.bounded &&
                             replay.bounded;
   const bool gate_fair = on.victim_survivors == P.victim_conns &&
                          off.victim_survivors == P.victim_conns &&
                          unfair.victim_survivors * 2 <= P.victim_conns;
-  const double ratio =
-      on.goodput(cost) / std::max(1e-9, off.goodput(cost));
-  const bool gate_goodput =
-      ratio >= P.goodput_gate && on.pressure_engaged >= 1;
+  const uint64_t flows_peak =
+      std::max({off.flows_peak, on.flows_peak, unfair.flows_peak,
+                replay.flows_peak});
+  const bool gate_flows = flows_peak <= P.flow_bound;
   const bool deterministic = on.fingerprint == replay.fingerprint;
 
   std::printf("bounded memory (ct size <= %zu in all runs): %s\n", P.ct_cap,
@@ -331,20 +316,21 @@ int main(int argc, char** argv) {
               "[gate all/<=half: %s]\n",
               on.victim_survivors, off.victim_survivors, P.victim_conns,
               unfair.victim_survivors, gate_fair ? "PASS" : "FAIL");
-  std::printf("victim goodput ratio (on / off): %.2fx, engaged %llu  "
-              "[gate >= %.2f & engaged >= 1: %s]\n",
-              ratio, static_cast<unsigned long long>(on.pressure_engaged),
-              P.goodput_gate, gate_goodput ? "PASS" : "FAIL");
+  std::printf("churn mints no megaflows: peak %llu flows over %llu "
+              "commits  [gate <= %zu: %s]\n",
+              static_cast<unsigned long long>(flows_peak),
+              static_cast<unsigned long long>(on.committed), P.flow_bound,
+              gate_flows ? "PASS" : "FAIL");
   std::printf("deterministic replay from seed %llu: %s\n",
               static_cast<unsigned long long>(P.seed),
               deterministic ? "PASS" : "FAIL");
 
-  report.add("goodput_ratio", ratio);
+  report.add("flows_peak_max", static_cast<double>(flows_peak));
   report.add("deterministic", deterministic ? 1 : 0);
   report.write();
 
   const bool pass =
-      gate_bounded && gate_fair && gate_goodput && deterministic;
+      gate_bounded && gate_fair && gate_flows && deterministic;
   if (pass) std::printf("PASS: all conntrack-churn gates met\n");
   return pass ? 0 : 1;
 }

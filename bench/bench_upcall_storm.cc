@@ -1,8 +1,8 @@
 // Upcall-storm robustness bench: one adversarial port floods the slow path
 // with fresh connections (a port scan / SYN flood — every packet a new
 // 5-tuple, so every packet is a flow setup) while three victim ports carry
-// ordinary churning traffic through a ct pipeline that installs
-// per-connection megaflows.
+// ordinary churning traffic. The flow cache is exact-match (megaflows
+// disabled, Table 1's row), so every connection installs its own flow.
 //
 // Two configurations run the identical offered load:
 //
@@ -107,19 +107,17 @@ Outcome run_storm(bool hardened, const Params& P) {
   cfg.upcall_queue.global_cap = 4096;
   cfg.degradation.enabled = hardened;
   cfg.flow_limit = 50000;
+  cfg.megaflows_enabled = false;
   Switch sw(cfg);
   sw.add_port(kStormPort);
   for (uint32_t p : kVictimPorts) sw.add_port(p);
 
-  // ct pipeline: table 0 tracks (and commits) the connection — the 5-tuple
-  // is consulted, so the resulting megaflow is per-connection — then table 1
-  // forwards by ingress port.
-  sw.table(0).add_flow(MatchBuilder().tcp(), 10,
-                       OfActions().ct(/*next_table=*/1, /*commit=*/true));
-  sw.table(1).add_flow(MatchBuilder().in_port(kStormPort), 10,
+  // Forward by ingress port; the exact-match cache makes every connection
+  // its own flow.
+  sw.table(0).add_flow(MatchBuilder().in_port(kStormPort), 10,
                        OfActions().output(egress_of(kStormPort)));
   for (uint32_t p : kVictimPorts)
-    sw.table(1).add_flow(MatchBuilder().in_port(p), 10,
+    sw.table(0).add_flow(MatchBuilder().in_port(p), 10,
                          OfActions().output(egress_of(p)));
 
   Rng rng(P.seed);

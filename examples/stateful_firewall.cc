@@ -76,11 +76,12 @@ int main() {
   attempt("outside -> inside, spoofed 'reply' on a dead port",
           tcp(2, outside, inside, 443, 41111), 1);
 
-  std::printf("\nconnections tracked: %zu\n", sw.pipeline().conntrack().size());
-  std::printf("megaflows installed (per-connection, as ct requires):\n");
+  std::printf("\nconnections tracked: %zu\n", sw.conntrack().size());
+  std::printf("megaflows installed (one per stage, shared by every "
+              "connection):\n");
   for (Datapath::FlowRef f : sw.backend().dump())
-    std::printf("  %-7s %s\n",
-                sw.backend().flow_actions(f).drops() ? "[drop]" : "[allow]",
+    std::printf("  %-28s %s\n",
+                sw.backend().flow_actions(f).to_string().c_str(),
                 sw.backend().flow_match(f).key.to_string().c_str());
   return 0;
 }

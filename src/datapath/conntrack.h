@@ -1,20 +1,23 @@
-// Bounded connection tracker (paper §8.1: "an ongoing effort to provide a
-// new OpenFlow action that invokes a kernel module that provides ...
-// connection state (new, established, related)").
+// Bounded connection tracker: the datapath's conntrack (paper §8.1: "an
+// ongoing effort to provide a new OpenFlow action that invokes a kernel
+// module that provides ... connection state (new, established, related)").
 //
-// Connections are keyed by the bidirectional 5-tuple plus a zone; the CT
-// action stamps ct_state into the flow key so subsequent tables can match on
-// it, exactly like the OVS `ct` action feeding `ct_state` matches. Beyond
-// the minimal lookup/commit tracker this adds the production-shaped pieces
-// (DESIGN.md §15):
+// The datapath owns one tracker, shared by its worker shards, and runs it
+// on every packet whose megaflow ends in ct (execute(), DESIGN.md §15).
+// Connections are keyed by the bidirectional 5-tuple plus a zone. Beyond
+// the minimal lookup/commit tracker this adds the production-shaped
+// pieces:
 //
 //   * bounded capacity with per-zone limits and LRU eviction — a stateful
 //     table is a resource-exhaustion surface exactly like the megaflow mask
 //     list (§14), so it gets the same bounded-memory treatment;
 //   * idle expiry driven by virtual time, with the determinism contract
 //     that lookups NEVER refresh last-seen — only commits do — so the
-//     table's contents are a pure function of the commit/remove/expire
-//     event sequence (what lets the differential oracle mirror it);
+//     table's contents are a pure function of the execute/commit/remove/
+//     expire event sequence (what lets the differential oracle mirror it);
+//   * TCP teardown after nf_conntrack's FIN_WAIT/CLOSE_WAIT: a connection
+//     stays until both sides have sent FIN and the last FIN is acknowledged
+//     (the first packet without FIN after both), or until a RST;
 //   * SNAT/DNAT bindings: a committed NAT connection stores the forward
 //     rewrite and stamps a reverse-direction entry keyed on the post-NAT
 //     tuple carrying the inverse rewrite, so replies un-NAT statelessly.
@@ -23,15 +26,19 @@
 // tuple are literally the same packet, so "reply" is undecidable from the
 // wire. They are marked kSymmetric instead of ever setting kReply — the
 // deterministic resolution of the old canonical-order ambiguity.
+//
+// Thread safety: every public member takes the one mutex guarding it.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "datapath/dp_actions.h"
 #include "packet/flow_key.h"
 #include "util/hash.h"
 
@@ -91,50 +98,56 @@ class ConnTracker {
     }
   };
 
-  // One ct action's view of the packet, built and hashed once: lookup,
-  // nat_lookup and the translation's revalidation dependency all reuse it.
+  // A packet's view of its connection, built and hashed once.
   struct ConnRef {
     ConnKey key;
     uint64_t hash = 0;    // key.hash()
     bool lo_dir = true;   // (src, sport) is the canonically-low endpoint
-    // The 32-bit key a megaflow records and the changed set holds (one
-    // function for both, so a collision only costs a re-translation).
-    uint32_t dep() const noexcept { return dep_of(hash); }
   };
   static ConnRef ref(const FlowKey& key, uint16_t zone) noexcept;
 
   ConnTracker() = default;
   explicit ConnTracker(const ConnTrackerConfig& cfg) : cfg_(cfg) {}
-  // Not copyable: each Entry::lru is an iterator into this tracker's own
-  // zones_ lists, so a memberwise copy would point into the original.
-  // Moves keep the list nodes, and with them every iterator.
+  // Not copyable or movable: it holds its lock, and Entry::lru iterators.
   ConnTracker(const ConnTracker&) = delete;
   ConnTracker& operator=(const ConnTracker&) = delete;
-  ConnTracker(ConnTracker&&) = default;
-  ConnTracker& operator=(ConnTracker&&) = default;
 
-  // Connection state of the packet's 5-tuple (direction-normalized). Const
-  // and time-free by design: state transitions happen only via commit /
-  // remove / expire_idle, so two trackers fed the same mutation sequence
-  // answer identically regardless of when lookups happened in between.
-  uint8_t lookup(const ConnRef& r) const noexcept;
-  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const noexcept {
-    return lookup(ref(key, zone));
-  }
-
-  // The NAT rewrite this packet should receive, if its connection carries a
-  // binding applying in the packet's direction: forward packets get the
-  // committed rewrite, replies (via the reverse entry) the inverse.
+  // The NAT rewrite a packet receives: forward packets of a binding's
+  // connection get the committed rewrite, replies (via the reverse entry)
+  // the inverse.
   struct NatRewrite {
     bool to_src = false;  // rewrite source (else destination)
     uint32_t addr = 0;
     uint16_t port = 0;
+    bool operator==(const NatRewrite&) const noexcept = default;
   };
-  std::optional<NatRewrite> nat_lookup(const ConnRef& r) const noexcept;
+
+  // What one ct action made of a packet: the ct_state to stamp and the NAT
+  // rewrite, if the action asked for NAT and a binding applies in the
+  // packet's direction. A packet sees its connection's state before its
+  // own commit and its NAT binding after it.
+  struct Verdict {
+    uint8_t state = 0;
+    bool has_nat = false;
+    NatRewrite nat;
+    bool operator==(const Verdict&) const noexcept = default;
+  };
+
+  // The ct action on one packet: lookup, then — when ct.commit — teardown
+  // (RST, or the final ACK after both FINs), FIN bookkeeping or commit
+  // (commit_nat for ct.nat kSrc/kDst), then the NAT rewrite.
+  Verdict execute(const FlowKey& key, const CtAction& ct, uint64_t now_ns);
+  // The verdict execute() would return, without executing it.
+  Verdict preview(const FlowKey& key, const CtAction& ct) const;
+
+  // Connection state of the packet's 5-tuple (direction-normalized). Const
+  // and time-free by design: state transitions happen only via execute /
+  // commit / remove / expire_idle, so two trackers fed the same mutation
+  // sequence answer identically regardless of when lookups happened in
+  // between.
+  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const;
   std::optional<NatRewrite> nat_lookup(const FlowKey& key,
-                                       uint16_t zone = 0) const noexcept {
-    return nat_lookup(ref(key, zone));
-  }
+                                       uint16_t zone = 0) const;
 
   // Commits the connection (the `ct(commit)` action or an explicit
   // controller write). Inserting a NEW connection bumps generation() and
@@ -152,54 +165,35 @@ class ConnTracker {
   bool commit_nat(const FlowKey& key, const CtNatSpec& nat,
                   uint16_t zone = 0, uint64_t now_ns = 0);
 
-  // Tears down the connection (FIN/RST or controller delete), including its
-  // paired NAT reverse entry.
+  // Tears down the connection (a controller delete), including its paired
+  // NAT reverse entry.
   bool remove(const FlowKey& key, uint16_t zone = 0);
 
   // Removes every entry idle past the timeout as of now_ns; returns the
   // number removed. No-op (0) when idle_timeout_ns is 0.
   size_t expire_idle(uint64_t now_ns);
   // Would expire_idle(now_ns) remove anything?
-  bool has_expirable(uint64_t now_ns) const noexcept;
+  bool has_expirable(uint64_t now_ns) const;
 
-  // Drops everything (userspace restart: conntrack is process state).
-  // Overflows the changed set.
+  // Drops everything.
   void flush();
 
-  // Changed set (DESIGN.md §15): the dep() keys whose lookup answer may
-  // have changed since clear_changed() — every entry a commit created and
-  // every entry removed (teardown, NAT-pair cascade, eviction, expiry).
-  // Append-only and bounded: past kMaxChangedKeys appends, or on flush(),
-  // it is marked overflowed and stops recording, and revalidation falls
-  // back to a full pass.
-  static constexpr size_t kMaxChangedKeys = size_t{64} * 1024;
-  // Sorts and deduplicates the set for binary search and returns it; null
-  // when overflowed. Plan threads read the result; nothing may mutate the
-  // tracker until they are done.
-  const std::vector<uint32_t>* seal_changed();
-  bool changed_overflowed() const noexcept { return changed_overflow_; }
-  // Keys recorded since the last clear (duplicates count until sealed).
-  size_t changed_size() const noexcept { return changed_.size(); }
-  void clear_changed() noexcept {
-    changed_.clear();
-    changed_overflow_ = false;
-  }
-
-  size_t size() const noexcept { return table_.size(); }
-  size_t zone_size(uint16_t zone) const noexcept;
-  uint64_t generation() const noexcept { return generation_; }
+  size_t size() const;
+  size_t zone_size(uint16_t zone) const;
+  // Bumped by every change to a lookup's answer.
+  uint64_t generation() const;
   const ConnTrackerConfig& config() const noexcept { return cfg_; }
 
   struct Stats {
     uint64_t committed = 0;          // new entries created
     uint64_t refreshed = 0;          // idempotent re-commits
-    uint64_t removed = 0;            // explicit teardowns
+    uint64_t removed = 0;            // teardowns (RST/FIN or explicit)
     uint64_t expired_idle = 0;       // idle-timeout expirations
     uint64_t evicted_zone_cap = 0;   // LRU evictions at the per-zone cap
     uint64_t evicted_global_cap = 0; // LRU evictions at the global cap
     uint64_t nat_bindings = 0;       // NAT bindings created
   };
-  const Stats& stats() const noexcept { return stats_; }
+  Stats stats() const;
 
  private:
   // Transparent hashing: find(ConnRef) reuses the ref's precomputed hash.
@@ -228,6 +222,9 @@ class ConnTracker {
   struct Entry {
     bool orig_is_lo = true;   // direction the committing packet traveled
     bool symmetric = false;   // self-connection: direction undecidable
+    // TCP FINs seen (kFinOrig | kFinReply), kept on a NAT connection's
+    // primary entry.
+    uint8_t fins = 0;
     uint64_t last_seen_ns = 0;
     bool has_nat = false;
     bool nat_on_reply = false;  // rewrite applies to reply-direction packets
@@ -238,10 +235,20 @@ class ConnTracker {
   };
   using Table = std::unordered_map<ConnKey, Entry, ConnKeyHash, ConnKeyEq>;
 
-  static uint32_t dep_of(uint64_t hash) noexcept {
-    return static_cast<uint32_t>(hash >> 32);
-  }
-  void note_changed(uint64_t hash);
+  static constexpr uint8_t kFinOrig = 1, kFinReply = 2;
+
+  // The unlocked bodies of the public members; mu_ held.
+  uint8_t state_of(Table::const_iterator it, const ConnRef& r) const;
+  std::optional<NatRewrite> nat_of(Table::const_iterator it,
+                                   const ConnRef& r) const;
+  bool commit_locked(const ConnRef& r, uint64_t now_ns);
+  bool commit_nat_locked(const FlowKey& key, const ConnRef& r,
+                         const CtNatSpec& nat, uint64_t now_ns);
+  void refresh(Entry& e, uint64_t now_ns);
+  // The entry that carries a connection's FIN bookkeeping: the primary of
+  // a NAT pair, else the entry itself.
+  Entry& primary_of(Table::iterator it);
+  bool remove_locked(const ConnKey& ck);
   // Inserts a fresh entry after making room; returns it (never fails).
   Entry& insert(const ConnKey& ck, uint64_t now_ns);
   // Removes the connection under ck plus its NAT pair; returns entries
@@ -252,21 +259,36 @@ class ConnTracker {
   void make_room(uint16_t zone);
   void evict_lru_of_zone(uint16_t zone, bool zone_cap);
 
+  mutable std::mutex mu_;
   ConnTrackerConfig cfg_;
   Table table_;
   // Per-zone LRU order (front = least recently committed). std::map keyed
   // by zone id keeps the largest-zone scan deterministic.
   std::map<uint16_t, std::list<ConnKey>> zones_;
   // Nodes of removed connections, reused by the next inserts, so steady
-  // connection churn (a commit per new connection on the upcall path)
-  // allocates nothing. Never more than the table's peak size; flush()
-  // frees them.
+  // connection churn (a commit per new connection) allocates nothing.
+  // Never more than the table's peak size; flush() frees them.
   std::vector<Table::node_type> spare_nodes_;
   std::list<ConnKey> spare_lru_;
   uint64_t generation_ = 0;
   Stats stats_;
-  std::vector<uint32_t> changed_;
-  bool changed_overflow_ = false;
 };
+
+// What a ct action does to the packet it recirculates: the verdict's NAT
+// rewrite is applied to `key` and appended to `fate` as set-fields (the
+// rewrite is part of the packet's fate), and its ct_state is stamped into
+// `key` (datapath metadata: the fate never sets it, so no output carries it).
+inline void apply_ct_verdict(const ConnTracker::Verdict& v, FlowKey& key,
+                             DpActions& fate) {
+  if (v.has_nat) {
+    const FieldId addr_f = v.nat.to_src ? FieldId::kNwSrc : FieldId::kNwDst;
+    const FieldId port_f = v.nat.to_src ? FieldId::kTpSrc : FieldId::kTpDst;
+    key.set(addr_f, v.nat.addr);
+    key.set(port_f, v.nat.port);
+    fate.set_field(addr_f, v.nat.addr);
+    fate.set_field(port_f, v.nat.port);
+  }
+  key.set_ct_state(v.state);
+}
 
 }  // namespace ovs

@@ -38,6 +38,10 @@ void Datapath::Stats::operator+=(const Stats& o) noexcept {
   upcalls_delayed += o.upcalls_delayed;
   entries_corrupted += o.entries_corrupted;
   entries_expired += o.entries_expired;
+  recirculations += o.recirculations;
+  recirc_misses += o.recirc_misses;
+  recirc_depth_drops += o.recirc_depth_drops;
+  recirc_upcall_drops += o.recirc_upcall_drops;
 }
 
 Datapath::Shard::Shard(const DatapathConfig& cfg, uint64_t seed)
@@ -49,7 +53,8 @@ Datapath::Shard::Shard(const DatapathConfig& cfg, uint64_t seed)
     off = std::make_unique<OffloadTable>(cfg.offload_slots);
 }
 
-Datapath::Datapath(DatapathConfig cfg, size_t workers) : cfg_(cfg) {
+Datapath::Datapath(DatapathConfig cfg, size_t workers)
+    : cfg_(cfg), ct_(cfg.conntrack) {
   if (cfg_.emc_insert_inv_prob == 0) cfg_.emc_insert_inv_prob = 1;
   const size_t n = std::max<size_t>(workers, 1);
   shards_.reserve(n);
@@ -114,6 +119,13 @@ void Datapath::deliver_upcall(Packet&& pkt, Stats& stats) {
 
 void Datapath::flush_upcalls(Shard& s) {
   std::lock_guard<std::mutex> lk(upcall_mu_);
+  for (RecircUpcall& u : s.recirc_missed) {
+    if (recirc_upcalls_.size() < kMaxRecircUpcalls)
+      recirc_upcalls_.push_back(std::move(u));
+    else
+      ++s.stats.recirc_upcall_drops;
+  }
+  s.recirc_missed.clear();
   for (Packet& p : s.missed) {
     if (fault_ != nullptr) {
       if (fault_->should_fire(FaultPoint::kUpcallDrop)) {
@@ -152,6 +164,71 @@ void Datapath::set_upcall_sink(UpcallSink sink) {
   sink_ = std::move(sink);
 }
 
+void Datapath::take_recirc_upcalls(std::vector<RecircUpcall>* out) {
+  out->clear();
+  std::lock_guard<std::mutex> lk(upcall_mu_);
+  out->swap(recirc_upcalls_);
+}
+
+// --- Recirculation -----------------------------------------------------------
+
+bool Datapath::run_stages(Shard& s, const Packet& pkt, FlowKey& key,
+                          const DpActions* acts, unsigned& depth,
+                          uint64_t now_ns, DpActions& fate) {
+  while (true) {
+    fate.append_stage(*acts);
+    if (!acts->recirculates()) break;
+    if (depth == kMaxRecircDepth) {
+      ++s.stats.recirc_depth_drops;
+      break;
+    }
+    acts->apply_set_fields(key);
+    const CtAction& ct = acts->ct();
+    const ConnTracker::Verdict v = ct_.execute(key, ct, now_ns);
+    if (ct_observer_) ct_observer_(pkt, key, ct, v, now_ns);
+    apply_ct_verdict(v, key, fate);
+    if (!cfg_.ct_state_on_recirc) key.set_ct_state(0);
+    key.set_recirc_id(acts->recirc_id());
+    ++depth;
+    ++s.stats.recirculations;
+    // Straight to the classifier: a recirculated key carries its
+    // connection's state and flags, so its microflows rarely repeat and
+    // the EMC would only churn (DESIGN.md §15).
+    uint32_t searched = 0;
+    const Rule* r = s.mega.lookup(key, nullptr, &searched);
+    s.stats.tuples_searched += searched;
+    if (r == nullptr) return false;
+    auto* e = const_cast<MegaflowEntry*>(static_cast<const MegaflowEntry*>(r));
+    e->bump(1, pkt.size_bytes, now_ns);
+    acts = &e->actions();
+  }
+  fate.normalize();
+  return true;
+}
+
+const DpActions* Datapath::recirculate(Shard& s, const Packet& pkt,
+                                       const MegaflowEntry& e,
+                                       uint64_t now_ns, DpActions& fate) {
+  fate.list.clear();
+  FlowKey key = pkt.key;
+  unsigned depth = 0;
+  if (run_stages(s, pkt, key, &e.actions(), depth, now_ns, fate))
+    return &fate;
+  ++s.stats.recirc_misses;
+  s.recirc_missed.push_back(RecircUpcall{pkt, key, fate, depth});
+  return nullptr;
+}
+
+bool Datapath::continue_fate(const Packet& pkt, FlowKey& key,
+                             const DpActions& stage, unsigned& depth,
+                             uint64_t now_ns, DpActions& fate) {
+  Shard& s = *shards_[0];
+  std::lock_guard<std::mutex> lk(s.mu);
+  if (run_stages(s, pkt, key, &stage, depth, now_ns, fate)) return true;
+  ++s.stats.recirc_misses;
+  return false;
+}
+
 size_t Datapath::next_worker() noexcept {
   const size_t w = rr_;
   rr_ = rr_ + 1 == shards_.size() ? 0 : rr_ + 1;
@@ -164,7 +241,7 @@ Datapath::RxResult Datapath::receive(size_t worker, const Packet& pkt,
   Shard& s = *shards_[worker];
   std::lock_guard<std::mutex> lk(s.mu);
   const RxResult res = receive_locked(s, pkt, now_ns);
-  if (!s.missed.empty()) flush_upcalls(s);
+  if (!s.missed.empty() || !s.recirc_missed.empty()) flush_upcalls(s);
   return res;
 }
 
@@ -187,6 +264,13 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
     }
   }
 
+  // A hit's actions, or, for a recirculating entry, the packet's composed
+  // fate (null when a recirculated lookup missed).
+  auto fate_of = [&](MegaflowEntry* e) -> const DpActions* {
+    if (!e->recirc_) return &e->actions();
+    if (s.fates.empty()) s.fates.resize(1);
+    return recirculate(s, pkt, *e, now_ns, s.fates[0]);
+  };
   const uint64_t hash = pkt.key.hash();
   if (cfg_.microflow_enabled) {
     if (MegaflowEntry* e = microflow_lookup(s, pkt.key, hash)) {
@@ -194,7 +278,8 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
       ++s.stats.microflow_hits;
       // The hinted megaflow's hash table counts as the single table probed.
       s.stats.tuples_searched += 1;
-      return {Path::kMicroflowHit, &e->actions(), 1};
+      const DpActions* a = fate_of(e);
+      return {a != nullptr ? Path::kMicroflowHit : Path::kMiss, a, 1};
     }
   }
 
@@ -206,7 +291,8 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
     e->bump(1, pkt.size_bytes, now_ns);
     ++s.stats.megaflow_hits;
     if (cfg_.microflow_enabled) microflow_insert(s, hash, e);
-    return {Path::kMegaflowHit, &e->actions(), searched};
+    const DpActions* a = fate_of(e);
+    return {a != nullptr ? Path::kMegaflowHit : Path::kMiss, a, searched};
   }
 
   ++s.stats.misses;
@@ -228,14 +314,15 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
 //   5. per-megaflow statistics are bumped once per matched entry with the
 //      group's packet/byte totals.
 void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
-                             uint64_t now_ns, RxResult* results,
-                             BatchSummary& summary) {
+                             uint64_t now_ns, RxResult* results, size_t base,
+                             size_t total, BatchSummary& summary) {
   uint64_t hashes[kMaxBatch];
   uint16_t leader[kMaxBatch];         // index of the packet's group leader
   MegaflowEntry* entry[kMaxBatch];    // leader slots: matched megaflow
   const OffloadTable::Entry* offl[kMaxBatch];  // leader slots: NIC slot hit
   uint16_t leaders[kMaxBatch];        // indices of unique microflow leaders
   size_t n_leaders = 0;
+  bool recirc = false;                // some leader hit a recirculating entry
 
   s.stats.packets += n;
   summary.packets += static_cast<uint32_t>(n);
@@ -313,6 +400,7 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
         s.stats.tuples_searched += 1;
         summary.tuples_searched += 1;
         entry[i] = e;
+        recirc |= e->recirc_;
         results[i] = {Path::kMicroflowHit, &e->actions(), 1};
         continue;
       }
@@ -329,6 +417,7 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
       ++s.stats.megaflow_hits;
       if (cfg_.microflow_enabled) microflow_insert(s, hashes[i], e);
       entry[i] = e;
+      recirc |= e->recirc_;
       results[i] = {Path::kMegaflowHit, &e->actions(), searched};
     } else {
       ++s.stats.misses;
@@ -368,6 +457,25 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
       oe->bytes.fetch_add(byte_count, std::memory_order_relaxed);
     }
   }
+
+  // Packets of recirculating megaflows (never offloaded) run their ct and
+  // recirculated lookups one by one, in arrival order: each packet's ct
+  // sees its predecessors' commits.
+  // Their composed fates live in the shard, indexed like the whole burst;
+  // the buffer grows, before any fate of the burst is handed out, the first
+  // time a burst needs it.
+  if (!recirc) return;
+  if (s.fates.size() < total) s.fates.resize(total);
+  for (size_t i = 0; i < n; ++i) {
+    const MegaflowEntry* e = entry[leader[i]];
+    if (e == nullptr || !e->recirc_) continue;
+    results[i].actions =
+        recirculate(s, pkts[i], *e, now_ns, s.fates[base + i]);
+    if (results[i].actions == nullptr) {
+      results[i].path = Path::kMiss;
+      ++summary.misses;
+    }
+  }
 }
 
 void Datapath::process_batch(size_t worker, std::span<const Packet> pkts,
@@ -379,9 +487,10 @@ void Datapath::process_batch(size_t worker, std::span<const Packet> pkts,
   BatchSummary local;
   for (size_t off = 0; off < pkts.size(); off += kMaxBatch) {
     const size_t n = std::min(kMaxBatch, pkts.size() - off);
-    process_chunk(s, pkts.data() + off, n, now_ns, results + off, local);
+    process_chunk(s, pkts.data() + off, n, now_ns, results + off, off,
+                  pkts.size(), local);
   }
-  if (!s.missed.empty()) flush_upcalls(s);
+  if (!s.missed.empty() || !s.recirc_missed.empty()) flush_upcalls(s);
   if (summary != nullptr) *summary += local;
   if (callback_)
     callback_(worker, std::span<const RxResult>(results, pkts.size()));
@@ -468,8 +577,14 @@ void Datapath::update_actions(FlowRef flow, DpActions actions) {
     } else {
       e->set_actions(actions);
     }
-    // Reprogram the NIC copy in the same step (revalidator repair, §13).
-    if (s.off != nullptr) s.off->sync_actions(flow, e->actions());
+    // Reprogram the NIC copy in the same step (revalidator repair, §13);
+    // a flow that now recirculates leaves the NIC, which runs no ct.
+    if (s.off != nullptr) {
+      if (e->recirc_)
+        s.off->evict(flow);
+      else
+        s.off->sync_actions(flow, e->actions());
+    }
   }
 }
 
@@ -553,7 +668,8 @@ void Datapath::set_emc_insert_inv_prob(uint32_t inv) {
 // --- Offload tier ------------------------------------------------------------
 
 bool Datapath::offload_install(FlowRef flow, uint64_t now_ns) {
-  if (!offload_enabled()) return false;
+  // The NIC runs no conntrack: recirculating flows stay in software.
+  if (!offload_enabled() || flow->recirc_) return false;
   bool ok = false;
   for (size_t w = 0; w < shards_.size(); ++w) {
     Shard& s = *shards_[w];

@@ -12,6 +12,15 @@
 //      userspace and are disjoint;
 //   3. miss — the packet is handed to userspace as an *upcall* (§3.1).
 //
+// Recirculation (DESIGN.md §15). A megaflow whose actions end in ct does
+// not finish the packet: the datapath applies the actions' rewrites, runs
+// the shared connection tracker, stamps ct_state and recirc_id and looks
+// the packet up again in the megaflow classifier (not the EMC), up to
+// kMaxRecircDepth times. The packet's fate is the stages composed;
+// RxResult::actions points at it. A recirculated lookup that misses
+// becomes a recirculation upcall carrying the fate so far. A hit on a
+// megaflow without ct pays one flag test for all of this.
+//
 // Workers. The datapath is N *shards*, one per worker, each a single-writer
 // copy of the whole cache: its own megaflow classifier and entries, EMC,
 // offload-table copy, RNG, counters and miss buffer, behind one mutex.
@@ -51,6 +60,7 @@
 #include <vector>
 
 #include "classifier/classifier.h"
+#include "datapath/conntrack.h"
 #include "datapath/dp_actions.h"
 #include "datapath/dp_shared.h"
 #include "datapath/offload_table.h"
@@ -67,10 +77,15 @@ struct EntryLayoutProbe;  // entry_layout_test.cc
 class MegaflowEntry : public Rule {
  public:
   MegaflowEntry(Match match, DpActions actions)
-      : Rule(match, /*priority=*/0), actions_(std::move(actions)) {}
+      : Rule(match, /*priority=*/0), actions_(std::move(actions)) {
+    recirc_ = actions_.recirculates();
+  }
 
   const DpActions& actions() const noexcept { return actions_; }
-  void set_actions(DpActions a) noexcept { actions_ = std::move(a); }
+  void set_actions(DpActions a) noexcept {
+    actions_ = std::move(a);
+    recirc_ = actions_.recirculates();
+  }
 
   // Full-fidelity key of the packet that created this flow (the udpif key in
   // real OVS). match().key is pre-masked, so re-translating it is lossy:
@@ -119,6 +134,7 @@ class MegaflowEntry : public Rule {
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> used_ns_{0};  // last hit time
   bool dead_ = false;
+  bool recirc_ = false;  // actions_.recirculates(): the one per-hit test
   // Cold tail: nothing on the fast path reads these.
   FlowKey full_key_;  // set at install; immutable afterwards
   FlowRecord record_;
@@ -143,6 +159,18 @@ struct DatapathConfig {
   // the two-level EMC -> megaflow hierarchy.
   size_t offload_slots = 0;
   uint64_t seed = 0xDA7A;  // pseudo-random replacement (§6)
+  ConnTrackerConfig conntrack;  // the tracker ct runs (DESIGN.md §15)
+  // false is DELIBERATELY UNSOUND: recirculated packets carry ct_state 0,
+  // not the verdict's. The differential fuzzer's ablation gate.
+  bool ct_state_on_recirc = true;
+};
+
+// A recirculated lookup that missed, for the upcall handler.
+struct RecircUpcall {
+  Packet pkt;      // as received: the composed fate applies to it
+  FlowKey key;     // the recirculated key (recirc_id, ct_state, rewrites)
+  DpActions fate;  // the stages before this one, composed
+  unsigned depth = 0;  // recirculations taken, this one included
 };
 
 class Datapath {
@@ -169,8 +197,11 @@ class Datapath {
   };
 
   struct RxResult {
+    // The first lookup's tier; kMiss too when a recirculated lookup missed.
     Path path = Path::kMiss;
-    const DpActions* actions = nullptr;  // null on miss
+    // Null on miss. A recirculated packet's composed fate lives in its
+    // shard until the shard's next burst.
+    const DpActions* actions = nullptr;
     uint32_t tuples_searched = 0;        // megaflow hash tables probed
   };
 
@@ -188,7 +219,7 @@ class Datapath {
     uint32_t megaflow_lookups = 0;  // classifier searches (dedup leaders)
     uint32_t tuples_searched = 0;   // megaflow hash tables probed
     uint32_t groups = 0;            // distinct megaflows matched
-    uint32_t misses = 0;            // packets upcalled (or dropped)
+    uint32_t misses = 0;  // packets upcalled (or dropped), recirculated too
 
     void operator+=(const BatchSummary& o) noexcept {
       packets += o.packets;
@@ -319,6 +350,34 @@ class Datapath {
   using UpcallSink = std::function<bool(Packet&&)>;
   void set_upcall_sink(UpcallSink sink);
 
+  // Recirculation upcalls bypass the sink: they queue here, up to
+  // kMaxRecircUpcalls (then recirc_upcall_drops), and the handler takes
+  // them all into `*out` (cleared first; its storage is reused).
+  static constexpr size_t kMaxRecircUpcalls = 4096;
+  void take_recirc_upcalls(std::vector<RecircUpcall>* out);
+
+  // The upcall handler's side of a recirculating packet: appends `stage`
+  // (translated for `key`, the packet's key after `depth` recirculations)
+  // to `fate` and runs the stages after it on worker 0's shard. True once
+  // `fate` is complete; false on a miss, with `key` and `depth` the
+  // recirculated packet's, to translate and pass back in.
+  bool continue_fate(const Packet& pkt, FlowKey& key, const DpActions& stage,
+                     unsigned& depth, uint64_t now_ns, DpActions& fate);
+
+  // --- Connection tracking (DESIGN.md §15) ---------------------------------
+
+  // The tracker every worker's ct action runs; internally locked.
+  ConnTracker& conntrack() noexcept { return ct_; }
+  const ConnTracker& conntrack() const noexcept { return ct_; }
+
+  // Called after every ct the datapath runs (the packet as received, its
+  // key as the ct saw it, the action, the verdict), on the worker's
+  // thread: for checkers that mirror the tracker.
+  using CtObserver =
+      std::function<void(const Packet&, const FlowKey&, const CtAction&,
+                         const ConnTracker::Verdict&, uint64_t now_ns)>;
+  void set_ct_observer(CtObserver fn) { ct_observer_ = std::move(fn); }
+
   // --- Fault-injection surface ---------------------------------------------
 
   // Non-owning; nullptr disables injection. Consulted once per missed
@@ -383,7 +442,8 @@ class Datapath {
   std::vector<OffloadSlot> offload_dump() const;
 
   // Programs a slot with a copy of the flow's match and actions. False when
-  // the tier is off, the table is full, or the flow already holds a slot.
+  // the tier is off, the table is full, the flow already holds a slot, or
+  // it recirculates.
   bool offload_install(FlowRef flow, uint64_t now_ns);
   // `flow` may be a slot owner the invariant checker found dangling; it is
   // compared by address only.
@@ -410,6 +470,10 @@ class Datapath {
     uint64_t upcalls_delayed = 0;       // parked by the delay fault
     uint64_t entries_corrupted = 0;
     uint64_t entries_expired = 0;
+    uint64_t recirculations = 0;       // ct actions run (DESIGN.md §15)
+    uint64_t recirc_misses = 0;        // recirculated lookups that missed
+    uint64_t recirc_depth_drops = 0;   // dropped at kMaxRecircDepth
+    uint64_t recirc_upcall_drops = 0;  // refused at kMaxRecircUpcalls
 
     void operator+=(const Stats& o) noexcept;
   };
@@ -446,6 +510,10 @@ class Datapath {
     std::vector<MicroSlot> micro;      // the EMC
     std::unique_ptr<OffloadTable> off;  // cfg.offload_slots > 0
     std::vector<Packet> missed;  // a burst's misses, on their way to the sink
+    // Recirculated packets' composed fates (indexed like the burst, sized
+    // on the first recirculation) and missed lookups, on their way out.
+    std::vector<DpActions> fates;
+    std::vector<RecircUpcall> recirc_missed;
     Rng rng;
     uint32_t emc_insert_inv_prob;
     Stats stats;  // the fast path's counters
@@ -460,8 +528,20 @@ class Datapath {
   void microflow_insert(Shard& s, uint64_t hash,
                         MegaflowEntry* entry) const noexcept;
   RxResult receive_locked(Shard& s, const Packet& pkt, uint64_t now_ns);
+  // Packets [base, base + n) of a `total`-packet burst.
   void process_chunk(Shard& s, const Packet* pkts, size_t n, uint64_t now_ns,
-                     RxResult* results, BatchSummary& summary);
+                     RxResult* results, size_t base, size_t total,
+                     BatchSummary& summary);
+  // Runs `acts` (the stage at `depth` recirculations of `pkt`, whose key
+  // is `key`) and every stage after it; see continue_fate.
+  bool run_stages(Shard& s, const Packet& pkt, FlowKey& key,
+                  const DpActions* acts, unsigned& depth, uint64_t now_ns,
+                  DpActions& fate);
+  // A hit on recirculating entry `e`: the packet's composed fate, or null
+  // when a recirculated lookup missed (the upcall is queued).
+  const DpActions* recirculate(Shard& s, const Packet& pkt,
+                               const MegaflowEntry& e, uint64_t now_ns,
+                               DpActions& fate);
   // Hands the shard's missed packets to the sink, under the upcall lock.
   void flush_upcalls(Shard& s);
   // Requires upcall_mu_.
@@ -477,7 +557,11 @@ class Datapath {
   mutable std::mutex upcall_mu_;
   std::vector<Packet> delayed_;  // delay-fault parking lot (upcall_mu_)
   UpcallSink sink_;              // upcall_mu_
+  std::vector<RecircUpcall> recirc_upcalls_;  // upcall_mu_
   FaultInjector* fault_ = nullptr;
+
+  ConnTracker ct_;
+  CtObserver ct_observer_;
 };
 
 }  // namespace ovs

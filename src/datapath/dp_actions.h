@@ -42,8 +42,34 @@ struct UserspaceAction {
   bool operator==(const UserspaceAction&) const = default;
 };
 
-using DpAction =
-    std::variant<OutputAction, SetFieldAction, TunnelAction, UserspaceAction>;
+// ct(zone, commit, nat) followed by recirc(recirc_id) (DESIGN.md §15): run
+// the packet through the datapath's connection tracker — look its
+// connection up in `zone`, commit it (following its TCP teardown) when
+// `commit`, apply the connection's NAT binding per `nat` — stamp the
+// resulting ct_state and `recirc_id` into the key and look the packet up
+// again: a post-ct megaflow, or an upcall that resumes translation from
+// the frozen state `recirc_id` names (ofproto/recirc.h). OVS emits ct and
+// recirc as two actions; one here keeps a stateful pipeline's action list
+// inline in its entry. Translation stops at ct, so it is always the last
+// action. kApply rewrites per an existing binding only; kSrc/kDst (with
+// commit) also request a SNAT/DNAT binding toward (nat_addr, nat_port).
+struct CtAction {
+  enum class Nat : uint8_t { kNone, kApply, kSrc, kDst };
+  uint16_t zone = 0;
+  bool commit = false;
+  Nat nat = Nat::kNone;
+  uint32_t nat_addr = 0;
+  uint16_t nat_port = 0;
+  uint32_t recirc_id = 0;
+  bool operator==(const CtAction&) const = default;
+};
+
+// Recirculations one packet may take; a packet that would take more is
+// dropped where it stands (Datapath::Stats::recirc_depth_drops).
+inline constexpr unsigned kMaxRecircDepth = 4;
+
+using DpAction = std::variant<OutputAction, SetFieldAction, TunnelAction,
+                              UserspaceAction, CtAction>;
 
 // An empty action list means drop. The list keeps the common length inline
 // (the NVP pipelines flatten to three actions), so an entry carries its
@@ -70,6 +96,30 @@ struct DpActions {
   }
 
   bool operator==(const DpActions&) const = default;
+
+  // The list ends in ct: the datapath recirculates its packets.
+  bool recirculates() const noexcept {
+    return !list.empty() && std::holds_alternative<CtAction>(list.back());
+  }
+  // The closing ct of a list that recirculates().
+  const CtAction& ct() const noexcept {
+    return *std::get_if<CtAction>(&list.back());
+  }
+  uint32_t recirc_id() const noexcept { return ct().recirc_id; }
+
+  // Appends `stage`'s actions without the ct that closes a recirculating
+  // list: one stage of a recirculated packet's composed fate.
+  void append_stage(const DpActions& stage) {
+    const size_t n = stage.list.size() - (stage.recirculates() ? 1 : 0);
+    for (size_t i = 0; i < n; ++i) list.push_back(stage.list[i]);
+  }
+  // Applies the list's set-field actions to `key`: the headers its ct
+  // action sees, as translation saw them when it stopped there.
+  void apply_set_fields(FlowKey& key) const noexcept {
+    for (const DpAction& a : list)
+      if (const auto* sf = std::get_if<SetFieldAction>(&a))
+        key.set(sf->field, sf->value);
+  }
 
   DpActions& output(uint32_t port) {
     list.push_back(OutputAction{port});
@@ -101,6 +151,11 @@ struct DpActions {
       else if (const auto* t = std::get_if<TunnelAction>(&a))
         s += "tunnel(port=" + std::to_string(t->port) +
              ",tun_id=" + std::to_string(t->tun_id) + ")";
+      else if (const auto* ct = std::get_if<CtAction>(&a))
+        s += "ct(zone=" + std::to_string(ct->zone) +
+             (ct->commit ? ",commit" : "") +
+             (ct->nat == CtAction::Nat::kNone ? "" : ",nat") +
+             "),recirc(" + std::to_string(ct->recirc_id) + ")";
       else
         s += "userspace";
     }

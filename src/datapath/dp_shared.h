@@ -19,8 +19,7 @@ using RuleRefs = InlineVec<const OfRule*, 4>;
 // Userspace state of one datapath flow (the udpif key's bookkeeping in real
 // OVS), embedded in the flow's entry so it is born zeroed with the flow and
 // dies with it. The datapath never reads it: vswitchd writes it on the
-// control thread; revalidator plan threads read `tags`, `rules`, `ct_key`
-// and `ct_lookups` only.
+// control thread; revalidator plan threads read `tags` and `rules` only.
 struct FlowRecord {
   // Bloom tags of the soft state this flow's actions depend on (the
   // historical tag-based invalidation scheme of §6, and the kTwoTier fast
@@ -45,19 +44,12 @@ struct FlowRecord {
   double ewma = 0.0;          // smoothed packets per dump interval
   uint64_t last_packets = 0;  // flow packets at the previous dump
 
-  // Conntrack dependency of the flow's current translation (XlateResult's
-  // fields of the same names, DESIGN.md §15): re-translate when ct_key is in
-  // the tracker's changed set, or on any ct change when ct_lookups > 1.
-  uint32_t ct_key = 0;
-  uint8_t ct_lookups = 0;
-
   bool captured = false;   // `rules` holds a translation's attribution
   bool seen = false;       // placement has scored this flow at least once
   bool offloaded = false;  // mirror of the datapath's offload_contains()
 };
-// Every megaflow entry embeds a record; the ct fields sit in the tail
-// padding. 96 bytes, 40 of them the inline attribution list, with no heap
-// chunk beside it for the common depth.
+// Every megaflow entry embeds a record: 96 bytes, 40 of them the inline
+// attribution list, with no heap chunk beside it for the common depth.
 static_assert(sizeof(FlowRecord) == 96);
 
 }  // namespace ovs

@@ -7,6 +7,7 @@
 #include <variant>
 #include <vector>
 
+#include "datapath/dp_actions.h"
 #include "packet/flow_key.h"
 
 namespace ovs {
@@ -61,7 +62,7 @@ struct OfNormal {
 // existing binding to the packet (lookup-pure — safe for generated fuzz
 // rules); kSrc/kDst additionally request a SNAT/DNAT binding at commit time.
 struct OfCt {
-  enum class Nat : uint8_t { kNone, kApply, kSrc, kDst };
+  using Nat = CtAction::Nat;
 
   uint8_t next_table = 0;
   bool commit = false;

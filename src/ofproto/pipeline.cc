@@ -5,9 +5,7 @@
 
 namespace ovs {
 
-Pipeline::Pipeline(size_t n_tables, ClassifierConfig cls_cfg,
-                   ConnTrackerConfig ct_cfg)
-    : ct_(ct_cfg) {
+Pipeline::Pipeline(size_t n_tables, ClassifierConfig cls_cfg) {
   assert(n_tables >= 1 && n_tables <= kMaxTables);
   tables_.reserve(n_tables);
   for (size_t i = 0; i < n_tables; ++i)
@@ -121,68 +119,32 @@ void Pipeline::do_normal(XlateCtx& ctx) {
     if (p != ctx.key.in_port()) ctx.out.output(p);
 }
 
-void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
-  // Connection lookup consults the 5-tuple.
-  ctx.consult_field(FieldId::kNwSrc);
-  ctx.consult_field(FieldId::kNwDst);
-  ctx.consult_field(FieldId::kNwProto);
-  ctx.consult_field(FieldId::kTpSrc);
-  ctx.consult_field(FieldId::kTpDst);
-  const bool is_tcp = ctx.key.nw_proto() == ipproto::kTcp;
-  // Only commit-capable TCP ct reads the flags, and only FIN and RST (the
-  // teardown test below): SYN, ACK and PSH segments of one connection share
-  // a megaflow, and lookup-only ct rules keep every flag wildcarded.
-  constexpr uint16_t kTeardownFlags = tcpflags::kFin | tcpflags::kRst;
-  if (ct.commit && is_tcp)
-    ctx.consult_bits(FieldId::kTcpFlags, kTeardownFlags);
+void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct) {
+  // The datapath runs the tracker; translation freezes where to resume and
+  // stops. Nothing about the connection is consulted: a ct's packets share
+  // the megaflow their other fields earn.
+  ctx.res.froze = true;
+  ctx.res.frozen = FrozenState{ct.next_table};
+  const uint32_t id = ctx.side_effects ? recirc_.intern(ctx.res.frozen)
+                                       : recirc_.find(ctx.res.frozen);
+  ctx.out.list.push_back(
+      CtAction{ct.zone, ct.commit, ct.nat, ct.nat_addr, ct.nat_port, id});
+}
 
-  // The lookup key is the current (possibly rewritten) tuple; every packet
-  // this megaflow covers looks up the same one, because the tuple's
-  // original bits are consulted above and any rewrite is a function of
-  // consulted bits.
-  const ConnTracker::ConnRef conn = ConnTracker::ref(ctx.key, ct.zone);
-  ctx.res.ct_key = conn.dep();
-  ++ctx.res.ct_lookups;
-  const uint8_t state = ct_.lookup(conn);
-  const bool teardown =
-      ct.commit && is_tcp &&
-      (ctx.key.tcp_flags() & kTeardownFlags) != 0 &&
-      (state & ct_state::kEstablished) != 0;
+void Pipeline::name_frozen(XlateResult& xr) {
+  if (!xr.froze || xr.actions.recirc_id() != 0) return;
+  CtAction ct = xr.actions.ct();
+  ct.recirc_id = recirc_.intern(xr.frozen);
+  xr.actions.list.back() = ct;
+}
 
-  if (ct.commit && ctx.side_effects) {
-    if (teardown) {
-      ct_.remove(ctx.key, ct.zone);
-    } else if (ct.nat == OfCt::Nat::kSrc || ct.nat == OfCt::Nat::kDst) {
-      CtNatSpec spec;
-      spec.src = ct.nat == OfCt::Nat::kSrc;
-      spec.addr = ct.nat_addr;
-      spec.port = ct.nat_port;
-      ct_.commit_nat(ctx.key, spec, ct.zone, ctx.now_ns);
-    } else {
-      ct_.commit(ctx.key, ct.zone, ctx.now_ns);
-    }
-  }
-
-  // NAT: apply the connection's binding (if any) in this packet's direction.
-  // Pure lookup — bindings only change via commits above or explicit
-  // controller writes — and the rewrite is a set-field like any other, so
-  // rewritten bits stop contributing to the megaflow mask.
-  if (ct.nat != OfCt::Nat::kNone && !teardown) {
-    if (auto rw = ct_.nat_lookup(conn)) {
-      const FieldId addr_f = rw->to_src ? FieldId::kNwSrc : FieldId::kNwDst;
-      const FieldId port_f = rw->to_src ? FieldId::kTpSrc : FieldId::kTpDst;
-      ctx.set_field(addr_f, rw->addr);
-      ctx.out.set_field(addr_f, rw->addr);
-      ctx.set_field(port_f, rw->port);
-      ctx.out.set_field(port_f, rw->port);
-    }
-  }
-
-  // ct_state is derived state, not packet bits: mark it rewritten so later
-  // ct_state matches don't unwildcard anything. A FIN/RST packet still sees
-  // the pre-teardown state (it belongs to the connection it closes).
-  ctx.set_field(FieldId::kCtState, state);
-  xlate_table(ctx, ct.next_table, depth + 1);
+void Pipeline::name_ct_frozen_states() {
+  for (const auto& t : tables_)
+    t->for_each([this](const OfRule* r) {
+      for (const OfAction& a : r->actions().list)
+        if (const auto* ct = std::get_if<OfCt>(&a))
+          recirc_.intern(FrozenState{ct->next_table});
+    });
 }
 
 void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth) {
@@ -206,7 +168,7 @@ void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth) {
   ctx.res.matched_rules.push_back(rule);
 
   for (const OfAction& act : rule->actions().list) {
-    if (ctx.res.error) return;
+    if (ctx.res.error || ctx.res.froze) return;  // froze: stopped at ct
     if (const auto* o = std::get_if<OfOutput>(&act)) {
       if (o->port != ctx.original->in_port()) ctx.out.output(o->port);
     } else if (std::get_if<OfDrop>(&act)) {
@@ -224,8 +186,8 @@ void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth) {
     } else if (std::get_if<OfNormal>(&act)) {
       do_normal(ctx);
     } else if (const auto* ct = std::get_if<OfCt>(&act)) {
-      do_ct(ctx, *ct, depth);
-      return;  // ct recirculates; remaining actions are not executed
+      do_ct(ctx, *ct);
+      return;  // translation stops at ct (see the header)
     }
   }
 }
@@ -300,32 +262,45 @@ XlateResult Pipeline::translate(const FlowKey& pkt, uint64_t now_ns,
 }
 
 void Pipeline::translate_into(const FlowKey& pkt, uint64_t now_ns,
-                              bool side_effects, XlateResult& res) {
+                              bool side_effects, XlateResult& res,
+                              const FrozenState* resume) {
   // Every per-translation output starts over; the buffers keep their
   // storage.
   res.actions.list.clear();
   res.matched_rules.clear();
   res.to_controller = false;
   res.error = false;
-  res.ct_lookups = 0;
+  res.froze = false;
+  res.frozen = FrozenState{};
   res.table_lookups = 0;
-  res.ct_key = 0;
   res.tags = 0;
   XlateCtx ctx(pkt, now_ns, side_effects, res);
   // Datapath flows always match on the ingress port (as in OVS): output
   // actions suppress hairpinning back out of in_port, so the forwarding
-  // decision inherently depends on it.
+  // decision inherently depends on it. They always match recirc_id too, so
+  // a stage's flow never captures another stage's packets.
   ctx.consult_field(FieldId::kInPort);
-  xlate_table(ctx, /*table_id=*/0, /*depth=*/0);
+  ctx.consult_field(FieldId::kRecircId);
+  if (resume == nullptr && pkt.recirc_id() != 0)
+    resume = recirc_.state(pkt.recirc_id());
+  if (resume != nullptr) {
+    xlate_table(ctx, resume->table, /*depth=*/0);
+  } else if (pkt.recirc_id() == 0) {
+    xlate_table(ctx, /*table_id=*/0, /*depth=*/0);
+  } else {
+    res.error = true;  // an id that names nothing (freed, or pre-restart)
+  }
 
   trim_wildcards_to_packet(pkt, ctx.wc);
   res.megaflow.mask = ctx.wc;
   res.megaflow.key = pkt;
   res.megaflow.normalize();
   if (res.error) {
-    // Depth exceeded: fail safe with a drop flow (the consulted bits fully
-    // determine that the loop occurs, so the megaflow is still sound).
+    // Depth exceeded or unknown recirc id: fail safe with a drop flow (the
+    // consulted bits fully determine either, so the megaflow is still
+    // sound).
     res.actions.list.clear();
+    res.froze = false;
   } else {
     res.actions.normalize();
   }
@@ -335,8 +310,34 @@ XlateResult Pipeline::evaluate(const FlowKey& pkt, uint64_t now_ns) const {
   // With side_effects=false translation is read-only (the revalidator's
   // parallel plan phase depends on exactly this), so the cast never lets a
   // mutation through.
-  return const_cast<Pipeline*>(this)->translate(pkt, now_ns,
-                                                /*side_effects=*/false);
+  auto* self = const_cast<Pipeline*>(this);
+  XlateResult stage = self->translate(pkt, now_ns, /*side_effects=*/false);
+  if (!stage.froze) return stage;
+  // Compose the fate stage by stage, as the datapath does: each stage's
+  // actions without its ct, the ct's NAT rewrite, then the stage the
+  // recirculated packet resumes in.
+  XlateResult out;
+  out.megaflow = stage.megaflow;
+  FlowKey key = pkt;
+  for (unsigned depth = 0;; ++depth) {
+    out.actions.append_stage(stage.actions);
+    out.table_lookups += stage.table_lookups;
+    out.tags |= stage.tags;
+    out.to_controller |= stage.to_controller;
+    out.error |= stage.error;
+    for (const OfRule* r : stage.matched_rules) out.matched_rules.push_back(r);
+    if (!stage.froze || depth == kMaxRecircDepth) break;
+    stage.actions.apply_set_fields(key);
+    const CtAction& ct = stage.actions.ct();
+    const ConnTracker::Verdict v =
+        ct_ != nullptr ? ct_->preview(key, ct)
+                       : ConnTracker::Verdict{ct_state::kNew, false, {}};
+    apply_ct_verdict(v, key, out.actions);
+    const FrozenState resume = stage.frozen;
+    self->translate_into(key, now_ns, /*side_effects=*/false, stage, &resume);
+  }
+  out.actions.normalize();
+  return out;
 }
 
 }  // namespace ovs

@@ -58,6 +58,10 @@ std::string FlowKey::to_string() const {
                                   std::to_string(tun_id()));
   if (metadata() != 0)
     append_field(os, first, "metadata", std::to_string(metadata()));
+  if (recirc_id() != 0)
+    append_field(os, first, "recirc_id", std::to_string(recirc_id()));
+  if (ct_state() != 0)
+    append_field(os, first, "ct_state", std::to_string(ct_state()));
   for (unsigned i = 0; i < 4; ++i)
     if (reg(i) != 0)
       append_field(os, first, ("reg" + std::to_string(i)).c_str(),

@@ -10,7 +10,7 @@
 //                      w1  metadata (logical-pipeline register, §5.5)
 //                      w2  in_port | reg0
 //                      w3  reg1 | reg2
-//                      w4  reg3 | ct_state
+//                      w4  reg3 | ct_state | recirc_id
 //   stage 1, L2        w5  eth_dst
 //                      w6  eth_src
 //                      w7  eth_type | vlan_tci
@@ -76,8 +76,11 @@ enum class FieldId : uint8_t {
   kTpSrc,
   kTpDst,
   kTcpFlags,
+  // Datapath metadata (ct_state's neighbour in w4): the recirculation a
+  // packet is in, 0 on ingress. Set only by the datapath's ct action.
+  kRecircId,
 };
-inline constexpr size_t kNumFields = 24;
+inline constexpr size_t kNumFields = 25;
 
 struct FieldInfo {
   const char* name;
@@ -95,7 +98,7 @@ inline constexpr std::array<FieldInfo, kNumFields> kFieldTable = {{
     {"nw_ttl", 9, 48, 8},    {"nw_tos", 9, 40, 8},   {"nw_frag", 9, 32, 8},
     {"arp_op", 9, 16, 16},   {"ipv6_src", 10, 0, 128},
     {"ipv6_dst", 12, 0, 128},{"tp_src", 14, 48, 16}, {"tp_dst", 14, 32, 16},
-    {"tcp_flags", 14, 16, 16},
+    {"tcp_flags", 14, 16, 16}, {"recirc_id", 4, 0, 24},
 }};
 
 constexpr const FieldInfo& field_info(FieldId f) noexcept {
@@ -168,6 +171,12 @@ struct FlowKey : FlowWords {
     return static_cast<uint8_t>(get(FieldId::kCtState));
   }
   constexpr void set_ct_state(uint8_t v) noexcept { set(FieldId::kCtState, v); }
+  constexpr uint32_t recirc_id() const noexcept {
+    return static_cast<uint32_t>(get(FieldId::kRecircId));
+  }
+  constexpr void set_recirc_id(uint32_t v) noexcept {
+    set(FieldId::kRecircId, v);
+  }
 
   constexpr EthAddr eth_dst() const noexcept {
     return EthAddr(get(FieldId::kEthDst));

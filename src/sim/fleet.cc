@@ -38,11 +38,11 @@ class HypervisorSim {
     cfg.datapath_workers = fleet.datapath_workers;
     cfg.revalidator_threads = fleet.revalidator_threads;
     cfg.offload_slots = fleet.offload_slots;
-    cfg.ct_max_entries = fleet.ct_max_entries;
-    cfg.ct_max_per_zone = fleet.ct_max_per_zone;
-    cfg.ct_idle_timeout_ns = fleet.ct_idle_timeout_ns;
-    cfg.ct_fair_eviction = fleet.ct_fair_eviction;
-    cfg.degradation.ct_pressure_ratio = fleet.ct_pressure_ratio;
+    ConnTrackerConfig& ct = cfg.datapath.conntrack;
+    ct.max_entries = fleet.ct_max_entries;
+    ct.max_per_zone = fleet.ct_max_per_zone;
+    ct.idle_timeout_ns = fleet.ct_idle_timeout_ns;
+    ct.fair_eviction = fleet.ct_fair_eviction;
     // Tuple-explosion defenses (DESIGN.md §14) apply fleet-wide — a defense
     // an operator deploys everywhere, not just where the attack lands. The
     // zero/false defaults leave the config untouched.

@@ -90,15 +90,13 @@ struct FleetConfig {
   size_t offload_slots = 0;
 
   // Bounded conntrack (DESIGN.md §15), applied fleet-wide like the other
-  // defenses: connection-table caps, idle expiry, and the ct-pressure
-  // degradation trigger. The NVP pipeline's stateful ACL tenants exercise
-  // the table on every hypervisor. All-zero defaults reproduce the
-  // unbounded no-expiry tracker bit-for-bit.
+  // defenses: connection-table caps and idle expiry. The NVP pipeline's
+  // stateful ACL tenants exercise the table on every hypervisor. All-zero
+  // defaults give the unbounded no-expiry tracker.
   size_t ct_max_entries = 0;
   size_t ct_max_per_zone = 0;
   uint64_t ct_idle_timeout_ns = 0;
   bool ct_fair_eviction = true;
-  double ct_pressure_ratio = 0.0;
 
   // Per-hypervisor fault schedules, correlated at rack granularity: every
   // hypervisor in a faulted rack sees the same install-failure / upcall-drop

@@ -24,6 +24,10 @@
 //      no fault windows, every-trace-matches otherwise.
 //   4. Ledger invariants (the Switch::Counters upcall/install equalities)
 //      and the megaflow invariant checker (Switch::self_check).
+//   5. Conntrack. Every ct action the switch's datapath runs is mirrored on
+//      the oracle's tracker and must reach the same verdict (see
+//      oracle_switch.h); a packet that reaches ct is checked against the
+//      table as its ct found it.
 #pragma once
 
 #include <optional>
@@ -55,10 +59,10 @@ struct DiffConfig {
   // metadata rules is semantics-preserving end to end (it must be: a rule
   // exact on metadata != the packet's can never match).
   bool tenant_partition = false;
-  // Conntrack-generation revalidation dirtiness (DESIGN.md §15). true for
-  // every sound config; false is the deliberately-unsound ablation where
-  // megaflows stamped with stale ct_state survive revalidation forever.
-  bool ct_reval_dirty = true;
+  // Recirculated packets carry ct_state into their next lookup (DESIGN.md
+  // §15). true for every sound config; false is the deliberately-unsound
+  // ablation where post-ct megaflows and translations see ct_state 0.
+  bool ct_state_on_recirc = true;
 
   SwitchConfig to_switch_config() const;
 };
@@ -76,16 +80,15 @@ std::vector<DiffConfig> engine_configs();
 // flows invalidated by table changes. The harness must detect this.
 DiffConfig tags_ablation_config();
 
-// The second unsound ablation (DESIGN.md §15): conntrack generation ignored
-// as a revalidation dirtiness source, so megaflows stamped with a stale
-// ct_state keep forwarding with it after the connection table changed
-// underneath them. The harness must detect this one too.
+// The second unsound ablation (DESIGN.md §15): recirculation drops the ct
+// verdict's ct_state, so every post-ct stage decides as if the connection
+// state were 0. The harness must detect this one too.
 DiffConfig ct_ablation_config();
 
 struct Divergence {
   std::string config;  // DiffConfig::name
   std::string kind;    // "trace" | "probe" | "orphan" | "converge" |
-                       // "ledger" | "self_check" | "mutation"
+                       // "ledger" | "self_check" | "mutation" | "conntrack"
   std::string detail;  // human-readable description
   size_t event_index = 0;  // scenario event it anchors to (0 if global)
 

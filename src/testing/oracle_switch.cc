@@ -8,13 +8,14 @@ namespace ovs::fuzz {
 
 OracleSwitch::OracleSwitch(size_t n_tables, ClassifierConfig cls_cfg,
                            ConnTrackerConfig ct_cfg)
-    : n_tables_(n_tables), cls_cfg_(cls_cfg), ct_cfg_(ct_cfg) {
+    : n_tables_(n_tables), cls_cfg_(cls_cfg), ct_(ct_cfg) {
   epochs_.push_back({0, build_epoch(0)});
 }
 
 std::unique_ptr<Pipeline> OracleSwitch::build_epoch(
     size_t n_mutations) const {
-  auto pipe = std::make_unique<Pipeline>(n_tables_, cls_cfg_, ct_cfg_);
+  auto pipe = std::make_unique<Pipeline>(n_tables_, cls_cfg_);
+  pipe->set_conntrack(&ct_);
   for (uint32_t p : ports_) pipe->add_port(p);
   for (size_t i = 0; i < n_mutations; ++i) {
     const Mutation& m = log_[i];
@@ -39,25 +40,6 @@ std::unique_ptr<Pipeline> OracleSwitch::build_epoch(
         }
         break;
       }
-      // Replaying the ct mutations with their ORIGINAL timestamps through
-      // the same ConnTracker implementation reproduces LRU order, eviction
-      // and expiry bit-for-bit — the contract that keeps every epoch's
-      // connection table identical to what the switch held at that point.
-      case Mutation::Kind::kCtCommit:
-        if (m.has_nat)
-          pipe->conntrack().commit_nat(m.key, m.nat, m.zone, m.t);
-        else
-          pipe->conntrack().commit(m.key, m.zone, m.t);
-        break;
-      case Mutation::Kind::kCtRemove:
-        pipe->conntrack().remove(m.key, m.zone);
-        break;
-      case Mutation::Kind::kCtTick:
-        pipe->conntrack().expire_idle(m.t);
-        break;
-      case Mutation::Kind::kCtFlush:
-        pipe->conntrack().flush();
-        break;
     }
   }
   return pipe;
@@ -92,57 +74,6 @@ std::string OracleSwitch::del_flows(const std::string& text) {
 void OracleSwitch::push_mutation(Mutation m) {
   log_.push_back(std::move(m));
   epochs_.push_back({log_.size(), build_epoch(log_.size())});
-}
-
-void OracleSwitch::ct_commit(const FlowKey& key, uint16_t zone,
-                             uint64_t now_ns) {
-  Mutation m;
-  m.kind = Mutation::Kind::kCtCommit;
-  m.key = key;
-  m.zone = zone;
-  m.t = now_ns;
-  push_mutation(std::move(m));
-}
-
-void OracleSwitch::ct_commit_nat(const FlowKey& key, const CtNatSpec& nat,
-                                 uint16_t zone, uint64_t now_ns) {
-  Mutation m;
-  m.kind = Mutation::Kind::kCtCommit;
-  m.key = key;
-  m.zone = zone;
-  m.t = now_ns;
-  m.has_nat = true;
-  m.nat = nat;
-  push_mutation(std::move(m));
-}
-
-void OracleSwitch::ct_remove(const FlowKey& key, uint16_t zone) {
-  // Removing a connection the newest table does not hold is a no-op on the
-  // switch too — skip the epoch.
-  if (epochs_.back().pipe->conntrack().lookup(key, zone) == ct_state::kNew)
-    return;
-  Mutation m;
-  m.kind = Mutation::Kind::kCtRemove;
-  m.key = key;
-  m.zone = zone;
-  push_mutation(std::move(m));
-}
-
-void OracleSwitch::ct_tick(uint64_t now_ns) {
-  // Only a tick that actually expires something changes any pipeline;
-  // logging the rest would mint an epoch per maintenance round.
-  if (!epochs_.back().pipe->conntrack().has_expirable(now_ns)) return;
-  Mutation m;
-  m.kind = Mutation::Kind::kCtTick;
-  m.t = now_ns;
-  push_mutation(std::move(m));
-}
-
-void OracleSwitch::ct_flush() {
-  if (epochs_.back().pipe->conntrack().size() == 0) return;
-  Mutation m;
-  m.kind = Mutation::Kind::kCtFlush;
-  push_mutation(std::move(m));
 }
 
 void OracleSwitch::add_port(uint32_t port) {

@@ -19,15 +19,15 @@
 // proves no stale entry survives). Divergence means: the real switch
 // produced a trace matching NO live epoch.
 //
-// Conntrack (DESIGN.md §15). ct_state is stamped into the flow key before
-// classification, so megaflows depend on connection-table state exactly as
-// they depend on the flow tables — and conntrack mutations (commit, remove,
-// idle expiry, crash-flush) are epoch events like flow mods: a megaflow
-// stamped with the pre-mutation ct_state legitimately serves until the next
-// revalidation pass. Each epoch's pipeline replays the ct mutation log
-// through the same ConnTracker implementation the switch runs (same caps,
-// same LRU, same timestamps), so eviction/expiry order is bit-identical on
-// both sides.
+// Conntrack (DESIGN.md §15). The datapath runs the tracker per packet and
+// no megaflow depends on it, so the connection table is not epoch state: the
+// oracle keeps one ConnTracker (the same implementation, caps, LRU and
+// timestamps as the switch's) that every epoch's pipeline previews ct
+// actions against. The runner drives it with exactly the ct actions the
+// switch's datapath ran (Datapath::set_ct_observer) and the controller's
+// explicit writes, in the switch's order, so the two tables stay identical
+// — dropped upcalls never reach ct on either side — and each packet is
+// evaluated against the table as its own ct found it.
 #pragma once
 
 #include <memory>
@@ -58,27 +58,25 @@ class OracleSwitch {
   void add_port(uint32_t port);
   void remove_port(uint32_t port);
 
-  // Conntrack mutations, applied in lockstep with the same call on the real
-  // switch (Switch::ct_commit / ct_commit_nat / ct_remove). Each opens a
-  // new epoch, like a flow mod. No-op writes (removing an unknown
-  // connection, ticking past nothing expirable) are skipped entirely so the
-  // epoch set does not grow on non-events.
-  void ct_commit(const FlowKey& key, uint16_t zone, uint64_t now_ns);
-  void ct_commit_nat(const FlowKey& key, const CtNatSpec& nat, uint16_t zone,
-                     uint64_t now_ns);
-  void ct_remove(const FlowKey& key, uint16_t zone);
-  // Mirrors the switch's run_maintenance-time ConnTracker::expire_idle: call
-  // with every maintenance timestamp BEFORE the switch's pass, so the
-  // post-expiry table is a live epoch when the pass's clean revalidation
-  // collapses to it.
-  void ct_tick(uint64_t now_ns);
-  // Mirrors crash(): conntrack is userspace state and dies with the daemon.
-  void ct_flush();
-
-  // Newest epoch's connection table (test introspection).
-  const ConnTracker& conntrack() const noexcept {
-    return epochs_.back().pipe->conntrack();
+  // Conntrack writes, applied in lockstep with the same call on the real
+  // switch (Switch::ct_commit / ct_commit_nat / ct_remove).
+  void ct_commit(const FlowKey& key, uint16_t zone, uint64_t now_ns) {
+    ct_.commit(key, zone, now_ns);
   }
+  void ct_commit_nat(const FlowKey& key, const CtNatSpec& nat, uint16_t zone,
+                     uint64_t now_ns) {
+    ct_.commit_nat(key, nat, zone, now_ns);
+  }
+  void ct_remove(const FlowKey& key, uint16_t zone) { ct_.remove(key, zone); }
+  // Mirrors the switch's run_maintenance-time ConnTracker::expire_idle.
+  void ct_tick(uint64_t now_ns) { ct_.expire_idle(now_ns); }
+  // Mirrors one ct action the switch's datapath ran; returns its verdict.
+  ConnTracker::Verdict ct_execute(const FlowKey& key, const CtAction& ct,
+                                  uint64_t now_ns) {
+    return ct_.execute(key, ct, now_ns);
+  }
+
+  const ConnTracker& conntrack() const noexcept { return ct_; }
 
   // Drops every epoch but the newest. Call when the real switch completes
   // a clean revalidation pass or a restart reconciliation: both prove all
@@ -87,30 +85,20 @@ class OracleSwitch {
 
   size_t epoch_count() const noexcept { return epochs_.size(); }
 
-  // Ground-truth action list under the NEWEST tables.
+  // Ground-truth action list under the NEWEST tables, against the
+  // connection table as it stands.
   DpActions current(const FlowKey& pkt, uint64_t now_ns) const;
 
   // The acceptable set: the packet's normalized action list under every
-  // live epoch, deduplicated (oldest epoch first).
+  // live epoch, deduplicated (oldest epoch first), against the connection
+  // table as it stands.
   std::vector<DpActions> acceptable(const FlowKey& pkt,
                                     uint64_t now_ns) const;
 
  private:
   struct Mutation {
-    enum class Kind : uint8_t {
-      kAddFlow,
-      kDelFlows,
-      kCtCommit,
-      kCtRemove,
-      kCtTick,
-      kCtFlush,
-    } kind;
-    std::string text;       // kAddFlow / kDelFlows
-    FlowKey key;            // kCtCommit / kCtRemove
-    uint16_t zone = 0;      // kCtCommit / kCtRemove
-    uint64_t t = 0;         // kCtCommit (commit time) / kCtTick (expiry time)
-    bool has_nat = false;   // kCtCommit
-    CtNatSpec nat;          // kCtCommit, when has_nat
+    enum class Kind : uint8_t { kAddFlow, kDelFlows } kind;
+    std::string text;
   };
 
   void push_mutation(Mutation m);
@@ -120,7 +108,7 @@ class OracleSwitch {
 
   size_t n_tables_;
   ClassifierConfig cls_cfg_;
-  ConnTrackerConfig ct_cfg_;
+  ConnTracker ct_;
   std::vector<uint32_t> ports_;
   std::vector<Mutation> log_;
   struct Epoch {

@@ -6,7 +6,7 @@
 #include <iterator>
 #include <sstream>
 
-#include "ofproto/conntrack.h"
+#include "datapath/conntrack.h"
 #include "sim/clock.h"
 #include "util/rng.h"
 
@@ -202,16 +202,24 @@ bool Scenario::deserialize(const std::string& text, Scenario* out) {
 
 namespace {
 
-// The rule-template family. All templates avoid NORMAL and ct(commit) so
-// the packet fate is a pure function of the flow tables plus the
-// explicitly-mutated connection table (see header comment), yet together
-// they exercise priorities, CIDR prefixes (megaflow widening), resubmit,
-// set-field, tunnels, controller sends, and drops. Lookup-only ct rules are
-// part of the fixed prologue (below), not this random family.
+// Stateful service ports: 7070/9090 run through lookup-only ct, 6060
+// through lookup-only ct with NAT application, 9090 in its own zone. The
+// committing templates take over 7070 and 6060 once added.
+constexpr uint16_t kCtPort = 7070;
+constexpr uint16_t kCtZonePort = 9090;
+constexpr uint16_t kCtNatPort = 6060;
+
+// The rule-template family. All templates avoid NORMAL (see header
+// comment), yet together they exercise priorities, CIDR prefixes (megaflow
+// widening), resubmit, set-field, tunnels, controller sends, drops, and
+// committing conntrack: ct(commit) and ct(commit,nat) rules shadow the
+// prologue's lookup-only ct on two service ports, so forward packets commit
+// their connections (and pick up the bindings ct_commit events made) from
+// then on. Lookup-only ct rules are part of the fixed prologue (below).
 std::string make_rule(Rng& rng, uint32_t n_ports, int* reroute_priority) {
   char buf[160];
   const auto port = [&] { return 1 + rng.uniform(n_ports); };
-  switch (rng.uniform(8)) {
+  switch (rng.uniform(10)) {
     case 0:  // /16 prefix route
       std::snprintf(buf, sizeof(buf),
                     "priority=10, ip, nw_dst=10.%" PRIu64
@@ -242,6 +250,17 @@ std::string make_rule(Rng& rng, uint32_t n_ports, int* reroute_priority) {
       return buf;
     case 6:  // blocklisted source range
       return "priority=8, ip, nw_src=11.0.0.0/8, actions=drop";
+    case 8:  // committing ct on the plain stateful service
+      std::snprintf(buf, sizeof(buf),
+                    "priority=36, tcp, tp_dst=%u, actions=ct(commit,table=2)",
+                    kCtPort);
+      return buf;
+    case 9:  // committing ct that applies NAT bindings
+      std::snprintf(buf, sizeof(buf),
+                    "priority=36, tcp, tp_dst=%u, "
+                    "actions=ct(commit,nat,table=2)",
+                    kCtNatPort);
+      return buf;
     default: {  // reroute: shadow earlier service routes at higher priority,
                 // optionally remarking TOS on the way out
       const int prio = (*reroute_priority)++;
@@ -275,11 +294,6 @@ std::string make_delete(Rng& rng) {
   }
 }
 
-// Stateful service ports: 7070/9090 run through lookup-only ct, 6060
-// through lookup-only ct with NAT application, 9090 in its own zone.
-constexpr uint16_t kCtPort = 7070;
-constexpr uint16_t kCtZonePort = 9090;
-constexpr uint16_t kCtNatPort = 6060;
 
 uint16_t zone_for(uint16_t dport) { return dport == kCtZonePort ? 1 : 0; }
 
@@ -356,6 +370,15 @@ Packet make_packet(Rng& rng, const GeneratorConfig& cfg) {
     // within the base range so it stays valid under port churn).
     p.key.set_in_port(1 + static_cast<uint32_t>((conn + 1) % cfg.n_ports));
     p.key.set_eth_src(EthAddr(p.key.in_port()));
+  }
+  // Some TCP segments close their connection, so committing ct tears
+  // connections down (half-close, RST) on both sides of the harness.
+  if (p.key.nw_proto() == ipproto::kTcp) {
+    const double close = rng.uniform_double();
+    if (close < 0.04)
+      p.key.set_tcp_flags(tcpflags::kRst);
+    else if (close < 0.16)
+      p.key.set_tcp_flags(tcpflags::kFin | 0x010);
   }
   // size_bytes is the runner's packet<->trace correlation id; the caller
   // overwrites it per event.

@@ -8,15 +8,17 @@
 // format so minimized reproducers can live in tests/corpus/ and replay as
 // ordinary ctest cases.
 //
-// Generated rules deliberately avoid NORMAL and ct(commit): with explicit
-// output / set_field / tunnel / controller / drop / resubmit actions plus
-// LOOKUP-ONLY ct (ct(table=N), ct(table=N,nat)), translation is a pure
-// function of the flow tables and the connection table, both of which the
-// OracleSwitch rebuilds from the mutation log alone (see oracle_switch.h).
-// Connection state changes are explicit events (ct_commit / ct_remove),
-// applied to the switch and the oracle in lockstep — translate-time
-// ct(commit) timing would depend on which packets hit caches, which no
-// per-config oracle can predict.
+// Generated rules deliberately avoid NORMAL: with explicit output /
+// set_field / tunnel / controller / drop / resubmit actions plus ct —
+// lookup-only (ct(table=N), ct(table=N,nat)) and committing
+// (ct(commit,table=N), ct(commit,nat,table=N)) — translation is a pure
+// function of the flow tables, which the OracleSwitch rebuilds from the
+// mutation log alone, and a packet's fate is a pure function of the tables
+// and the connection table its ct finds. The datapath runs ct on every
+// packet, so the switch commits per packet; the oracle mirrors each ct the
+// switch ran (see oracle_switch.h). Controller writes (ct_commit /
+// ct_remove events) change the connection table too, on both sides in
+// lockstep.
 #pragma once
 
 #include <cstdint>

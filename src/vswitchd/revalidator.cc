@@ -7,14 +7,6 @@ namespace ovs {
 
 namespace {
 
-// Did a connection this flow's translation looked up change? One lookup
-// depends on its own key only; several depend on any ct change.
-bool ct_stale(const FlowRecord& rec, const std::vector<uint32_t>& changed) {
-  if (rec.ct_lookups == 0) return false;
-  return rec.ct_lookups > 1 ||
-         std::binary_search(changed.begin(), changed.end(), rec.ct_key);
-}
-
 // One partition of the plan phase. Read-only against the datapath and the
 // pipeline (translate with side_effects=false), so partitions are
 // embarrassingly parallel; each writes decisions only at its own indices
@@ -36,23 +28,29 @@ void plan_range(Datapath& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kDeleteIdle;
       continue;
     }
+    // A post-ct flow whose recirc_id names nothing (no flow names its
+    // frozen state any more, or it outlived a restart) serves packets no
+    // translation can explain, whatever else changed.
+    const FlowKey& full_key = be.flow_full_key(f);
+    if (full_key.recirc_id() != 0 &&
+        pl.recirc().state(full_key.recirc_id()) == nullptr) {
+      d.kind = RevalDecision::Kind::kDeleteStale;
+      continue;
+    }
     if (!cfg.maybe_stale) {
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
     const FlowRecord& rec = be.flow_record(f);
-    const bool conn_changed =
-        cfg.ct_changed != nullptr && ct_stale(rec, *cfg.ct_changed);
-    ps.ct_changed += conn_changed;
-    if (cfg.use_tags && !conn_changed && (rec.tags & cfg.changed_tags) == 0) {
-      // Tier 1 (§4.3): untouched tags and an unchanged connection mean this
-      // flow's translation inputs cannot have changed — modulo Bloom false
-      // positives and dep-key collisions, which only cost an unnecessary
-      // re-translation, never a missed repair.
+    if (cfg.use_tags && (rec.tags & cfg.changed_tags) == 0) {
+      // Tier 1 (§4.3): untouched tags mean this flow's translation inputs
+      // cannot have changed — modulo Bloom false positives, which only
+      // cost an unnecessary re-translation, never a missed repair.
       d.kind = RevalDecision::Kind::kSkipTags;
       ++ps.skipped_by_tags;
       continue;
     }
+
     // Tier 2: full re-translation through the current tables. Translate
     // the full-fidelity install-time key, not flow_match(f).key: the
     // latter is pre-masked, and a masked key can re-derive the entry's own
@@ -60,10 +58,16 @@ void plan_range(Datapath& be, Pipeline& pl,
     // classifier's prefix cuts the same wrong way), turning a stale
     // over-broad flow into a kKeepFresh fixed point that overlaps fresher
     // disjoint entries.
-    const XlateResult& xr = pl.translate(be.flow_full_key(f), now_ns,
-                                         part.xlate, /*side_effects=*/false);
+    const XlateResult& xr = pl.translate(full_key, now_ns, part.xlate,
+                                         /*side_effects=*/false);
     ps.total_cycles += cfg.per_table_lookup * xr.table_lookups;
     ++ps.retranslated;
+    // The fresh translation freezes a state no id names: the flow must go,
+    // and its next packet's upcall names the state.
+    if (xr.froze && xr.actions.recirc_id() == 0) {
+      d.kind = RevalDecision::Kind::kDeleteStale;
+      continue;
+    }
     // The installed mask must match every field the fresh translation
     // consulted; an entry broader than that (extra wildcards, in OVS
     // terms) swallows packets the current tables would treat differently
@@ -88,8 +92,6 @@ void plan_range(Datapath& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kDeleteStale;
       continue;
     }
-    d.ct_lookups = xr.ct_lookups;
-    d.ct_key = xr.ct_key;
     d.tags = xr.tags;
     // Compared in place: the attribution travels only when it changed (a
     // record that never captured one holds no rules).
@@ -141,14 +143,11 @@ RevalPassStats Revalidator::plan(Datapath& be, Pipeline& pl,
 
   RevalPassStats stats;
   stats.threads_used = n_threads;
-  if (cfg.ct_changed != nullptr)
-    stats.ct_changed_keys = cfg.ct_changed->size();
   for (size_t t = 0; t < n_threads; ++t) {
     const RevalPassStats& ps = parts[t].stats;
     stats.examined += ps.examined;
     stats.retranslated += ps.retranslated;
     stats.skipped_by_tags += ps.skipped_by_tags;
-    stats.ct_changed += ps.ct_changed;
     stats.total_cycles += ps.total_cycles;
     stats.makespan_cycles = std::max(stats.makespan_cycles, ps.total_cycles);
   }

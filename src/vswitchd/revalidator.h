@@ -7,24 +7,24 @@
 //   * plan — the dumped flow list is partitioned contiguously across N
 //     threads; each thread re-translates its flows with side_effects=false
 //     (translation is read-only against the pipeline: classifier lookups,
-//     MAC lookups, conntrack lookups) through its own reused scratch and
+//     MAC lookups, frozen-state lookups) through its own reused scratch and
 //     records a per-flow verdict. The fresh actions and matched rules are
 //     compared against the installed ones in place; only a flow whose
 //     actions or attribution changed gets an update (in the partition's
 //     scratch) that apply moves into it. The fresh megaflow match is only
-//     compared, never kept, so a decision stays three words however many
-//     flows a pass dumps. A two-tier fast path consults
-//     the pipeline generation counters, the per-flow Bloom tags and the
-//     per-flow conntrack dependency (checked against the tracker's sealed
-//     changed set, DESIGN.md §15) first, skipping the full re-translation
-//     for flows whose inputs cannot have changed.
+//     compared, never kept, so a decision stays two words however many
+//     flows a pass dumps. A two-tier fast path consults the pipeline
+//     generation counters and the per-flow Bloom tags first, skipping the
+//     full re-translation for flows whose inputs cannot have changed. A
+//     flow whose recirc_id names no frozen state, or whose re-translation
+//     freezes a state no id names, is deleted (DESIGN.md §15).
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, action updates
 //     (update_actions), tags and attribution written into each flow's
 //     FlowRecord, statistics pushes. Keeping all writes on one thread
 //     preserves the datapath's single-writer contract and makes the pass
 //     outcome independent of the thread count. Plan threads read only the
-//     record's tags, attribution and ct dependency, and the changed set.
+//     record's tags and attribution, and the recirculation table.
 //
 // Cycle accounting separates *work* (total_cycles, summed over partitions —
 // what the CPU pools are charged) from *latency* (makespan_cycles, the max
@@ -54,18 +54,16 @@ struct RevalDecision {
   };
   Kind kind = Kind::kSkipClean;
   // From the fresh translation, for kKeepFresh / kUpdateActions only.
-  uint8_t ct_lookups = 0;  // conntrack dependency to store
   // The fresh attribution differs from the record's: the update holds it.
   bool new_rules = false;
   uint8_t part = 0;        // partition whose updates hold this flow's update
-  uint32_t ct_key = 0;
-  uint64_t tags = 0;       // Bloom tags to store
   // Index into the partition's updates; meaningful for kUpdateActions (the
   // new actions) and whenever new_rules is set.
   uint32_t update = 0;
+  uint64_t tags = 0;       // Bloom tags to store
 };
-// Three words, so a pass's decisions stay small however many flows it dumps.
-static_assert(sizeof(RevalDecision) == 24);
+// Two words, so a pass's decisions stay small however many flows it dumps.
+static_assert(sizeof(RevalDecision) == 16);
 
 // What a decision applies beyond its scalars: the fresh attribution list
 // (new_rules) and, for kUpdateActions, the fresh actions. Apply moves them
@@ -79,11 +77,6 @@ struct RevalPassStats {
   uint64_t examined = 0;
   uint64_t retranslated = 0;     // flows that paid a full re-translation
   uint64_t skipped_by_tags = 0;  // flows the tag fast path short-circuited
-  // Live flows whose conntrack dependency is in the changed set (or that
-  // made several ct lookups while conntrack changed), and the set's size.
-  // Both 0 when conntrack did not change or the set overflowed.
-  uint64_t ct_changed = 0;
-  uint64_t ct_changed_keys = 0;
   double total_cycles = 0;       // CPU work, summed over partitions
   double makespan_cycles = 0;    // modeled pass latency: max over partitions
   size_t threads_used = 1;
@@ -127,11 +120,6 @@ class Revalidator {
     // before paying for a re-translation.
     bool use_tags = false;
     uint64_t changed_tags = 0;
-    // Conntrack changed since the last pass: the sorted, deduplicated
-    // ConnTracker changed set. A flow takes the fast path only when its
-    // recorded ct dependency is not in it. Null when conntrack did not
-    // change (or is ignored).
-    const std::vector<uint32_t>* ct_changed = nullptr;
     // Cost model (sim/cost_model.h): cycles per examined flow and per
     // classifier lookup during re-translation.
     double reval_per_flow = 0;

@@ -21,20 +21,11 @@ SwitchConfig merge_offload(SwitchConfig cfg) {
   return cfg;
 }
 
-ConnTrackerConfig ct_config(const SwitchConfig& cfg) {
-  ConnTrackerConfig c;
-  c.max_entries = cfg.ct_max_entries;
-  c.max_per_zone = cfg.ct_max_per_zone;
-  c.idle_timeout_ns = cfg.ct_idle_timeout_ns;
-  c.fair_eviction = cfg.ct_fair_eviction;
-  return c;
-}
-
 }  // namespace
 
 Switch::Switch(SwitchConfig cfg)
     : cfg_(merge_offload(std::move(cfg))),
-      pipeline_(cfg_.n_tables, cfg_.classifier, ct_config(cfg_)),
+      pipeline_(cfg_.n_tables, cfg_.classifier),
       dp_(cfg_.datapath, cfg_.datapath_workers),
       effective_limit_(cfg_.flow_limit),
       queue_(cfg_.upcall_queue),
@@ -58,6 +49,7 @@ Switch::Switch(SwitchConfig cfg)
     return false;
   });
   dp_.set_fault_injector(fault_);
+  pipeline_.set_conntrack(&dp_.conntrack());
 }
 
 void Switch::add_port(uint32_t port) { pipeline_.add_port(port); }
@@ -350,21 +342,18 @@ Switch::InstallResult Switch::install_from_xlate(XlateResult& xr,
     // same translation.
     FlowRecord& rec = dp_.flow_record(e);
     rec.tags = xr.tags;
-    rec.ct_key = xr.ct_key;
-    rec.ct_lookups = xr.ct_lookups;
     rec.rules = std::move(xr.matched_rules);
     rec.captured_gen = pipeline_.tables_generation();
     rec.captured = true;
     if (forward != nullptr) *forward = &dp_.flow_actions(e);
     res = InstallResult::kInstalled;
   } else {
-    // A duplicate leaves the whole record — tags, attribution, ct
-    // dependency — to the translation whose actions the entry carries.
-    // This translation's tags need not match that one's: the masked key is
-    // the same, but MAC learning or a conntrack change in between can steer
-    // the same key down another path, so overwriting them could let the tag
-    // fast path skip a flow whose actions depend on state the overwritten
-    // tags no longer name.
+    // A duplicate leaves the whole record — tags and attribution — to the
+    // translation whose actions the entry carries. This translation's tags
+    // need not match that one's: the masked key is the same, but MAC
+    // learning in between can steer the same key down another path, so
+    // overwriting them could let the tag fast path skip a flow whose
+    // actions depend on state the overwritten tags no longer name.
     ++counters_.setup_dups;
     res = InstallResult::kDup;
   }
@@ -405,6 +394,7 @@ size_t Switch::process_retries(uint64_t now_ns) {
     // was first handled; this pass only re-attempts the cache install.
     XlateResult& xr = pipeline_.translate(r.pkt.key, now_ns, xlate_,
                                           /*side_effects=*/false);
+    pipeline_.name_frozen(xr);
     cpu_.user_cycles +=
         m.upcall_requeue + m.per_table_lookup * xr.table_lookups;
     const InstallResult res = install_from_xlate(xr, r.pkt, now_ns);
@@ -433,16 +423,57 @@ void Switch::maybe_inject_entry_faults() {
   }
 }
 
+const DpActions* Switch::serve_stage(const Packet& pkt, const FlowKey& key,
+                                     uint64_t now_ns) {
+  const CostModel& m = cfg_.cost;
+  const Packet stage{key, pkt.size_bytes};
+  XlateResult& xr = pipeline_.translate(key, now_ns, xlate_);
+  cpu_.user_cycles += m.upcall_fixed + m.per_table_lookup * xr.table_lookups;
+  if (xr.error) ++counters_.xlate_errors;
+  const DpActions* actions = nullptr;
+  const InstallResult res = install_from_xlate(xr, stage, now_ns, &actions);
+  PortUpcallStats& ps = port_upcall_stats_[key.in_port()];
+  ++ps.handled;
+  if (res == InstallResult::kInstalled) ++ps.installs;
+  if (res == InstallResult::kFailed) schedule_retry(stage, now_ns, 0);
+  ++counters_.upcalls_handled;
+  return actions;
+}
+
+void Switch::serve_upcall(const Packet& pkt, FlowKey key, unsigned depth,
+                          DpActions& fate, uint64_t now_ns) {
+  const DpActions* actions = serve_stage(pkt, key, now_ns);
+  if (depth == 0 && !actions->recirculates()) {
+    // No conntrack on the way: the stage's actions are the whole fate.
+    if (trace_) trace_(pkt, *actions, Datapath::Path::kMiss);
+    execute_actions(*actions, pkt);
+    return;
+  }
+  // The datapath runs the stage's ct and the recirculated lookups; each
+  // lookup that misses is one more upcall, served here, so the packet's
+  // fate is complete before the next packet is looked at.
+  while (!dp_.continue_fate(pkt, key, *actions, depth, now_ns, fate))
+    actions = serve_stage(pkt, key, now_ns);
+  if (trace_) trace_(pkt, fate, Datapath::Path::kMiss);
+  execute_actions(fate, pkt);
+}
+
 size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
   // A dead daemon handles nothing; whatever the kernel tried to deliver
   // since the crash was already refused at the sink.
   if (state_ != LifecycleState::kServing) return 0;
   const CostModel& m = cfg_.cost;
+  const uint64_t handled0 = counters_.upcalls_handled;
   process_retries(now_ns);
-  size_t handled = 0;
-  while (handled < max_upcalls) {
+  // Recirculation upcalls first: their packets arrived before anything
+  // still in the queue. Each is served in full, outside the budget.
+  dp_.take_recirc_upcalls(&recirc_batch_);
+  for (RecircUpcall& u : recirc_batch_)
+    serve_upcall(u.pkt, u.key, u.depth, u.fate, now_ns);
+  size_t taken = 0;
+  while (taken < max_upcalls) {
     const size_t batch_size = std::min(
-        cfg_.batching ? cfg_.upcall_batch : size_t{1}, max_upcalls - handled);
+        cfg_.batching ? cfg_.upcall_batch : size_t{1}, max_upcalls - taken);
     std::vector<Packet>& batch = upcall_batch_;
     if (queue_.take(batch_size, &batch) == 0) break;
     // One kernel/user crossing per batch; batching amortizes it (§4.1).
@@ -452,29 +483,22 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
     // Installing between translations is invisible to them: installs touch
     // only the datapath.
     for (const Packet& pkt : batch) {
-      XlateResult& xr = pipeline_.translate(pkt.key, now_ns, xlate_);
-      cpu_.user_cycles +=
-          m.upcall_fixed + m.per_table_lookup * xr.table_lookups;
-      if (xr.error) ++counters_.xlate_errors;
-      const DpActions* actions = nullptr;
-      const InstallResult res = install_from_xlate(xr, pkt, now_ns, &actions);
-      PortUpcallStats& ps = port_upcall_stats_[pkt.key.in_port()];
-      ++ps.handled;
-      if (res == InstallResult::kInstalled) ++ps.installs;
-      if (res == InstallResult::kFailed) schedule_retry(pkt, now_ns, 0);
-      // The queued packet itself is now forwarded, with this translation's
-      // actions (held by the new flow when it installed).
-      if (trace_) trace_(pkt, *actions, Datapath::Path::kMiss);
-      execute_actions(*actions, pkt);
-      ++handled;
-      ++counters_.upcalls_handled;
+      fate_.list.clear();
+      serve_upcall(pkt, pkt.key, /*depth=*/0, fate_, now_ns);
+      ++taken;
     }
   }
   maybe_inject_entry_faults();
   // Delay-faulted upcalls surface into the fair queue now; they are
   // serviced on the next invocation (observably one round late).
   dp_.flush_delayed_upcalls();
-  return handled;
+  return counters_.upcalls_handled - handled0;
+}
+
+void Switch::drop_recirc_upcalls() {
+  dp_.take_recirc_upcalls(&recirc_batch_);
+  counters_.upcalls_dropped += recirc_batch_.size();
+  recirc_batch_.clear();
 }
 
 void Switch::apply_limit_backoff() {
@@ -535,15 +559,8 @@ void Switch::revalidate(uint64_t now_ns) {
   const uint64_t gen = pipeline_.generation();
   const uint64_t tables_gen = pipeline_.tables_generation();
   const uint64_t ports_gen = pipeline_.ports_generation();
-  // ct_state feeds classification, so conntrack mutations are a dirtiness
-  // source of their own. Gated by ct_reval_dirty: the ablation the
-  // differential fuzzer must catch serves stale ct_state megaflows here.
-  ConnTracker& ct = pipeline_.conntrack();
-  const uint64_t ct_gen = ct.generation();
-  const bool ct_dirty =
-      cfg_.ct_reval_dirty && ct_gen != ct_gen_at_last_reval_;
   const bool maybe_stale =
-      gen != pipeline_gen_at_last_reval_ || ct_dirty || reval_force_full_;
+      gen != pipeline_gen_at_last_reval_ || reval_force_full_;
   const uint64_t changed_tags = pipeline_.mac_learning().take_changed_tags();
 
   // Plan phase: partition the dump across revalidator threads; each
@@ -553,36 +570,31 @@ void Switch::revalidate(uint64_t now_ns) {
   rc.idle_ns = idle_ns;
   rc.maybe_stale = maybe_stale;
   // kTags (historical): tags gate re-translation even when a full pass was
-  // forced — its documented weakness — and conntrack never gates it. kTwoTier
-  // drops the fast path when a full pass is forced (entry corruption
-  // bypasses the generation counters), so faulted entries are always
-  // repaired; and because tags track only MAC bindings, it also drops it
-  // whenever the tables or ports generation moved — a rule or port change
-  // can invalidate flows whose tags never change, so only MAC- and
-  // conntrack-driven staleness may take the tier-1 skip (the soundness
-  // condition behind making kTwoTier the default). Conntrack staleness is
-  // per flow: a flow skips only if no connection its translation looked up
-  // is in the tracker's changed set. An overflowed set names no
-  // connections, so it drops the fast path for the pass.
+  // forced — its documented weakness. kTwoTier drops the fast path when a
+  // full pass is forced (entry corruption bypasses the generation
+  // counters), so faulted entries are always repaired; and because tags
+  // track only MAC bindings, it also drops it whenever the tables or ports
+  // generation moved — a rule or port change can invalidate flows whose
+  // tags never change, so only MAC-driven staleness may take the tier-1
+  // skip (the soundness condition behind making kTwoTier the default).
   const bool two_tier = cfg_.reval_mode == RevalidationMode::kTwoTier;
-  if (two_tier && ct_dirty) rc.ct_changed = ct.seal_changed();
   rc.use_tags =
       cfg_.reval_mode == RevalidationMode::kTags ||
       (two_tier && !reval_force_full_ &&
        tables_gen == tables_gen_at_last_reval_ &&
-       ports_gen == ports_gen_at_last_reval_ &&
-       !(ct_dirty && rc.ct_changed == nullptr));
+       ports_gen == ports_gen_at_last_reval_);
   rc.changed_tags = changed_tags;
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
   std::vector<Datapath::FlowRef> flows = dp_.dump();
+  // Frozen states no flow names any more go first, so this pass deletes
+  // the post-ct flows that match their ids.
+  retain_named_recirc_ids(flows);
   last_pass_ = Revalidator::plan(dp_, pipeline_, flows, now_ns, rc,
                                  &reval_plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
-  counters_.reval_ct_changed += last_pass_.ct_changed;
-  counters_.ct_changed_keys += last_pass_.ct_changed_keys;
 
   // Work vs latency: every partition's cycles are CPU work; the deadline
   // below compares against the modeled pass latency (slowest partition
@@ -640,8 +652,6 @@ void Switch::revalidate(uint64_t now_ns) {
   pipeline_gen_at_last_reval_ = gen;
   tables_gen_at_last_reval_ = tables_gen;
   ports_gen_at_last_reval_ = ports_gen;
-  ct_gen_at_last_reval_ = ct_gen;
-  ct.clear_changed();
   reval_force_full_ = false;
 
   // Hard eviction if still above the limit: oldest-used first, like
@@ -679,11 +689,10 @@ void Switch::revalidate(uint64_t now_ns) {
     if (pass_ns > static_cast<double>(cfg_.max_revalidation_ns)) {
       ++counters_.reval_overruns;
       apply_limit_backoff();
-    } else if (!mask_explosion_.on && !ct_pressure_.on) {
-      // Additive recovery pauses while the tuple-explosion or conntrack
-      // pressure detector is engaged: a clean pass under attack only means
-      // the shrunken table fits the deadline, not that growing it back is
-      // safe.
+    } else if (!mask_explosion_.on) {
+      // Additive recovery pauses while the tuple-explosion detector is
+      // engaged: a clean pass under attack only means the shrunken table
+      // fits the deadline, not that growing it back is safe.
       limit_scale_ =
           std::min(1.0, limit_scale_ + cfg_.degradation.limit_recovery);
     }
@@ -883,21 +892,17 @@ void Switch::update_cls_policy() {
     apply_limit_backoff();
 }
 
-void Switch::update_ct_policy() {
-  const DegradationConfig& d = cfg_.degradation;
-  if (!d.enabled || d.ct_pressure_ratio <= 0.0 || cfg_.ct_max_entries == 0)
-    return;
-  const double occupancy =
-      static_cast<double>(pipeline_.conntrack().size()) /
-      static_cast<double>(cfg_.ct_max_entries);
-  // Release at half the engage ratio — the churn subsiding, not one
-  // eviction. While pressure persists, keep ratcheting the megaflow table
-  // down (per-connection megaflows are the product of ct churn).
-  const Valve::Step step = ct_pressure_.step(
-      occupancy >= d.ct_pressure_ratio, occupancy < d.ct_pressure_ratio / 2);
-  if (step == Valve::Step::kEngage) ++counters_.ct_pressure_engaged;
-  if (step == Valve::Step::kEngage || step == Valve::Step::kPersist)
-    apply_limit_backoff();
+void Switch::retain_named_recirc_ids(
+    const std::vector<Datapath::FlowRef>& flows) {
+  RecircTable& recirc = pipeline_.recirc();
+  if (recirc.size() == 0) return;
+  live_recirc_ids_.clear();
+  for (Datapath::FlowRef f : flows) {
+    const DpActions& a = dp_.flow_actions(f);
+    if (a.recirculates()) live_recirc_ids_.push_back(a.recirc_id());
+  }
+  std::sort(live_recirc_ids_.begin(), live_recirc_ids_.end());
+  recirc.retain(live_recirc_ids_);
 }
 
 size_t Switch::cls_subtables() const noexcept {
@@ -924,8 +929,6 @@ void Switch::refresh_attribution(Datapath::FlowRef f,
                                  const RevalDecision& d) {
   FlowRecord& rec = dp_.flow_record(f);
   rec.tags = d.tags;
-  rec.ct_key = d.ct_key;
-  rec.ct_lookups = d.ct_lookups;
   if (d.new_rules) rec.rules = std::move(reval_plan_.update(d).rules);
   rec.captured_gen = pipeline_.tables_generation();
   rec.captured = true;
@@ -956,15 +959,19 @@ void Switch::crash() {
     if (lost.empty()) break;
     counters_.upcalls_dropped += lost.size();
   }
+  drop_recirc_upcalls();
   // Tear down userspace: fresh pipeline (tables rebuilt from config on
   // restart), blank flow records, degradation detectors back to defaults. The
   // EMC insertion knob is kernel state the dead daemon had set — a restart
-  // restores the configured policy, like a fresh daemon would. Conntrack
-  // lives in the pipeline and dies with it (userspace state, unlike the
-  // real kernel module): established connections re-enter as kNew after
-  // restart, and reconciliation repairs megaflows stamped with the stale
-  // ct_state.
-  pipeline_ = Pipeline(cfg_.n_tables, cfg_.classifier, ct_config(cfg_));
+  // restores the configured policy, like a fresh daemon would. Conntrack is
+  // datapath state, as the kernel module is in OVS: the connection table
+  // survives and keeps tracking what the surviving cache forwards. The
+  // frozen states die with the pipeline; their ids never come back, and
+  // reconciliation deletes the post-ct flows that name them.
+  const uint32_t next_recirc_id = pipeline_.recirc().next_id();
+  pipeline_ = Pipeline(cfg_.n_tables, cfg_.classifier);
+  pipeline_.set_conntrack(&dp_.conntrack());
+  pipeline_.recirc().resume_at(next_recirc_id);
   // Each surviving flow's record (tags, attribution, placement memory) is
   // process state; the entries and the offload table are kernel and NIC
   // state and survive, still forwarding, until restart() adopts or
@@ -981,7 +988,6 @@ void Switch::crash() {
   probe_ewma_ = 0.0;
   dp_tuples_seen_ = s.tuples_searched;
   dp_packets_seen_ = s.packets;
-  ct_pressure_ = Valve{};
   tenant_masks_.clear();
   tenant_masks_valid_ = false;
   tenant_masks_gen_ = 0;
@@ -989,7 +995,6 @@ void Switch::crash() {
   pipeline_gen_at_last_reval_ = 0;
   tables_gen_at_last_reval_ = 0;
   ports_gen_at_last_reval_ = 0;
-  ct_gen_at_last_reval_ = 0;
   last_pass_ = RevalPassStats{};
   ++counters_.userspace_crashes;
   state_ = LifecycleState::kCrashed;
@@ -1026,8 +1031,12 @@ bool Switch::restart(uint64_t now_ns) {
   // the crash-time tags died with the daemon, so every flow re-translates
   // against the rebuilt tables. Plan parallelizes across revalidator
   // threads; the apply below is serial in dump order, which is what makes
-  // the outcome independent of the thread count and the worker count.
+  // the outcome independent of the thread count and the worker count. The
+  // frozen states died too: naming the tables' ones first lets each first
+  // stage be repaired to its new id, while the post-ct flows, matching ids
+  // nobody knows, are deleted.
   force_full_revalidation();
+  pipeline_.name_ct_frozen_states();
   Revalidator::Config rc;
   rc.n_threads = std::max<size_t>(1, cfg_.revalidator_threads);
   rc.idle_ns = cfg_.idle_timeout_ns;
@@ -1092,9 +1101,9 @@ bool Switch::restart(uint64_t now_ns) {
   pipeline_gen_at_last_reval_ = pipeline_.generation();
   tables_gen_at_last_reval_ = pipeline_.tables_generation();
   ports_gen_at_last_reval_ = pipeline_.ports_generation();
-  ct_gen_at_last_reval_ = pipeline_.conntrack().generation();
-  pipeline_.conntrack().clear_changed();
   reval_force_full_ = false;
+  // Recirculations the surviving cache started while nobody listened.
+  drop_recirc_upcalls();
   cpu_.user_cycles += blackout_cycles;
   counters_.reconcile_blackout_cycles +=
       static_cast<uint64_t>(blackout_cycles);
@@ -1160,14 +1169,11 @@ void Switch::run_maintenance(uint64_t now_ns) {
     return;
   }
   pipeline_.mac_learning().expire(now_ns);
-  // Conntrack idle expiry before revalidation: expiring entries bumps the
-  // ct generation, so megaflows stamped with the dead connections' ct_state
-  // are repaired in the same pass instead of serving stale state for a
-  // round (DESIGN.md §15).
-  counters_.ct_expired_idle += pipeline_.conntrack().expire_idle(now_ns);
+  // Conntrack idle expiry. No megaflow depends on a connection, so nothing
+  // needs revalidating for it (DESIGN.md §15).
+  counters_.ct_expired_idle += dp_.conntrack().expire_idle(now_ns);
   update_emc_policy();
   update_cls_policy();
-  update_ct_policy();
   revalidate(now_ns);
   // OpenFlow idle/hard flow expiry uses the statistics refreshed above
   // (§6); expirations bump the pipeline generation, so the next

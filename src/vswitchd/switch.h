@@ -1,11 +1,14 @@
 // The top-level switch: the public API a downstream user programs against.
 //
 // A Switch owns a userspace pipeline (OpenFlow tables, MAC learning,
-// conntrack), a simulated kernel datapath (megaflow + microflow caches), and
+// recirculation ids), a simulated kernel datapath (megaflow + microflow
+// caches, conntrack), and
 // the daemon machinery connecting them:
 //
 //   * upcall handling — datapath misses are translated through the pipeline
-//     and the resulting megaflow is installed (§3.1, §4.2);
+//     and the resulting megaflow is installed (§3.1, §4.2); a packet whose
+//     megaflow runs conntrack recirculates in the datapath, and its
+//     recirculated misses are served in the same call (DESIGN.md §15);
 //   * revalidation — installed flows are periodically dumped, re-translated
 //     and compared; idle flows are evicted; the flow limit is enforced and
 //     dynamically adjusted so revalidation stays under a deadline (§6);
@@ -115,17 +118,6 @@ struct DegradationConfig {
   size_t mask_explosion_subtables = 0;
   double mask_probe_ewma_threshold = 0.0;
   double mask_probe_ewma_alpha = 0.3;  // EWMA smoothing per interval
-
-  // Conntrack pressure (DESIGN.md §15), evaluated once per maintenance
-  // interval. 0 = off (default; keeps the pre-conntrack switch bit-for-bit).
-  // Engages when conntrack occupancy reaches ct_pressure_ratio of
-  // ct_max_entries: one multiplicative flow-limit backoff per interval the
-  // pressure persists (per-connection megaflows are what a churning
-  // stateful table mints, so shedding cached flows sheds the product of the
-  // churn), additive recovery suppressed while engaged. Disengages below
-  // half the ratio — the same hysteresis shape as the mask-explosion
-  // detector. Meaningless without a ct_max_entries cap.
-  double ct_pressure_ratio = 0.0;
 };
 
 class FaultInjector;
@@ -187,21 +179,6 @@ struct SwitchConfig {
   // existing rules instead of evicting them. Rules without an exact
   // metadata match are uncapped. 0 disables admission control.
   size_t max_masks_per_tenant = 0;
-
-  // Bounded conntrack (DESIGN.md §15). All default-off: 0 caps/timeouts
-  // reproduce the unbounded no-expiry tracker bit-for-bit.
-  size_t ct_max_entries = 0;
-  size_t ct_max_per_zone = 0;
-  uint64_t ct_idle_timeout_ns = 0;
-  bool ct_fair_eviction = true;
-  // ct_state feeds classification, so megaflows depend on conntrack state;
-  // this makes ConnTracker::generation() a revalidation dirtiness source,
-  // and under kTwoTier a flow whose connection is in the tracker's changed
-  // set leaves the tag fast path (an overflowed set suspends it for the
-  // pass). false is DELIBERATELY UNSOUND: stale ct_state megaflows survive
-  // revalidation. It exists as the differential fuzzer's
-  // ablation gate, same pattern as the kTags reval mode.
-  bool ct_reval_dirty = true;
 
   // Cache invalidation parameters (§6).
   size_t flow_limit = 200000;
@@ -279,25 +256,19 @@ class Switch {
   std::vector<std::string> dump_flows() const;
 
   // Controller-driven conntrack writes (DESIGN.md §15): the ovs-ctl
-  // "ct-commit"/"ct-delete" analogues, and what the differential harness
-  // drives in lockstep on the switch and its oracle (translate-time
-  // ct(commit) timing is cache-state-dependent, so fuzz scenarios mutate
-  // the connection table explicitly). Each write records the connections
-  // it changed, and the next revalidation repairs exactly the megaflows
-  // that looked them up.
+  // "ct-commit"/"ct-delete" analogues, on the datapath's tracker. No
+  // megaflow depends on a connection, so no write needs revalidation.
   bool ct_commit(const FlowKey& key, uint16_t zone, uint64_t now_ns) {
-    return pipeline_.conntrack().commit(key, zone, now_ns);
+    return dp_.conntrack().commit(key, zone, now_ns);
   }
   bool ct_commit_nat(const FlowKey& key, const CtNatSpec& nat, uint16_t zone,
                      uint64_t now_ns) {
-    return pipeline_.conntrack().commit_nat(key, nat, zone, now_ns);
+    return dp_.conntrack().commit_nat(key, nat, zone, now_ns);
   }
   bool ct_remove(const FlowKey& key, uint16_t zone) {
-    return pipeline_.conntrack().remove(key, zone);
+    return dp_.conntrack().remove(key, zone);
   }
-  const ConnTracker& conntrack() const noexcept {
-    return pipeline_.conntrack();
-  }
+  const ConnTracker& conntrack() const noexcept { return dp_.conntrack(); }
 
   // Invoked for every packet transmitted on a port.
   using OutputFn = std::function<void(uint32_t port, const Packet&)>;
@@ -315,7 +286,9 @@ class Switch {
   // Deterministic trace hook: fires exactly once per packet at the moment
   // its forwarding fate is decided — on a cache hit with the cached entry's
   // actions, or when its upcall is handled with the freshly translated
-  // actions (path == kMiss). Refused upcalls (queue full, daemon down) and
+  // actions (path == kMiss). A recirculated packet's actions are its
+  // composed fate (every stage, ct's NAT rewrite included), reported once
+  // the last stage is decided. Refused upcalls (queue full, daemon down) and
   // fault-dropped upcalls produce no trace. The differential fuzz harness
   // (src/testing/) diffs these per-packet traces against its oracle.
   using TraceFn = std::function<void(const Packet&, const DpActions&,
@@ -335,10 +308,12 @@ class Switch {
   // the number of packets that missed (queued as upcalls).
   size_t inject_batch(std::span<const Packet> pkts, uint64_t now_ns);
 
-  // Processes queued upcalls: retries due failed installs, then drains up
-  // to max_upcalls misses from the fair queue (translate, install,
-  // forward), then releases fault-delayed upcalls for the next round.
-  // Returns the number of fresh upcalls handled (retries not included).
+  // Processes queued upcalls: retries due failed installs, then every
+  // recirculation upcall, then up to max_upcalls misses from the fair queue
+  // (translate, install, forward), then releases fault-delayed upcalls for
+  // the next round. A recirculation an upcall starts finishes inside the
+  // call, its misses served as upcalls too. Returns the number of fresh
+  // upcalls handled (retries not included).
   // max_upcalls models the handler's per-invocation service budget — under
   // overload the queue backlogs and the fair dequeue decides who is served.
   size_t handle_upcalls(uint64_t now_ns, size_t max_upcalls = SIZE_MAX);
@@ -390,10 +365,6 @@ class Switch {
     uint64_t reval_deleted_stale = 0;
     uint64_t reval_updated_actions = 0;
     uint64_t reval_skipped_by_tags = 0;
-    // Conntrack-precise revalidation (DESIGN.md §15), summed over passes:
-    // flows whose ct dependency changed, and the changed set's size.
-    uint64_t reval_ct_changed = 0;
-    uint64_t ct_changed_keys = 0;
     uint64_t evicted_flow_limit = 0;
     // NIC offload tier (DESIGN.md §13): slots programmed / invalidated by
     // the placement policy (datapath-internal evictions on megaflow removal
@@ -431,7 +402,6 @@ class Switch {
     uint64_t mask_explosion_engaged = 0;  // detector activations
     // Stateful pipeline (DESIGN.md §15).
     uint64_t ct_expired_idle = 0;      // conntrack idle-timeout expirations
-    uint64_t ct_pressure_engaged = 0;  // ct pressure detector activations
     // Crash/restart lifecycle (DESIGN.md §9). Reconciliation verdicts:
     // adopted + repaired + reval_deleted_{idle,stale} deltas partition the
     // dump; quarantined counts post-check deletions. The upcall/install
@@ -473,8 +443,6 @@ class Switch {
   // True while the tuple-explosion detector holds the AIMD backoff engaged
   // (recovery suspended; one backoff per interval the signal persists).
   bool mask_explosion_active() const noexcept { return mask_explosion_.on; }
-  // True while the conntrack pressure detector holds the backoff engaged.
-  bool ct_pressure_active() const noexcept { return ct_pressure_.on; }
   // Userspace classifier shape (DESIGN.md §14): subtables maintained summed
   // across tables, and the per-lookup probe bound of the worst table.
   size_t cls_subtables() const noexcept;
@@ -501,8 +469,8 @@ class Switch {
  private:
   enum class InstallResult : uint8_t { kInstalled, kDup, kFailed };
 
-  // The engage/hysteresis state machine shared by the three overload
-  // detectors (EMC thrash, tuple explosion, conntrack pressure). Once per
+  // The engage/hysteresis state machine shared by the two overload
+  // detectors (EMC thrash, tuple explosion). Once per
   // maintenance interval each detector reduces its own signal to `hot` (at
   // its engage threshold) and `cool` (below half of it) and acts on the
   // step; an engaged valve that is neither hot nor cool holds (kIdle).
@@ -532,6 +500,22 @@ class Switch {
   InstallResult install_from_xlate(XlateResult& xr, const Packet& pkt,
                                    uint64_t now_ns,
                                    const DpActions** forward = nullptr);
+  // Translates and installs the stage of `pkt` an upcall brought up (`key`,
+  // its key at that stage) and counts the upcall; returns the stage's
+  // actions (the new flow's, or the translation's).
+  const DpActions* serve_stage(const Packet& pkt, const FlowKey& key,
+                               uint64_t now_ns);
+  // Serves one upcall: `key` at `depth` recirculations of `pkt`, with
+  // `fate` its earlier stages composed. Every further recirculation runs
+  // and every miss it meets is served before this returns; then the
+  // packet is traced and forwarded with its whole fate.
+  void serve_upcall(const Packet& pkt, FlowKey key, unsigned depth,
+                    DpActions& fate, uint64_t now_ns);
+  // Counts the pending recirculation upcalls as dropped (nobody serves
+  // them across a crash).
+  void drop_recirc_upcalls();
+  // Frees the frozen states no live flow of `flows` names.
+  void retain_named_recirc_ids(const std::vector<Datapath::FlowRef>& flows);
   void schedule_retry(const Packet& pkt, uint64_t now_ns, uint32_t attempts);
   size_t process_retries(uint64_t now_ns);
   void maybe_inject_entry_faults();
@@ -544,8 +528,6 @@ class Switch {
   void refresh_tenant_masks();
   // Tuple-explosion detector, evaluated per maintenance interval.
   void update_cls_policy();
-  // Conntrack pressure detector (DESIGN.md §15), same cadence.
-  void update_ct_policy();
   void revalidate(uint64_t now_ns);
   // Offload placement (DESIGN.md §13): folds this dump interval's per-flow
   // packet deltas into the EWMAs, then programs/evicts slots. Runs inside
@@ -562,8 +544,8 @@ class Switch {
   // entry is (re-)translated, and gone with the entry. push_flow_stats
   // credits the rules with the traffic since the last push.
   void push_flow_stats(Datapath::FlowRef f, uint64_t now_ns);
-  // Stores a fresh translation's tags, ct dependency and (when it changed)
-  // rule list in the record.
+  // Stores a fresh translation's tags and (when it changed) rule list in
+  // the record.
   void refresh_attribution(Datapath::FlowRef f, const RevalDecision& d);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
@@ -600,23 +582,20 @@ class Switch {
   // translation scratch of upcalls and retries, and the revalidation plan
   // with its per-partition translation scratch.
   std::vector<Packet> upcall_batch_;
+  std::vector<RecircUpcall> recirc_batch_;
+  DpActions fate_;  // a queued upcall's composed fate
+  std::vector<uint32_t> live_recirc_ids_;
   XlateScratch xlate_;
   RevalPlan reval_plan_;
   RevalPassStats last_pass_;
   size_t effective_limit_;
   uint64_t pipeline_gen_at_last_reval_ = 0;
   // Per-source generations at the last pass: the kTwoTier tag fast path is
-  // only sound for MAC- and conntrack-driven staleness (tags track MAC
-  // bindings, the per-flow ct key tracks connections, nothing tracks rules
-  // or ports), so it engages only while the tables and ports generations
-  // are unchanged.
+  // only sound for MAC-driven staleness (tags track MAC bindings, nothing
+  // tracks rules or ports), so it engages only while the tables and ports
+  // generations are unchanged.
   uint64_t tables_gen_at_last_reval_ = 0;
   uint64_t ports_gen_at_last_reval_ = 0;
-  // Conntrack generation at the last pass: a separate dirtiness source so
-  // the ct_reval_dirty ablation can ignore it without touching the rest.
-  // The tracker's changed set covers the same interval: it is cleared
-  // exactly when this is updated.
-  uint64_t ct_gen_at_last_reval_ = 0;
 
   // Crash/restart lifecycle (DESIGN.md §9).
   LifecycleState state_ = LifecycleState::kServing;
@@ -634,9 +613,6 @@ class Switch {
   Valve emc_degraded_;
   uint64_t emc_attempts_seen_ = 0;  // insert attempts at last policy check
   uint64_t emc_hits_seen_ = 0;      // microflow hits at last policy check
-
-  // Conntrack pressure detector state (DESIGN.md §15).
-  Valve ct_pressure_;
 
   // Tuple-explosion detector state (DESIGN.md §14).
   Valve mask_explosion_;

@@ -1,5 +1,5 @@
-// Tests for the minimal connection tracker (§8.1).
-#include "ofproto/conntrack.h"
+// Tests for the datapath connection tracker (§8.1, DESIGN.md §15).
+#include "datapath/conntrack.h"
 
 #include <gtest/gtest.h>
 
@@ -400,6 +400,128 @@ TEST(ConnTrackerTest, FlushDropsEverythingAndBumpsGeneration) {
   const uint64_t gen2 = ct.generation();
   ct.flush();
   EXPECT_EQ(ct.generation(), gen2);
+}
+
+// --- The datapath's ct action (execute / preview) ----------------------------
+
+constexpr uint16_t kSyn = 0x002, kAck = 0x010, kPshAck = 0x018,
+                   kFinAck = 0x011, kRst = 0x004, kSynAck = kSyn | kAck;
+
+FlowKey seg(const FlowKey& k, uint16_t flags) {
+  FlowKey out = k;
+  out.set_tcp_flags(flags);
+  return out;
+}
+
+CtAction commit_ct(uint16_t zone = 0) {
+  CtAction ct;
+  ct.zone = zone;
+  ct.commit = true;
+  return ct;
+}
+
+// One connect-request-response-disconnect transaction: the tracker keeps
+// the connection through the half-close (first FIN) and the peer's FIN, and
+// the final ACK closes it. Nothing is left behind — in particular the
+// peer's FIN-ACK does not re-open the connection.
+TEST(ConnTrackerTest, CrrTransactionLeavesNothing) {
+  ConnTracker ct;
+  const FlowKey c2s = flow(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 40000, 80);
+  const FlowKey s2c = flow(Ipv4(10, 0, 0, 2), Ipv4(10, 0, 0, 1), 80, 40000);
+  struct Step {
+    const FlowKey* dir;
+    uint16_t flags;
+    uint8_t state;   // what the packet reads
+    size_t size;     // connections after it
+  };
+  const uint8_t est = ct_state::kEstablished;
+  const uint8_t rpl = ct_state::kEstablished | ct_state::kReply;
+  const Step steps[] = {
+      {&c2s, kSyn, ct_state::kNew, 1}, {&s2c, kSynAck, rpl, 1},
+      {&c2s, kAck, est, 1},            {&c2s, kPshAck, est, 1},
+      {&s2c, kPshAck, rpl, 1},         {&c2s, kFinAck, est, 1},  // half-close
+      {&s2c, kFinAck, rpl, 1},  // both FINs: the last ACK is still due
+      {&c2s, kAck, est, 0},     // closes it
+  };
+  uint64_t now = 1;
+  for (const Step& st : steps) {
+    const ConnTracker::Verdict v = ct.execute(seg(*st.dir, st.flags),
+                                              commit_ct(), now++);
+    EXPECT_EQ(v.state, st.state) << "flags " << st.flags;
+    EXPECT_EQ(ct.size(), st.size) << "flags " << st.flags;
+  }
+  EXPECT_EQ(ct.stats().committed, 1u);
+  EXPECT_EQ(ct.stats().removed, 1u);
+}
+
+// A RST closes the connection at once, from either side, and opens
+// nothing when no connection exists.
+TEST(ConnTrackerTest, RstClosesAtOnce) {
+  const FlowKey c2s = flow(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 40000, 80);
+  const FlowKey s2c = flow(Ipv4(10, 0, 0, 2), Ipv4(10, 0, 0, 1), 80, 40000);
+  for (const FlowKey* rst_dir : {&c2s, &s2c}) {
+    ConnTracker ct;
+    ct.execute(seg(c2s, kSyn), commit_ct(), 1);
+    ct.execute(seg(s2c, kSynAck), commit_ct(), 2);
+    ASSERT_EQ(ct.size(), 1u);
+    const ConnTracker::Verdict v =
+        ct.execute(seg(*rst_dir, kRst), commit_ct(), 3);
+    EXPECT_TRUE(v.state & ct_state::kEstablished);  // it closes that one
+    EXPECT_EQ(ct.size(), 0u);
+    EXPECT_EQ(ct.lookup(c2s), ct_state::kNew);
+    // A stray RST on the dead tuple opens nothing.
+    EXPECT_EQ(ct.execute(seg(c2s, kRst), commit_ct(), 4).state,
+              ct_state::kNew);
+    EXPECT_EQ(ct.size(), 0u);
+  }
+}
+
+// A lookup-only ct neither commits nor tears down.
+TEST(ConnTrackerTest, LookupOnlyCtChangesNothing) {
+  ConnTracker ct;
+  const FlowKey k = flow(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 40000, 80);
+  CtAction lookup;
+  EXPECT_EQ(ct.execute(seg(k, kSyn), lookup, 1).state, ct_state::kNew);
+  EXPECT_EQ(ct.size(), 0u);
+  ct.commit(k, 0, 1);
+  EXPECT_TRUE(ct.execute(seg(k, kRst), lookup, 2).state &
+              ct_state::kEstablished);
+  EXPECT_EQ(ct.size(), 1u);
+}
+
+// The first packet of a NAT connection commits the binding and is itself
+// rewritten; replies to the NAT address are un-NATed, and the FINs from
+// both sides close the pair. preview() answers what execute() will.
+TEST(ConnTrackerTest, NatCommitRewritesFirstPacketAndClosesPair) {
+  ConnTracker ct;
+  const FlowKey c2s = flow(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 40000, 80);
+  const FlowKey s2c = flow(Ipv4(10, 0, 0, 2), Ipv4(192, 0, 2, 9), 80, 5000);
+  CtAction snat = commit_ct();
+  snat.nat = CtAction::Nat::kSrc;
+  snat.nat_addr = Ipv4(192, 0, 2, 9).value();
+  snat.nat_port = 5000;
+
+  const ConnTracker::Verdict expect = ct.preview(seg(c2s, kSyn), snat);
+  const ConnTracker::Verdict first = ct.execute(seg(c2s, kSyn), snat, 1);
+  EXPECT_EQ(first, expect);
+  EXPECT_EQ(first.state, ct_state::kNew);
+  ASSERT_TRUE(first.has_nat);
+  EXPECT_TRUE(first.nat.to_src);
+  EXPECT_EQ(first.nat.addr, Ipv4(192, 0, 2, 9).value());
+  EXPECT_EQ(ct.size(), 2u);  // the primary and its reverse entry
+
+  const ConnTracker::Verdict reply = ct.execute(seg(s2c, kSynAck), snat, 2);
+  EXPECT_EQ(reply.state, ct_state::kEstablished | ct_state::kReply);
+  ASSERT_TRUE(reply.has_nat);
+  EXPECT_FALSE(reply.nat.to_src);  // un-NAT the destination
+  EXPECT_EQ(reply.nat.addr, Ipv4(10, 0, 0, 1).value());
+
+  ct.execute(seg(c2s, kFinAck), snat, 3);
+  ct.execute(seg(s2c, kFinAck), snat, 4);
+  EXPECT_EQ(ct.size(), 2u);
+  const ConnTracker::Verdict last = ct.execute(seg(c2s, kAck), snat, 5);
+  EXPECT_TRUE(last.has_nat);  // the closing packet keeps its rewrite
+  EXPECT_EQ(ct.size(), 0u);
 }
 
 }  // namespace

@@ -225,11 +225,11 @@ TEST(DifferentialFuzz, TagsAblationIsCaughtAndShrunk) {
   std::remove(path.c_str());
 }
 
-// Same teeth check for the second ablation (DESIGN.md §15): a switch that
-// ignores conntrack generation as a revalidation dirtiness source keeps
-// serving megaflows stamped with stale ct_state (or dead NAT bindings)
-// after the connection table changed underneath them. The fuzzer must
-// diverge on it and the shrinker must minimize the reproducer.
+// Same teeth check for the second ablation (DESIGN.md §15): a datapath that
+// drops the ct verdict's ct_state when it recirculates sends every post-ct
+// stage down its stateless route. The fuzzer must diverge on it and the
+// shrinker must minimize the reproducer
+// (tests/corpus/ct_recirc_drops_ct_state.scenario is one).
 TEST(DifferentialFuzz, CtAblationIsCaughtAndShrunk) {
   const GeneratorConfig gcfg = generator_config();
   const DiffConfig ablation = fuzz::ct_ablation_config();
@@ -326,9 +326,9 @@ TEST(DifferentialFuzz, CorpusOverbroadDropMegaflowReplays) {
     EXPECT_FALSE(dv.has_value()) << cfg.name << ": " << dv->to_string();
   }
 }
-// The minimized stateful reproducers: each must still diverge under
-// the CT ablation — with the expected probe signature — and replay cleanly
-// under every sound configuration (standard + partitioned).
+// The stateful scenarios: each must diverge under the CT ablation — with
+// the expected probe signature — and replay cleanly under every sound
+// configuration (standard + partitioned).
 class CorpusCtScenario : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorpusCtScenario, DivergesUnderCtAblationOnly) {
@@ -357,7 +357,8 @@ TEST_P(CorpusCtScenario, DivergesUnderCtAblationOnly) {
 
 INSTANTIATE_TEST_SUITE_P(
     StatefulCorpus, CorpusCtScenario,
-    ::testing::Values("ct_stale_ctstate.scenario",
+    ::testing::Values("ct_recirc_drops_ct_state.scenario",
+                      "ct_stale_ctstate.scenario",
                       "ct_expiry_reval.scenario",
                       "ct_nat_rebinding.scenario",
                       "ct_nat_pair_teardown.scenario",

@@ -140,45 +140,41 @@ FLOW_STATS_TEST(StatsSurviveFlowEviction) {
 }
 
 FLOW_STATS_TEST(StatsSurviveStaleDeletion) {
-  // The established-state route commits (which consults tcp_flags); the
-  // new-state route does not. Tearing the connection down is a conntrack
-  // change with no table change: the fresh translation takes the new-state
-  // route with a narrower mask and other actions, so the flow is deleted
-  // as stale — and the packets it carried since the last poll must still
-  // reach the established-state rules, whose pointers are still valid.
-  sw_.add_port(3);
+  // A post-ct megaflow goes stale with no table change once no flow names
+  // its recirculation: here its pre-ct flow leaves the datapath behind the
+  // revalidator's back (as a datapath flush would). The next pass frees the
+  // frozen state and deletes the post-ct flow as stale — and the packets it
+  // carried since the last poll must still reach its rule, whose pointer
+  // is still valid.
   ASSERT_EQ("", sw_.add_flow("priority=35, tcp, tp_dst=80, actions=ct(table=1)",
                              clock_.now()));
   ASSERT_EQ("", sw_.add_flow("table=1, priority=30, ct_state=1, "
                              "actions=output:2",
                              clock_.now()));
-  ASSERT_EQ("", sw_.add_flow("table=1, priority=30, ct_state=2, "
-                             "actions=ct(commit,table=2)",
-                             clock_.now()));
-  ASSERT_EQ("", sw_.add_flow("table=2, priority=10, tcp, actions=output:3",
-                             clock_.now()));
-  const OfRule* est = find_rule(1, MatchBuilder().ct_state(2), 30);
-  ASSERT_NE(est, nullptr);
+  const OfRule* fresh = find_rule(1, MatchBuilder().ct_state(1), 30);
+  ASSERT_NE(fresh, nullptr);
 
   const Packet p = pkt_to(Ipv4(10, 0, 0, 7), 80, 120);
-  ASSERT_TRUE(sw_.ct_commit(p.key, 0, clock_.now()));
   sw_.inject(p, clock_.now());
   sw_.handle_upcalls(clock_.now());
-  ASSERT_EQ(sw_.backend().flow_count(), 1u);
+  ASSERT_EQ(sw_.backend().flow_count(), 2u);
   clock_.advance(kSecond);
   sw_.run_maintenance(clock_.now());
-  ASSERT_EQ(est->packets(), 1u);
-  ASSERT_EQ(sw_.backend().flow_count(), 1u);
+  ASSERT_EQ(fresh->packets(), 1u);
+  ASSERT_EQ(sw_.backend().flow_count(), 2u);
 
   for (int i = 0; i < 3; ++i) sw_.inject(p, clock_.now());
-  ASSERT_TRUE(sw_.ct_remove(p.key, 0));
+  for (Datapath::FlowRef f : sw_.backend().dump())
+    if (sw_.backend().flow_full_key(f).recirc_id() == 0)
+      sw_.backend().remove(f);
+  sw_.backend().purge_dead();
   const uint64_t stale_before = sw_.counters().reval_deleted_stale;
   clock_.advance(kSecond);
   sw_.run_maintenance(clock_.now());
   EXPECT_EQ(sw_.counters().reval_deleted_stale, stale_before + 1);
   EXPECT_EQ(sw_.backend().flow_count(), 0u);
-  EXPECT_EQ(est->packets(), 4u);
-  EXPECT_EQ(est->bytes(), 4u * 120);
+  EXPECT_EQ(fresh->packets(), 4u);
+  EXPECT_EQ(fresh->bytes(), 4u * 120);
 }
 
 FLOW_STATS_TEST(IdleTimeoutExpiresRule) {

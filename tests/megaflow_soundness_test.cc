@@ -1,19 +1,17 @@
 // Megaflow soundness on the stateful NVP pipeline (DESIGN.md §15, "What a
 // flow depends on"). A megaflow stands for every packet its mask covers, so
 // every such packet must translate to the same actions and the same mask on
-// the same switch state. The differential fuzzer cannot check this for
-// ct(commit) (its rule templates avoid it), so this suite drives CRR
-// connections, data segments, RSTs and stray FIN/RST packets through a
-// switch and, before each packet reaches it, translates the packet and 32
-// variants of it without side effects. A variant keeps every bit the mask
-// holds and randomises every wildcarded one: the tcp_flags bits other than
-// FIN and RST of a committing flow, the fields the pipeline never reads.
-//
-// In the plain stateful pipeline a FIN or RST changes only the commit's
-// side effect (teardown instead of a refresh), not the actions. So one ACL
-// tenant's service also source-NATs its connections: a teardown skips the
-// NAT rewrite, and a mask that missed FIN or RST shows up as a variant
-// whose actions drop the rewrite.
+// the same switch state. This suite drives CRR connections, data segments,
+// RSTs and stray FIN/RST packets through a switch and, before each packet
+// reaches it, translates each of its stages and 32 variants of each
+// without side effects: the first stage (which stops at ct) on the packet,
+// every post-recirculation stage on the key the datapath would recirculate
+// (the stage's rewrites, the tracker's NAT rewrite and ct_state, the
+// recirc_id). A variant keeps every bit the mask holds and randomises every
+// wildcarded one: the 5-tuple and tcp_flags of every stage, which no stage
+// consults, ct_state where the post-ct tables do not read it, the fields
+// the pipeline never reads. One ACL tenant's service source-NATs its
+// connections, so a post-ct stage also sees rewritten headers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -100,6 +98,7 @@ class SoundnessDriver {
 
   const Switch& sw() const { return sw_; }
   size_t checked() const { return checked_; }
+  size_t checked_post_ct() const { return checked_post_ct_; }
 
  private:
   const NvpVm& vm(uint64_t tenant, size_t i) const {
@@ -161,12 +160,32 @@ class SoundnessDriver {
     sw_.handle_upcalls(clock_.now());
   }
 
+  // Checks every stage of `key`'s trip through the datapath.
+  void check(const FlowKey& key) {
+    FlowKey stage = key;
+    for (unsigned depth = 0; depth <= kMaxRecircDepth; ++depth) {
+      XlateResult ref;
+      check_stage(stage, &ref);
+      if (::testing::Test::HasFatalFailure() || !ref.froze) return;
+      // The key the datapath recirculates: this stage's rewrites, the
+      // tracker's verdict, and the id naming the frozen state.
+      sw_.pipeline().name_frozen(ref);
+      ref.actions.apply_set_fields(stage);
+      DpActions ignored;
+      apply_ct_verdict(sw_.conntrack().preview(stage, ref.actions.ct()),
+                       stage, ignored);
+      stage.set_recirc_id(ref.actions.recirc_id());
+      ++checked_post_ct_;
+    }
+  }
+
   // Translates `key` and its variants on the current state, side-effect
   // free; all must agree on actions and mask.
-  void check(const FlowKey& key) {
+  void check_stage(const FlowKey& key, XlateResult* out) {
     Pipeline& pl = sw_.pipeline();
     const uint64_t now = clock_.now();
-    const XlateResult ref = pl.translate(key, now, /*side_effects=*/false);
+    XlateResult& ref = *out;
+    ref = pl.translate(key, now, /*side_effects=*/false);
     const FlowMask& mask = ref.megaflow.mask;
     for (size_t v = 0; v < kVariants; ++v) {
       FlowKey var;
@@ -192,6 +211,7 @@ class SoundnessDriver {
   XlateScratch scratch_;
   std::vector<Conn> conns_;
   size_t checked_ = 0;
+  size_t checked_post_ct_ = 0;
 };
 
 TEST(MegaflowSoundness, StatefulNvpVariantsTranslateAlike) {
@@ -201,14 +221,15 @@ TEST(MegaflowSoundness, StatefulNvpVariantsTranslateAlike) {
     for (int i = 0; i < 3000 && !::testing::Test::HasFatalFailure(); ++i)
       d.step();
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    // The run exercised the slow path: connections committed, torn down
-    // and translated from many states, not one cached decision.
-    const ConnTracker::Stats& ct = d.sw().conntrack().stats();
+    // The run exercised the tracker and the slow path: connections
+    // committed, torn down and NATed, stages translated from many states.
+    const ConnTracker::Stats ct = d.sw().conntrack().stats();
     EXPECT_GT(ct.committed, 400u);
     EXPECT_GT(ct.removed, 80u);
     EXPECT_GT(ct.nat_bindings, 40u);
-    EXPECT_GT(d.sw().counters().upcalls_handled, 700u);
-    EXPECT_GE(d.checked(), 2500u);
+    EXPECT_GT(d.sw().counters().upcalls_handled, 150u);
+    EXPECT_GE(d.checked(), 4000u);
+    EXPECT_GE(d.checked_post_ct(), 1200u);
   }
 }
 

@@ -216,12 +216,15 @@ TEST(PipelineTest, NormalFloodConsultsOnlyTheGroupBitOfEthDst) {
 
 TEST(PipelineTest, ConnTrackStatefulFirewall) {
   // Table 0: send IP through ct into table 1; table 1: allow established,
-  // allow new only from port 1 (and commit), drop otherwise.
+  // allow new only from port 1 (and commit), drop otherwise. Translation
+  // stops at each ct; the composed fate comes from evaluate(), which
+  // previews the tracker.
   Pipeline p(2);
+  ConnTracker ct;
+  p.set_conntrack(&ct);
   p.table(0).add_flow(MatchBuilder().ip(), 10, OfActions().ct(1));
   p.table(1).add_flow(MatchBuilder().ct_state(ct_state::kNew).in_port(1), 10,
                       OfActions().ct(1, /*commit=*/true));
-  // After commit+recirculation the state reads established.
   p.table(1).add_flow(
       MatchBuilder().ct_state(ct_state::kEstablished).in_port(1), 9,
       OfActions().output(2));
@@ -230,25 +233,41 @@ TEST(PipelineTest, ConnTrackStatefulFirewall) {
           .in_port(2),
       9, OfActions().output(1));
 
-  // Outbound SYN from the trusted side: allowed and committed.
-  auto xr1 = p.translate(
-      tcp_key(1, Ipv4(10, 0, 0, 1), Ipv4(20, 0, 0, 1), 1234, 80), 0);
-  EXPECT_EQ(xr1.actions.to_string(), "output:2");
-  EXPECT_EQ(p.conntrack().size(), 1u);
+  const FlowKey out = tcp_key(1, Ipv4(10, 0, 0, 1), Ipv4(20, 0, 0, 1), 1234, 80);
+  const FlowKey back = tcp_key(2, Ipv4(20, 0, 0, 1), Ipv4(10, 0, 0, 1), 80, 1234);
 
-  // Reply from outside: established -> allowed.
-  auto xr2 = p.translate(
-      tcp_key(2, Ipv4(20, 0, 0, 1), Ipv4(10, 0, 0, 1), 80, 1234), 1);
-  EXPECT_EQ(xr2.actions.to_string(), "output:1");
+  // The first stage stops at ct, consults no connection, and names the
+  // frozen state it resumes from.
+  const XlateResult first = p.translate(out, 0);
+  ASSERT_TRUE(first.froze);
+  EXPECT_EQ(first.frozen.table, 1u);
+  ASSERT_TRUE(first.actions.recirculates());
+  EXPECT_FALSE(first.actions.ct().commit);
+  EXPECT_NE(first.actions.recirc_id(), 0u);
+  EXPECT_FALSE(first.megaflow.mask.has_field(FieldId::kTpSrc));
+  EXPECT_FALSE(first.megaflow.mask.has_field(FieldId::kNwSrc));
+  EXPECT_TRUE(first.megaflow.mask.is_exact(FieldId::kRecircId));
+
+  // The recirculated stage reads ct_state as a packet field: a new
+  // outbound connection commits.
+  FlowKey rec = out;
+  rec.set_ct_state(ct_state::kNew);
+  rec.set_recirc_id(first.actions.recirc_id());
+  const XlateResult second = p.translate(rec, 0);
+  ASSERT_TRUE(second.froze);
+  EXPECT_TRUE(second.actions.ct().commit);
+  EXPECT_TRUE(second.megaflow.mask.is_exact(FieldId::kCtState));
+
+  // Once committed, evaluate() composes the established fates.
+  ct.commit(out, 0, 0);
+  EXPECT_EQ(p.evaluate(out, 1).actions.to_string(), "output:2");
+  EXPECT_EQ(p.evaluate(back, 1).actions.to_string(), "output:1");
 
   // Unsolicited packet from outside: new on port 2 -> drop.
-  auto xr3 = p.translate(
-      tcp_key(2, Ipv4(20, 0, 0, 9), Ipv4(10, 0, 0, 1), 9999, 22), 2);
-  EXPECT_TRUE(xr3.actions.drops());
-
-  // ct megaflows are per-connection: the 5-tuple must be matched.
-  EXPECT_TRUE(xr1.megaflow.mask.is_exact(FieldId::kTpSrc));
-  EXPECT_TRUE(xr1.megaflow.mask.is_exact(FieldId::kNwSrc));
+  EXPECT_TRUE(p.evaluate(tcp_key(2, Ipv4(20, 0, 0, 9), Ipv4(10, 0, 0, 1),
+                                 9999, 22),
+                         2)
+                  .actions.drops());
 }
 
 TEST(PipelineTest, GenerationTracksChanges) {

@@ -385,11 +385,12 @@ TEST(RestartRecoveryTest, MaintenanceDrivenRecoveryUnderLoad) {
 }
 
 // Stateful pipeline across the crash/restart lifecycle (DESIGN.md §15):
-// conntrack is process state — it dies with the daemon while the megaflows
-// it shaped survive in the kernel cache. Reconciliation must repair those
-// stale-ct_state survivors against the empty connection table, never adopt
-// them.
-TEST(StatefulRestartTest, CrashFlushesConntrackAndRepairsStaleCtMegaflows) {
+// conntrack is datapath state, as the kernel module is in OVS — it survives
+// the daemon, and the surviving cache keeps running ct during the blackout.
+// The frozen states die with the daemon: reconciliation repairs each first
+// stage to an id the dead daemon never handed out and deletes the post-ct
+// flows, whose ids nobody knows; traffic sets those up again.
+TEST(StatefulRestartTest, CrashKeepsConntrackAndDropsUnknownRecircFlows) {
   SwitchConfig cfg;
   Switch sw(cfg);
   for (uint32_t p = 1; p <= 3; ++p) sw.add_port(p);
@@ -423,50 +424,56 @@ TEST(StatefulRestartTest, CrashFlushesConntrackAndRepairsStaleCtMegaflows) {
   sw.inject(pkt, clock.now());
   sw.handle_upcalls(clock.now());
   ASSERT_FALSE(traces.empty());
-  EXPECT_EQ("output:3", traces.back());  // established-state route cached
-  ASSERT_EQ(sw.backend().flow_count(), 1u);
+  EXPECT_EQ("output:3", traces.back());  // established-state route
+  ASSERT_EQ(sw.backend().flow_count(), 2u);  // the pre-ct and post-ct stages
+  uint32_t old_id = 0;
+  for (Datapath::FlowRef f : sw.backend().dump())
+    old_id = std::max(old_id, sw.backend().flow_full_key(f).recirc_id());
+  ASSERT_NE(old_id, 0u);
 
   sw.crash();
-  // Conntrack died with the daemon: empty table, connection back to new.
-  EXPECT_EQ(sw.conntrack().size(), 0u);
-  EXPECT_EQ(sw.conntrack().lookup(k), ct_state::kNew);
+  // The connection table is datapath state: still there.
+  EXPECT_EQ(sw.conntrack().size(), 1u);
+  EXPECT_TRUE(sw.conntrack().lookup(k) & ct_state::kEstablished);
 
-  // Blackout: the kernel cache outlives the daemon and keeps serving the
-  // (now stale) established-state route — legal until reconciliation.
+  // Blackout: the kernel cache outlives the daemon and keeps running ct.
   sw.inject(pkt, clock.now());
   EXPECT_EQ("output:3", traces.back());
+  // A torn-down connection reads new again in the datapath; that stage was
+  // never cached, and nobody serves the recirculation's miss.
+  sw.ct_remove(k, 0);
+  const size_t traced = traces.size();
+  const uint64_t dropped = sw.counters().upcalls_dropped;
+  sw.inject(pkt, clock.now());
+  EXPECT_EQ(traces.size(), traced);
+  sw.ct_commit(k, 0, clock.now());
 
   clock.advance(kSecond);
   ASSERT_TRUE(sw.restart(clock.now()));
-  // Reconciliation re-translated against the EMPTY connection table: the
-  // stale megaflow was repaired to the new-state route, not adopted.
-  EXPECT_EQ(sw.counters().flows_repaired, 1u);
+  // No frozen state survived: the first stage was repaired to a fresh id,
+  // the post-ct stage deleted; nothing was adopted.
+  EXPECT_EQ(sw.backend().flow_count(), 1u);
   EXPECT_EQ(sw.counters().flows_adopted, 0u);
+  EXPECT_EQ(sw.counters().flows_repaired, 1u);
+  EXPECT_EQ(sw.counters().reval_deleted_stale, 1u);
+  EXPECT_EQ(sw.counters().upcalls_dropped, dropped + 1);
 
-  // Zero misdelivery from here on: post-restart traffic takes the
-  // new-state route, and every surviving flow answers exactly like a fresh
-  // translation.
+  // Traffic sets the post-ct stage up again under the fresh id, and the
+  // surviving connection still reads established.
   sw.inject(pkt, clock.now());
-  EXPECT_EQ("output:2", traces.back());
+  sw.handle_upcalls(clock.now());
+  EXPECT_EQ("output:3", traces.back());
+  ASSERT_EQ(sw.backend().flow_count(), 2u);
   for (Datapath::FlowRef f : sw.backend().dump()) {
-    const XlateResult want =
-        sw.pipeline().translate(sw.backend().flow_match(f).key, clock.now(),
-                                /*side_effects=*/false);
-    EXPECT_EQ(sw.backend().flow_actions(f), want.actions);
+    const uint32_t id = sw.backend().flow_full_key(f).recirc_id();
+    EXPECT_TRUE(id == 0 || id > old_id) << id;
   }
   EXPECT_TRUE(sw.self_check().ok());
-
-  // Re-committing after restart restores the established route end to end.
-  sw.ct_commit(k, 0, clock.now());
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());
-  sw.inject(pkt, clock.now());
-  EXPECT_EQ("output:3", traces.back());
 }
 
-// A NAT'd connection's rewrite must not survive the daemon either: after
-// restart the un-committed connection forwards un-rewritten.
-TEST(StatefulRestartTest, NatBindingDiesWithDaemonAndMegaflowIsRepaired) {
+// A NAT'd connection's binding is datapath state too: it survives the
+// daemon, and the packets after restart are still rewritten.
+TEST(StatefulRestartTest, NatBindingSurvivesDaemon) {
   SwitchConfig cfg;
   Switch sw(cfg);
   for (uint32_t p = 1; p <= 3; ++p) sw.add_port(p);
@@ -499,16 +506,17 @@ TEST(StatefulRestartTest, NatBindingDiesWithDaemonAndMegaflowIsRepaired) {
   sw.handle_upcalls(clock.now());
   ASSERT_FALSE(traces.empty());
   const std::string natted = traces.back();
-  EXPECT_NE(natted.find("set("), std::string::npos) << natted;
+  EXPECT_EQ("set(nw_src=3221225993),set(tp_src=40001),output:2", natted);
 
   sw.crash();
-  EXPECT_FALSE(sw.conntrack().nat_lookup(k).has_value());
+  EXPECT_TRUE(sw.conntrack().nat_lookup(k).has_value());
   clock.advance(kSecond);
   ASSERT_TRUE(sw.restart(clock.now()));
-  EXPECT_EQ(sw.counters().flows_repaired, 1u);
+  EXPECT_EQ(sw.backend().flow_count(), 1u);  // the repaired first stage
 
   sw.inject(pkt, clock.now());
-  EXPECT_EQ("output:2", traces.back());  // no rewrite: binding is gone
+  sw.handle_upcalls(clock.now());
+  EXPECT_EQ(natted, traces.back());  // the binding outlived the daemon
 }
 
 }  // namespace

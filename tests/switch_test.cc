@@ -318,92 +318,5 @@ TEST_F(SwitchTest, UpcallBatchingChargesFewerCycles) {
   EXPECT_LT(user[0], user[1]);  // batching amortizes the syscall cost
 }
 
-// Conntrack-pressure degradation (DESIGN.md §15): sustained occupancy of
-// the bounded connection table ratchets the megaflow limit down (the
-// per-connection megaflows ct churn mints are the cost being shed), with
-// the same engage/hysteresis shape as the mask-explosion detector.
-TEST(StatefulPressureTest, CtPressureBacksOffFlowLimitWithHysteresis) {
-  SwitchConfig cfg;
-  cfg.ct_max_entries = 8;
-  cfg.degradation.ct_pressure_ratio = 0.75;
-  Switch sw(cfg);
-  sw.add_port(1);
-  VirtualClock clock;
-
-  auto conn = [](uint16_t n) {
-    FlowKey k;
-    k.set_eth_type(ethertype::kIpv4);
-    k.set_nw_proto(ipproto::kTcp);
-    k.set_nw_src(Ipv4(192, 168, 0, 1));
-    k.set_nw_dst(Ipv4(10, 0, 0, 2));
-    k.set_tp_src(static_cast<uint16_t>(1024 + n));
-    k.set_tp_dst(80);
-    return k;
-  };
-
-  // Below the engage ratio nothing happens.
-  for (uint16_t n = 0; n < 5; ++n) sw.ct_commit(conn(n), 0, clock.now());
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());  // 5/8 = 0.625 < 0.75
-  EXPECT_FALSE(sw.ct_pressure_active());
-  EXPECT_EQ(sw.counters().ct_pressure_engaged, 0u);
-
-  // Crossing it engages once and applies a multiplicative backoff.
-  sw.ct_commit(conn(5), 0, clock.now());  // 6/8 = 0.75
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());
-  EXPECT_TRUE(sw.ct_pressure_active());
-  EXPECT_EQ(sw.counters().ct_pressure_engaged, 1u);
-  const uint64_t backoffs = sw.counters().flow_limit_backoffs;
-  EXPECT_GE(backoffs, 1u);
-
-  // Pressure persisting at engage level keeps ratcheting (no re-engage).
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());
-  EXPECT_EQ(sw.counters().ct_pressure_engaged, 1u);
-  EXPECT_EQ(sw.counters().flow_limit_backoffs, backoffs + 1);
-
-  // The mid-band (between ratio/2 and ratio) neither ratchets further nor
-  // disengages: hysteresis, not a point threshold.
-  for (uint16_t n = 0; n < 3; ++n) sw.ct_remove(conn(n), 0);
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());  // 3/8 = 0.375 >= 0.75/2
-  EXPECT_TRUE(sw.ct_pressure_active());
-  EXPECT_EQ(sw.counters().flow_limit_backoffs, backoffs + 1);
-
-  // Falling below half the engage ratio disengages.
-  sw.ct_remove(conn(3), 0);
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());  // 2/8 = 0.25 < 0.375
-  EXPECT_FALSE(sw.ct_pressure_active());
-  EXPECT_EQ(sw.counters().ct_pressure_engaged, 1u);
-  EXPECT_EQ(sw.counters().flow_limit_backoffs, backoffs + 1);
-}
-
-// The knob defaults to off: a switch without ct_pressure_ratio set behaves
-// bit-for-bit like the pre-detector switch even with a full table.
-TEST(StatefulPressureTest, CtPressureDefaultsOff) {
-  SwitchConfig cfg;
-  cfg.ct_max_entries = 4;
-  Switch sw(cfg);
-  sw.add_port(1);
-  VirtualClock clock;
-  for (uint16_t n = 0; n < 4; ++n) {
-    FlowKey k;
-    k.set_eth_type(ethertype::kIpv4);
-    k.set_nw_proto(ipproto::kTcp);
-    k.set_nw_src(Ipv4(192, 168, 0, 1));
-    k.set_nw_dst(Ipv4(10, 0, 0, 2));
-    k.set_tp_src(static_cast<uint16_t>(2000 + n));
-    k.set_tp_dst(80);
-    sw.ct_commit(k, 0, clock.now());
-  }
-  clock.advance(kSecond);
-  sw.run_maintenance(clock.now());
-  EXPECT_FALSE(sw.ct_pressure_active());
-  EXPECT_EQ(sw.counters().ct_pressure_engaged, 0u);
-  EXPECT_EQ(sw.counters().flow_limit_backoffs, 0u);
-}
-
 }  // namespace
 }  // namespace ovs
