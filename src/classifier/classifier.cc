@@ -48,35 +48,39 @@ Rule* Classifier::find_exact(const Match& match,
   return eng == nullptr ? nullptr : eng->find_exact(match, priority);
 }
 
+bool Classifier::holds(const Rule& rule) const noexcept {
+  if (shared_.holds(rule)) return true;
+  if (!is_tenant_rule(rule.match())) return false;
+  const StagedTssEngine* eng = tenant_engine(rule.match());
+  return eng != nullptr && eng->holds(rule);
+}
+
 const Rule* Classifier::lookup(const FlowKey& pkt, FlowWildcards* wc,
-                               uint32_t* n_searched) const noexcept {
-  if (!cfg_.tenant_partition) return shared_.lookup(pkt, wc, n_searched);
-  return lookup_partitioned(pkt, wc, n_searched);
+                               LookupCounts* counts) const noexcept {
+  if (!cfg_.tenant_partition) return shared_.lookup(pkt, wc, counts);
+  return lookup_partitioned(pkt, wc, counts);
 }
 
 const Rule* Classifier::lookup_partitioned(const FlowKey& pkt,
                                            FlowWildcards* wc,
-                                           uint32_t* n_searched) const noexcept {
-  partitioned_lookups_.fetch_add(1, std::memory_order_relaxed);
+                                           LookupCounts* counts) const noexcept {
   // The partition routing consults the packet's full metadata word, so the
   // megaflow must pin it (§5.5 soundness argument).
   if (wc != nullptr) wc->set_exact(FieldId::kMetadata);
 
-  uint32_t searched = 0;
-  uint32_t probe = 0;
+  LookupCounts sum, probe;
   const Rule* best = shared_.lookup(pkt, wc, &probe);
-  searched += probe;
+  sum += probe;
   if (best == nullptr || !cfg_.first_match_only) {
     auto it = tenants_.find(pkt.get(FieldId::kMetadata));
     if (it != tenants_.end()) {
-      probe = 0;
       const Rule* r = it->second->lookup(pkt, wc, &probe);
-      searched += probe;
+      sum += probe;
       if (r != nullptr && (best == nullptr || r->priority() > best->priority()))
         best = r;
     }
   }
-  if (n_searched != nullptr) *n_searched = searched;
+  if (counts != nullptr) *counts = sum;
   return best;
 }
 
@@ -102,26 +106,6 @@ size_t Classifier::max_probe_depth() const noexcept {
 size_t Classifier::tenant_subtables(uint64_t tenant) const noexcept {
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second->mask_count();
-}
-
-Classifier::Stats Classifier::stats() const noexcept {
-  Stats sum = shared_.stats();
-  if (!cfg_.tenant_partition) return sum;
-  for (const auto& [id, eng] : tenants_) {
-    const Stats s = eng->stats();
-    sum.tuples_searched += s.tuples_searched;
-    sum.tuples_skipped += s.tuples_skipped;
-    sum.stage_terminations += s.stage_terminations;
-  }
-  // The two-engine probe would double-count lookups; report whole lookups.
-  sum.lookups = partitioned_lookups_.load(std::memory_order_relaxed);
-  return sum;
-}
-
-void Classifier::reset_stats() const noexcept {
-  shared_.reset_stats();
-  for (const auto& [id, eng] : tenants_) eng->reset_stats();
-  partitioned_lookups_.store(0, std::memory_order_relaxed);
 }
 
 void Classifier::for_each_rule(const std::function<void(Rule*)>& f) const {

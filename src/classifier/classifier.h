@@ -21,7 +21,6 @@
 // tenants. With partitioning off the shared engine holds every rule.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -53,18 +52,20 @@ class Classifier {
   // Finds the rule with identical match and priority, if any.
   Rule* find_exact(const Match& match, int32_t priority) const noexcept;
 
+  // Is `rule` in this classifier? O(1).
+  bool holds(const Rule& rule) const noexcept;
+
   // Returns the highest-priority matching rule (or the first match found in
   // first_match_only mode), or nullptr. If `wc` is non-null, all consulted
   // key bits are OR-ed into it — the caching-aware classification algorithm.
-  // If `n_searched` is non-null it receives the number of subtables whose
-  // hash tables were probed by THIS call (a thread-safe alternative to
-  // diffing the cumulative stats).
+  // If `counts` is non-null it receives what THIS call did: subtables
+  // probed and skipped, and staged early misses.
   //
-  // The lookup path is const and data-race-free: it mutates nothing but the
-  // atomic statistics counters, so any number of reader threads may call it
-  // concurrently as long as no thread is mutating the classifier.
+  // The lookup path is const and writes nothing shared, so any number of
+  // reader threads may call it concurrently as long as no thread is
+  // mutating the classifier.
   const Rule* lookup(const FlowKey& pkt, FlowWildcards* wc = nullptr,
-                     uint32_t* n_searched = nullptr) const noexcept;
+                     LookupCounts* counts = nullptr) const noexcept;
 
   size_t rule_count() const noexcept;
   size_t tuple_count() const noexcept;  // distinct masks ("subtables"),
@@ -80,10 +81,6 @@ class Classifier {
   size_t tenant_subtables(uint64_t tenant) const noexcept;
   size_t shared_subtables() const noexcept { return shared_.mask_count(); }
 
-  using Stats = ClassifierStats;
-  Stats stats() const noexcept;
-  void reset_stats() const noexcept;
-
   // Visits every rule (dump order is unspecified).
   void for_each_rule(const std::function<void(Rule*)>& f) const;
 
@@ -96,15 +93,12 @@ class Classifier {
     return cfg_.tenant_partition && match.mask.is_exact(FieldId::kMetadata);
   }
   const Rule* lookup_partitioned(const FlowKey& pkt, FlowWildcards* wc,
-                                 uint32_t* n_searched) const noexcept;
+                                 LookupCounts* counts) const noexcept;
 
   ClassifierConfig cfg_;
   StagedTssEngine shared_;
-  // Ordered so for_each_rule and stats aggregation are deterministic.
+  // Ordered so for_each_rule is deterministic.
   std::map<uint64_t, std::unique_ptr<StagedTssEngine>> tenants_;
-  // Under partitioning each engine counts its own probes; whole lookups are
-  // counted here so stats().lookups is not doubled by the two-engine probe.
-  mutable std::atomic<uint64_t> partitioned_lookups_{0};
 };
 
 }  // namespace ovs

@@ -28,6 +28,10 @@ class Rule {
 
   bool in_classifier() const noexcept { return sub_ != nullptr; }
 
+ protected:
+  // For an owner that rewrites its rule while the rule is in no classifier.
+  Match& mutable_match() noexcept { return match_; }
+
  private:
   friend class Tuple;
   friend class StagedTssEngine;

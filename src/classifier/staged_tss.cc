@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace ovs {
 
@@ -197,7 +198,8 @@ struct StagedTssEngine::TrieCtx {
   std::array<PrefixTrie::LookupResult, kNumTrieFields> res;
 };
 
-StagedTssEngine::StagedTssEngine(const ClassifierConfig& cfg) : cfg_(cfg) {}
+StagedTssEngine::StagedTssEngine(const ClassifierConfig& cfg)
+    : cfg_(cfg), any_trie_(cfg.prefix_tracking || cfg.port_prefix_tracking) {}
 
 StagedTssEngine::~StagedTssEngine() = default;
 
@@ -224,6 +226,7 @@ Tuple* StagedTssEngine::get_tuple(const FlowMask& mask) {
   }
   auto owned = std::make_unique<Tuple>(mask);
   Tuple* t = owned.get();
+  t->engine_ = this;
   tuples_.push_back(std::move(owned));
   sorted_.push_back(t);
   tuples_by_mask_.insert(flow_mask_hash(mask), t);
@@ -353,12 +356,16 @@ bool StagedTssEngine::check_tries(const Tuple& tuple, const FlowKey& pkt,
 }
 
 const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
-                                    uint32_t* n_searched) const noexcept {
-  // Per-call counters, flushed once into the shared atomics at the end so
-  // concurrent readers pay one relaxed RMW per counter instead of one per
-  // tuple.
-  uint32_t searched = 0, skipped = 0, stage_terms = 0;
-  TrieCtx ctx;
+                                    LookupCounts* counts) const noexcept {
+  return any_trie_ ? lookup_impl<true>(pkt, wc, counts)
+                   : lookup_impl<false>(pkt, wc, counts);
+}
+
+template <bool kTries>
+const Rule* StagedTssEngine::lookup_impl(const FlowKey& pkt, FlowWildcards* wc,
+                                         LookupCounts* counts) const noexcept {
+  LookupCounts n;
+  [[maybe_unused]] std::conditional_t<kTries, TrieCtx, char> ctx{};
   const Rule* best = nullptr;
   for (Tuple* t : sorted_) {
     if (best != nullptr && cfg_.priority_sorting &&
@@ -368,16 +375,18 @@ const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
         !t->partition_contains(pkt.metadata())) {
       // The skip decision consulted (all of) the metadata field.
       if (wc != nullptr) wc->set_exact(FieldId::kMetadata);
-      ++skipped;
+      ++n.skipped;
       continue;
     }
-    if (check_tries(*t, pkt, ctx, wc)) {
-      ++skipped;
-      continue;
+    if constexpr (kTries) {
+      if (check_tries(*t, pkt, ctx, wc)) {
+        ++n.skipped;
+        continue;
+      }
     }
     size_t stage_searched = 0;
     const Rule* r = t->lookup(pkt, cfg_.staged_lookup, &stage_searched);
-    ++searched;
+    ++n.searched;
     if (wc != nullptr) {
       if (stage_searched + 1 < t->n_stages()) {
         // Early stage miss: only the fields of stages [0, stage_searched]
@@ -388,39 +397,14 @@ const Rule* StagedTssEngine::lookup(const FlowKey& pkt, FlowWildcards* wc,
         wc->unite(t->mask());
       }
     }
-    if (stage_searched + 1 < t->n_stages()) ++stage_terms;
+    if (stage_searched + 1 < t->n_stages()) ++n.stage_terminations;
     if (r != nullptr && (best == nullptr || r->priority() > best->priority())) {
       best = r;
       if (cfg_.first_match_only) break;
     }
   }
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  if (searched != 0)
-    stats_.tuples_searched.fetch_add(searched, std::memory_order_relaxed);
-  if (skipped != 0)
-    stats_.tuples_skipped.fetch_add(skipped, std::memory_order_relaxed);
-  if (stage_terms != 0)
-    stats_.stage_terminations.fetch_add(stage_terms,
-                                        std::memory_order_relaxed);
-  if (n_searched != nullptr) *n_searched = searched;
+  if (counts != nullptr) *counts = n;
   return best;
-}
-
-ClassifierStats StagedTssEngine::stats() const noexcept {
-  ClassifierStats s;
-  s.lookups = stats_.lookups.load(std::memory_order_relaxed);
-  s.tuples_searched = stats_.tuples_searched.load(std::memory_order_relaxed);
-  s.tuples_skipped = stats_.tuples_skipped.load(std::memory_order_relaxed);
-  s.stage_terminations =
-      stats_.stage_terminations.load(std::memory_order_relaxed);
-  return s;
-}
-
-void StagedTssEngine::reset_stats() const noexcept {
-  stats_.lookups.store(0, std::memory_order_relaxed);
-  stats_.tuples_searched.store(0, std::memory_order_relaxed);
-  stats_.tuples_skipped.store(0, std::memory_order_relaxed);
-  stats_.stage_terminations.store(0, std::memory_order_relaxed);
 }
 
 void StagedTssEngine::for_each_rule(

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -56,14 +55,21 @@ inline constexpr std::array<FieldId, 6> kTrieFields = {
     FieldId::kIpv6Dst, FieldId::kTpSrc, FieldId::kTpDst};
 inline constexpr size_t kNumTrieFields = kTrieFields.size();
 
-// Cumulative lookup statistics (reset with reset_stats). Returned by value:
-// the engine-internal counters are atomics shared by concurrent readers.
-struct ClassifierStats {
-  uint64_t lookups = 0;
-  uint64_t tuples_searched = 0;      // subtables whose hash tables were probed
-  uint64_t tuples_skipped = 0;       // skipped via tries/partitions
-  uint64_t stage_terminations = 0;   // staged-lookup early misses
+// What one lookup did, counted by the caller's own struct: a lookup
+// writes nothing shared, so concurrent readers never contend on counters.
+struct LookupCounts {
+  uint32_t searched = 0;            // subtables whose hash tables were probed
+  uint32_t skipped = 0;             // skipped via tries/partitions
+  uint32_t stage_terminations = 0;  // staged-lookup early misses
+
+  void operator+=(const LookupCounts& o) noexcept {
+    searched += o.searched;
+    skipped += o.skipped;
+    stage_terminations += o.stage_terminations;
+  }
 };
+
+class StagedTssEngine;
 
 // One hash table per unique mask ("subtable").
 class Tuple {
@@ -119,6 +125,7 @@ class Tuple {
 
   void recompute_pri_max() noexcept;
 
+  const StagedTssEngine* engine_ = nullptr;  // the engine that made it
   FlowMask mask_;
   MiniflowSchema schema_;
   size_t n_stages_ = 1;
@@ -154,14 +161,16 @@ class StagedTssEngine {
   void insert(Rule* rule);
   void remove(Rule* rule) noexcept;
   Rule* find_exact(const Match& match, int32_t priority) const noexcept;
+  // Is `rule` in this engine? O(1).
+  bool holds(const Rule& rule) const noexcept {
+    return rule.sub_ != nullptr && rule.sub_->engine_ == this;
+  }
+  // `counts`, when given, receives this call's counts.
   const Rule* lookup(const FlowKey& pkt, FlowWildcards* wc,
-                     uint32_t* n_searched) const noexcept;
+                     LookupCounts* counts) const noexcept;
 
   size_t rule_count() const noexcept { return n_rules_; }
   size_t mask_count() const noexcept { return tuples_.size(); }
-
-  ClassifierStats stats() const noexcept;
-  void reset_stats() const noexcept;
 
   void for_each_rule(const std::function<void(Rule*)>& f) const;
 
@@ -186,18 +195,18 @@ class StagedTssEngine {
   bool check_tries(const Tuple& tuple, const FlowKey& pkt, TrieCtx& ctx,
                    FlowWildcards* wc) const noexcept;
 
+  // The lookup, compiled with and without the trie step: an engine with
+  // every trie off (the kernel classifier) builds no trie context.
+  template <bool kTries>
+  const Rule* lookup_impl(const FlowKey& pkt, FlowWildcards* wc,
+                          LookupCounts* counts) const noexcept;
+
   // Re-sorts `sorted_` by pri_max. Called from the mutators (insert/remove)
-  // so that lookup never writes anything but its atomic counters.
+  // so that lookup writes nothing.
   void sort_tuples_if_dirty() noexcept;
 
-  struct AtomicStats {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> tuples_searched{0};
-    std::atomic<uint64_t> tuples_skipped{0};
-    std::atomic<uint64_t> stage_terminations{0};
-  };
-
   const ClassifierConfig cfg_;  // fixed: trie upkeep depends on it
+  const bool any_trie_;         // some trie is enabled under cfg_
   std::vector<std::unique_ptr<Tuple>> tuples_;       // owned, live
   std::vector<Tuple*> sorted_;                       // by pri_max desc
   // Emptied tuples, oldest first, still indexed by mask in tuples_by_mask_
@@ -213,8 +222,6 @@ class StagedTssEngine {
 
   std::array<PrefixTrie, kNumTrieFields> tries_;
   std::array<size_t, kNumTrieFields> trie_icmp_rules_{};  // bug-mode poison
-
-  mutable AtomicStats stats_;
 };
 
 }  // namespace ovs

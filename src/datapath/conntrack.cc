@@ -119,6 +119,51 @@ ConnTracker::Verdict ConnTracker::preview(const FlowKey& key,
   return v;
 }
 
+ConnTracker::Verdict ConnTracker::ChainPreview::next(const FlowKey& key,
+                                                     const CtAction& ct,
+                                                     uint64_t now_ns) {
+  if (last_) {
+    touch(last_->key, last_->ct, last_->now_ns);
+    copy_.execute(last_->key, last_->ct, last_->now_ns);
+    copied_ = true;
+  }
+  last_ = Ct{key, ct, now_ns};
+  // A chain of one ct, the common case, copies nothing.
+  if (!copied_ && base_ != nullptr) return base_->preview(key, ct);
+  touch(key, ct, now_ns);
+  return copy_.preview(key, ct);
+}
+
+void ConnTracker::ChainPreview::touch(const FlowKey& key, const CtAction& ct,
+                                      uint64_t now_ns) {
+  touch(ref(key, ct.zone).key, now_ns);
+  // A binding's reverse entry is keyed on the post-NAT tuple, which may
+  // collide with a connection of the base.
+  if (wants_binding(ct))
+    touch(ref(rewritten(key, spec_of(ct)), ct.zone).key, now_ns);
+}
+
+void ConnTracker::ChainPreview::touch(const ConnKey& ck, uint64_t now_ns) {
+  if (base_ == nullptr ||
+      std::find(touched_.begin(), touched_.end(), ck) != touched_.end())
+    return;
+  touched_.push_back(ck);
+  Entry e;
+  {
+    std::lock_guard<std::mutex> lk(base_->mu_);
+    const auto it = base_->table_.find(ck);
+    if (it == base_->table_.end()) return;
+    e = it->second;
+  }
+  {
+    std::lock_guard<std::mutex> lk(copy_.mu_);
+    Entry& mine = copy_.insert(ck, now_ns);
+    e.lru = mine.lru;  // the copy's own LRU node
+    mine = e;
+  }
+  if (e.has_pair) touch(e.pair, now_ns);
+}
+
 ConnTracker::Verdict ConnTracker::execute(const FlowKey& key,
                                           const CtAction& ct,
                                           uint64_t now_ns) {

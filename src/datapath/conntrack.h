@@ -140,6 +140,17 @@ class ConnTracker {
   // The verdict execute() would return, without executing it.
   Verdict preview(const FlowKey& key, const CtAction& ct) const;
 
+  // The verdicts of one packet's chain of ct actions, without executing
+  // them (Pipeline::evaluate). The first ct is previewed against the base
+  // tracker. Once a second one comes, each earlier ct runs for real on a
+  // private copy that holds just the connections the chain has touched,
+  // each copied from the base the first time the chain touches it, and the
+  // later ct is previewed there. So a later ct of the chain sees an earlier
+  // one's commit, teardown and NAT binding, as in the datapath, and the
+  // base is only read. The copy has no capacity limits: a commit that would
+  // evict in the base evicts nothing.
+  class ChainPreview;
+
   // Connection state of the packet's 5-tuple (direction-normalized). Const
   // and time-free by design: state transitions happen only via execute /
   // commit / remove / expire_idle, so two trackers fed the same mutation
@@ -272,6 +283,32 @@ class ConnTracker {
   std::list<ConnKey> spare_lru_;
   uint64_t generation_ = 0;
   Stats stats_;
+};
+
+class ConnTracker::ChainPreview {
+ public:
+  explicit ChainPreview(const ConnTracker* base) : base_(base) {}
+  // The verdict of the chain's next ct, which runs at now_ns.
+  Verdict next(const FlowKey& key, const CtAction& ct, uint64_t now_ns);
+
+ private:
+  // Copies the connections `ct` on `key` reads from the base into the
+  // copy, except those the chain has touched already.
+  void touch(const FlowKey& key, const CtAction& ct, uint64_t now_ns);
+  // One connection (with its NAT pair).
+  void touch(const ConnKey& ck, uint64_t now_ns);
+
+  struct Ct {
+    FlowKey key;
+    CtAction ct;
+    uint64_t now_ns;
+  };
+
+  const ConnTracker* base_;  // null: an empty tracker
+  ConnTracker copy_;
+  std::vector<ConnKey> touched_;
+  std::optional<Ct> last_;  // the previous ct, not yet run on the copy
+  bool copied_ = false;     // some ct has run on the copy
 };
 
 // What a ct action does to the packet it recirculates: the verdict's NAT

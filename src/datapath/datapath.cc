@@ -45,7 +45,8 @@ void Datapath::Stats::operator+=(const Stats& o) noexcept {
 }
 
 Datapath::Shard::Shard(const DatapathConfig& cfg, uint64_t seed)
-    : mega(kernel_classifier_config()),
+    : first(kernel_classifier_config()),
+      post_ct(kernel_classifier_config()),
       micro(cfg.microflow_sets * cfg.microflow_ways),
       rng(seed),
       emc_insert_inv_prob(cfg.emc_insert_inv_prob) {
@@ -194,9 +195,9 @@ bool Datapath::run_stages(Shard& s, const Packet& pkt, FlowKey& key,
     // Straight to the classifier: a recirculated key carries its
     // connection's state and flags, so its microflows rarely repeat and
     // the EMC would only churn (DESIGN.md §15).
-    uint32_t searched = 0;
-    const Rule* r = s.mega.lookup(key, nullptr, &searched);
-    s.stats.tuples_searched += searched;
+    LookupCounts n;
+    const Rule* r = s.mega(key.recirc_id()).lookup(key, nullptr, &n);
+    s.stats.tuples_searched += n.searched;
     if (r == nullptr) return false;
     auto* e = const_cast<MegaflowEntry*>(static_cast<const MegaflowEntry*>(r));
     e->bump(1, pkt.size_bytes, now_ns);
@@ -283,8 +284,9 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
     }
   }
 
-  uint32_t searched = 0;
-  const Rule* r = s.mega.lookup(pkt.key, nullptr, &searched);
+  LookupCounts n;
+  const Rule* r = s.mega(pkt.key.recirc_id()).lookup(pkt.key, nullptr, &n);
+  const uint32_t searched = n.searched;
   s.stats.tuples_searched += searched;
   if (r != nullptr) {
     auto* e = const_cast<MegaflowEntry*>(static_cast<const MegaflowEntry*>(r));
@@ -406,8 +408,10 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
       }
     }
 
-    uint32_t searched = 0;
-    const Rule* r = s.mega.lookup(pkts[i].key, nullptr, &searched);
+    LookupCounts cnt;
+    const Rule* r =
+        s.mega(pkts[i].key.recirc_id()).lookup(pkts[i].key, nullptr, &cnt);
+    const uint32_t searched = cnt.searched;
     ++summary.megaflow_lookups;
     s.stats.tuples_searched += searched;
     summary.tuples_searched += searched;
@@ -506,7 +510,15 @@ void Datapath::process_batch(std::span<const Packet> pkts, uint64_t now_ns,
 Datapath::FlowRef Datapath::install(const Match& match, DpActions&& actions,
                                     uint64_t now_ns,
                                     const FlowKey* full_key) {
-  if (Rule* existing = shards_[0]->mega.find_exact(match, 0))
+  if (!match.mask.is_exact(FieldId::kRecircId)) {
+    // The classifier split below relies on every megaflow naming its stage.
+    Match pinned = match;
+    pinned.mask.set_exact(FieldId::kRecircId);
+    pinned.normalize();
+    return install(pinned, std::move(actions), now_ns, full_key);
+  }
+  const uint32_t recirc_id = match.key.recirc_id();
+  if (Rule* existing = shards_[0]->mega(recirc_id).find_exact(match, 0))
     return static_cast<MegaflowEntry*>(existing);
   if (fault_ != nullptr) {
     if (fault_->should_fire(FaultPoint::kInstallTableFull)) {
@@ -536,7 +548,7 @@ Datapath::FlowRef Datapath::install(const Match& match, DpActions&& actions,
     e->index_ = s.entries.size();
     if (w == 0) flow = e;
     std::lock_guard<std::mutex> lk(s.mu);
-    s.mega.insert(e);
+    s.mega(recirc_id).insert(e);
     s.entries.push_back(std::move(owned));
   }
   return flow;
@@ -555,7 +567,7 @@ void Datapath::remove(FlowRef flow) {
     // revalidator idle/stale deletes, hard eviction, quarantine — in the
     // same step.
     if (s.off != nullptr) s.off->evict(flow);
-    s.mega.remove(e);
+    s.holder(*e).remove(e);
     e->dead_ = true;
     s.graveyard.push_back(std::move(s.entries[i]));
     if (i + 1 != s.entries.size()) {
@@ -657,6 +669,25 @@ void Datapath::expire_entry(size_t idx) {
   ++ctl_stats_.entries_expired;
 }
 
+void Datapath::corrupt_filing(size_t idx, FilingCorruption kind) {
+  const size_t n = flow_count();
+  if (n == 0) return;
+  for (const auto& sp : shards_) {
+    Shard& s = *sp;
+    std::lock_guard<std::mutex> lk(s.mu);
+    MegaflowEntry* e = s.entries[idx % n].get();
+    Classifier& from = s.holder(*e);
+    from.remove(e);
+    if (kind == FilingCorruption::kUnpinned) {
+      e->mutable_match().mask.clear_field(FieldId::kRecircId);
+      e->mutable_match().normalize();
+      from.insert(e);
+    } else {
+      (&from == &s.first ? s.post_ct : s.first).insert(e);
+    }
+  }
+}
+
 void Datapath::set_emc_insert_inv_prob(uint32_t inv) {
   cfg_.emc_insert_inv_prob = inv == 0 ? 1 : inv;
   for (const auto& sp : shards_) {
@@ -750,6 +781,16 @@ size_t Datapath::emc_dangling_hints() const {
       if (slot.entry != nullptr && known.count(slot.entry) == 0) ++dangling;
   }
   return dangling;
+}
+
+bool Datapath::flow_filed_by_recirc_id(FlowRef f) const {
+  for (size_t w = 0; w < shards_.size(); ++w) {
+    Shard& s = *shards_[w];
+    std::lock_guard<std::mutex> lk(s.mu);
+    const MegaflowEntry* e = replica(w, f);
+    if (!s.mega(e->match().key.recirc_id()).holds(*e)) return false;
+  }
+  return true;
 }
 
 }  // namespace ovs

@@ -7,22 +7,25 @@
 //      hash to its megaflow entry ("a hint to the first hash table to
 //      search"); pseudo-random replacement; stale entries are "detected and
 //      corrected the first time a packet matches" (§6);
-//   2. megaflow cache — a single priority-less tuple-space classifier that
+//   2. megaflow cache — a priority-less tuple-space classifier that
 //      terminates on the first match (§4.2); entries are installed by
-//      userspace and are disjoint;
+//      userspace and are disjoint. It is two classifiers, one for
+//      first-stage megaflows (recirc_id 0) and one for post-ct ones: every
+//      megaflow matches recirc_id exactly, so a lookup probes only the one
+//      its key's recirc_id names;
 //   3. miss — the packet is handed to userspace as an *upcall* (§3.1).
 //
 // Recirculation (DESIGN.md §15). A megaflow whose actions end in ct does
 // not finish the packet: the datapath applies the actions' rewrites, runs
 // the shared connection tracker, stamps ct_state and recirc_id and looks
-// the packet up again in the megaflow classifier (not the EMC), up to
+// the packet up again in the post-ct classifier (not the EMC), up to
 // kMaxRecircDepth times. The packet's fate is the stages composed;
 // RxResult::actions points at it. A recirculated lookup that misses
 // becomes a recirculation upcall carrying the fate so far. A hit on a
 // megaflow without ct pays one flag test for all of this.
 //
 // Workers. The datapath is N *shards*, one per worker, each a single-writer
-// copy of the whole cache: its own megaflow classifier and entries, EMC,
+// copy of the whole cache: its own megaflow classifiers and entries, EMC,
 // offload-table copy, RNG, counters and miss buffer, behind one mutex.
 //   * Fast path: process_batch(worker, ...) holds its shard's mutex for one
 //     burst, the batch callback included; nothing on the per-packet path
@@ -283,9 +286,10 @@ class Datapath {
   // full_key, when given, is the unmasked key of the packet that triggered
   // the install; it is stored on the entry for full-fidelity revalidation.
   // Defaults to match.key (already masked) for callers that install
-  // synthetic flows directly. `actions` is moved from only when a new entry
-  // is created; a duplicate or a failure leaves it untouched. The const&
-  // overload installs a copy.
+  // synthetic flows directly. A match that wildcards recirc_id is installed
+  // exact on it (recirc_id 0), as every translated megaflow already is.
+  // `actions` is moved from only when a new entry is created; a duplicate
+  // or a failure leaves it untouched. The const& overload installs a copy.
   FlowRef install(const Match& match, DpActions&& actions, uint64_t now_ns,
                   const FlowKey* full_key = nullptr);
   FlowRef install(const Match& match, const DpActions& actions,
@@ -310,9 +314,13 @@ class Datapath {
   // Snapshot of all live flows, for revalidation and stats polling.
   std::vector<FlowRef> dump() const;
 
-  size_t flow_count() const noexcept { return shards_[0]->mega.rule_count(); }
+  size_t flow_count() const noexcept {
+    return shards_[0]->first.rule_count() + shards_[0]->post_ct.rule_count();
+  }
+  // Subtables across both classifiers: a mask used by first-stage and
+  // post-ct megaflows alike counts twice, as both are probed.
   size_t mask_count() const noexcept {
-    return shards_[0]->mega.tuple_count();
+    return shards_[0]->first.tuple_count() + shards_[0]->post_ct.tuple_count();
   }
 
   // --- Per-flow accessors --------------------------------------------------
@@ -397,6 +405,12 @@ class Datapath {
   void corrupt_entry(size_t idx);
   // Zeroes the idx-th live flow's last-used time so idle expiry reaps it.
   void expire_entry(size_t idx);
+  // Breaks the recirc_id invariant for the idx-th live flow (modulo
+  // flow_count) in every shard, for the invariant checker: kUnpinned
+  // wildcards recirc_id in its mask, kMisfiled moves it to the other
+  // kernel classifier. remove() still finds it.
+  enum class FilingCorruption : uint8_t { kUnpinned, kMisfiled };
+  void corrupt_filing(size_t idx, FilingCorruption kind);
 
   // Runtime policy knob (graceful degradation under EMC thrash); every
   // shard picks it up on its next insertion attempt.
@@ -488,6 +502,9 @@ class Datapath {
   // entries + graveyard would be dereferenced blind on the fast path, so
   // any such hint is a coherence violation.
   size_t emc_dangling_hints() const;
+  // Invariant-checker hook: does every shard file the flow's replica in the
+  // kernel classifier its recirc_id names?
+  bool flow_filed_by_recirc_id(FlowRef f) const;
 
   // cfg.emc_insert_inv_prob tracks set_emc_insert_inv_prob().
   const DatapathConfig& config() const noexcept { return cfg_; }
@@ -503,8 +520,21 @@ class Datapath {
   struct alignas(64) Shard {
     Shard(const DatapathConfig& cfg, uint64_t seed);
 
+    // The classifier a key with this recirc_id is looked up in.
+    Classifier& mega(uint32_t recirc_id) noexcept {
+      return recirc_id == 0 ? first : post_ct;
+    }
+    // The classifier holding `e`: the one its recirc_id names, unless
+    // corrupt_filing() moved it.
+    Classifier& holder(const MegaflowEntry& e) noexcept {
+      return first.holds(e) ? first : post_ct;
+    }
+
     std::mutex mu;  // held for a burst, or for one control operation
-    Classifier mega;  // first_match_only, no priorities — the kernel TSS
+    // The kernel TSS (first_match_only, no priorities), one classifier per
+    // stage: recirc_id 0 (received packets) and post-ct (recirculated).
+    Classifier first;
+    Classifier post_ct;
     std::vector<std::unique_ptr<MegaflowEntry>> entries;
     std::vector<std::unique_ptr<MegaflowEntry>> graveyard;
     std::vector<MicroSlot> micro;      // the EMC

@@ -54,6 +54,22 @@ DpCheckReport run_dp_check(const Datapath& be, const DpCheckConfig& cfg) {
 
   std::vector<size_t> doomed;  // dump indices to quarantine
 
+  if (cfg.check_disjointness) {
+    for (size_t i = 0; i < flows.size(); ++i) {
+      const Match& m = be.flow_match(flows[i]);
+      if (!m.mask.is_exact(FieldId::kRecircId)) {
+        ++report.recirc_unpinned;
+        note(report, cfg, "recirc_id not exact: " + m.to_string());
+      } else if (!be.flow_filed_by_recirc_id(flows[i])) {
+        ++report.misfiled;
+        note(report, cfg, "in the wrong stage's classifier: " + m.to_string());
+      } else {
+        continue;
+      }
+      doomed.push_back(i);
+    }
+  }
+
   if (cfg.check_disjointness && flows.size() > 1) {
     // Group entries by mask. Within one mask, pre-masked keys either collide
     // exactly (a duplicate the install path should have rejected) or differ

@@ -16,7 +16,12 @@
 //     safely (a dead-but-unpurged target is legal, §6 corrects it on first
 //     use; a dangling one is not), via Datapath::emc_dangling_hints();
 //   * stats conservation — packets == microflow_hits + megaflow_hits +
-//     misses; a broken ledger means a path was double- or un-counted.
+//     misses; a broken ledger means a path was double- or un-counted;
+//   * stage filing — every entry matches recirc_id exactly and sits in the
+//     kernel classifier its recirc_id names (first-stage or post-ct). A
+//     lookup probes only that classifier, so an entry anywhere else, or one
+//     that would match several recirc_ids, is never found where it should
+//     be. Checked as part of disjointness.
 //
 // Runnable from tests, as a periodic background self-check in the fleet sim,
 // and as the post-reconciliation gate in Switch::restart(). Offending
@@ -58,6 +63,8 @@ struct DpCheckReport {
   uint64_t duplicate_keys = 0;      // same mask, same masked key
   uint64_t emc_dangling_hints = 0;
   uint64_t stats_violations = 0;
+  uint64_t recirc_unpinned = 0;  // mask not exact on recirc_id
+  uint64_t misfiled = 0;         // in the other stage's classifier
 
   // Offload shadow coherence (slots examined and the three violation
   // classes, mirroring OffloadTable::Corruption).
@@ -67,8 +74,8 @@ struct DpCheckReport {
   uint64_t offload_stat_violations = 0;  // slot hits > owner packets
 
   // Entries to delete, in dump order: the later entry of each offending
-  // pair (the earlier one is what first-match semantics already serve) and
-  // every duplicate beyond the first.
+  // pair (the earlier one is what first-match semantics already serve),
+  // every duplicate beyond the first, and every misfiled or unpinned entry.
   std::vector<Datapath::FlowRef> quarantine;
   // Offload slots to invalidate (listed by owner ref — possibly dangling,
   // compared by address only): the repair for every offload violation is
@@ -78,8 +85,8 @@ struct DpCheckReport {
 
   uint64_t violations() const noexcept {
     return overlap_violations + duplicate_keys + emc_dangling_hints +
-           stats_violations + offload_stale_actions + offload_dangling +
-           offload_stat_violations;
+           stats_violations + recirc_unpinned + misfiled +
+           offload_stale_actions + offload_dangling + offload_stat_violations;
   }
   bool ok() const noexcept { return violations() == 0; }
 };

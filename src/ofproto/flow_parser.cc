@@ -82,9 +82,11 @@ std::optional<Ipv6> parse_ipv6(const std::string& s) {
   if (std::sscanf(s.c_str(), "%x:%x:%x:%x:%x:%x:%x:%x%c", &g[0], &g[1],
                   &g[2], &g[3], &g[4], &g[5], &g[6], &g[7], &tail) != 8)
     return std::nullopt;
+  for (unsigned v : g)
+    if (v > 0xffff) return std::nullopt;
   uint64_t hi = 0, lo = 0;
-  for (int i = 0; i < 4; ++i) hi = (hi << 16) | (g[i] & 0xffff);
-  for (int i = 4; i < 8; ++i) lo = (lo << 16) | (g[i] & 0xffff);
+  for (int i = 0; i < 4; ++i) hi = (hi << 16) | g[i];
+  for (int i = 4; i < 8; ++i) lo = (lo << 16) | g[i];
   return Ipv6(hi, lo);
 }
 
@@ -281,7 +283,7 @@ std::string apply_action(OfActions& actions, const std::string& token) {
     uint32_t reason = 0;
     if (token.size() > 11) {
       auto v = parse_u64(token.substr(11));
-      if (!v) return "bad controller reason";
+      if (!v || *v > ~uint32_t{0}) return "bad controller reason";
       reason = static_cast<uint32_t>(*v);
     }
     actions.controller(reason);
@@ -322,7 +324,9 @@ std::string apply_action(OfActions& actions, const std::string& token) {
     if (*field == FieldId::kIpv6Src || *field == FieldId::kIpv6Dst)
       return "set_field on ipv6 addresses is not supported";
     auto value = parse_field_value(*field, val_s);
-    if (!value) return "bad value '" + val_s + "'";
+    const unsigned width = field_info(*field).width;
+    if (!value || (width < 64 && (*value >> width) != 0))
+      return "bad value '" + val_s + "'";
     actions.set_field(*field, *value);
     return "";
   }
@@ -363,6 +367,8 @@ std::string apply_action(OfActions& actions, const std::string& token) {
         auto v = parse_u64(part.substr(5));
         if (!v || *v > 65535) return "bad ct zone '" + part + "'";
         ct.zone = static_cast<uint16_t>(*v);
+      } else if (part.rfind("nat", 0) == 0 && ct.nat != OfCt::Nat::kNone) {
+        return "ct takes one nat '" + part + "'";
       } else if (part == "nat") {
         ct.nat = OfCt::Nat::kApply;
       } else if (part.rfind("nat(", 0) == 0 && part.back() == ')') {
@@ -471,6 +477,12 @@ FlowParseResult parse_flow(const std::string& text) {
       return res;
     }
   }
+  // format_flow writes an empty list as "drop", which parses to a drop
+  // action: only the explicit form round-trips.
+  if (res.flow.actions.list.empty()) {
+    res.error = "actions= lists no action (drop for none)";
+    return res;
+  }
   res.ok = true;
   return res;
 }
@@ -548,13 +560,17 @@ std::string format_match(const Match& match) {
         v << "ipv6_dst=" << k.ipv6_dst().to_string();
         if (plen >= 0 && plen < 128) v << "/" << plen;
         break;
+      // icmp_type/icmp_code name the exact match only; a prefix keeps the
+      // port syntax.
       case FieldId::kTpSrc:
-        v << (is_icmp ? "icmp_type" : "tp_src") << "=" << k.get(f);
-        if (!is_icmp && plen >= 0 && plen < 16) v << "/" << plen;
+        v << (is_icmp && plen == 16 ? "icmp_type" : "tp_src") << "="
+          << k.get(f);
+        if (plen >= 0 && plen < 16) v << "/" << plen;
         break;
       case FieldId::kTpDst:
-        v << (is_icmp ? "icmp_code" : "tp_dst") << "=" << k.get(f);
-        if (!is_icmp && plen >= 0 && plen < 16) v << "/" << plen;
+        v << (is_icmp && plen == 16 ? "icmp_code" : "tp_dst") << "="
+          << k.get(f);
+        if (plen >= 0 && plen < 16) v << "/" << plen;
         break;
       case FieldId::kEthType: {
         char buf[10];
@@ -601,8 +617,9 @@ std::string format_actions(const OfActions& actions) {
     } else if (const auto* t = std::get_if<OfTunnel>(&a)) {
       emit("tunnel(" + std::to_string(t->port) + "," +
            std::to_string(t->tun_id) + ")");
-    } else if (std::get_if<OfController>(&a)) {
-      emit("controller");
+    } else if (const auto* c = std::get_if<OfController>(&a)) {
+      emit(c->reason == 0 ? "controller"
+                          : "controller:" + std::to_string(c->reason));
     } else if (std::get_if<OfNormal>(&a)) {
       emit("normal");
     } else if (const auto* ct = std::get_if<OfCt>(&a)) {

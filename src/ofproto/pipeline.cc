@@ -319,6 +319,7 @@ XlateResult Pipeline::evaluate(const FlowKey& pkt, uint64_t now_ns) const {
   XlateResult out;
   out.megaflow = stage.megaflow;
   FlowKey key = pkt;
+  ConnTracker::ChainPreview chain(ct_);
   for (unsigned depth = 0;; ++depth) {
     out.actions.append_stage(stage.actions);
     out.table_lookups += stage.table_lookups;
@@ -329,10 +330,7 @@ XlateResult Pipeline::evaluate(const FlowKey& pkt, uint64_t now_ns) const {
     if (!stage.froze || depth == kMaxRecircDepth) break;
     stage.actions.apply_set_fields(key);
     const CtAction& ct = stage.actions.ct();
-    const ConnTracker::Verdict v =
-        ct_ != nullptr ? ct_->preview(key, ct)
-                       : ConnTracker::Verdict{ct_state::kNew, false, {}};
-    apply_ct_verdict(v, key, out.actions);
+    apply_ct_verdict(chain.next(key, ct, now_ns), key, out.actions);
     const FrozenState resume = stage.frozen;
     self->translate_into(key, now_ns, /*side_effects=*/false, stage, &resume);
   }

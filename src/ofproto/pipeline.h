@@ -28,9 +28,7 @@
 //     the rules that resubmitted to it, are dropped instead of being frozen
 //     into the recirculation;
 //   * the frozen state is the table to resume in; registers and metadata
-//     need no freezing because the datapath key carries them;
-//   * evaluate() previews every ct of a chain against the same tracker
-//     state, so a second ct does not see the first one's commit.
+//     need no freezing because the datapath key carries them.
 #pragma once
 
 #include <array>
@@ -96,7 +94,7 @@ class Pipeline {
   MacLearning& mac_learning() noexcept { return mac_; }
   const MacLearning& mac_learning() const noexcept { return mac_; }
   // The connection table evaluate() previews ct actions against (the
-  // datapath's; non-owning). Without one every connection reads kNew.
+  // datapath's; non-owning). Without one it previews an empty table.
   void set_conntrack(const ConnTracker* ct) noexcept { ct_ = ct; }
 
   RecircTable& recirc() noexcept { return recirc_; }
@@ -129,10 +127,12 @@ class Pipeline {
 
   // Side-effect-free single-packet evaluation: what would this pipeline do
   // with `pkt` right now? The packet's whole flattened fate: each stage's
-  // translation (side_effects=false), and at each ct the tracker's preview
-  // (ConnTracker::preview: NAT rewrite as set-fields, ct_state stamped),
-  // composed up to kMaxRecircDepth recirculations exactly as the datapath
-  // composes them. No learning, no commits, no ids. A const entry point so
+  // translation (side_effects=false), and at each ct the tracker's verdict
+  // (NAT rewrite as set-fields, ct_state stamped), composed up to
+  // kMaxRecircDepth recirculations exactly as the datapath composes them.
+  // Each ct of the chain sees the commits of the ones before it
+  // (ConnTracker::ChainPreview), as the datapath's do. No learning, no
+  // commits to the tracker, no ids. A const entry point so
   // model-based oracles (the differential fuzz harness's OracleSwitch,
   // src/testing/) can evaluate against a pipeline they hold by const
   // reference. `megaflow` is the first stage's.

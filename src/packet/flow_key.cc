@@ -12,7 +12,7 @@ int FlowMask::prefix_len(FieldId f) const noexcept {
     const uint64_t lo = w[fi.word + 1];
     // Must be 1-bits followed by 0-bits across the 128-bit value.
     if (hi == ~uint64_t{0}) {
-      const int lz = lo == 0 ? 64 : std::countl_zero(~lo);
+      const int lz = std::countl_zero(~lo);  // leading ones of lo
       const uint64_t expect =
           lz == 0 ? 0 : (lz == 64 ? ~uint64_t{0} : ~uint64_t{0} << (64 - lz));
       return lo == expect ? 64 + lz : -1;

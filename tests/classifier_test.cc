@@ -114,12 +114,13 @@ TEST(ClassifierTest, PrioritySortingTerminatesEarly) {
   rs.add(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8), 10, 2);
   rs.add(MatchBuilder().ip().nw_src_prefix(Ipv4(0, 0, 0, 0), 0), 5, 3);
 
-  rs.classifier().reset_stats();
-  const Rule* r = rs.classifier().lookup(tcp_packet(Ipv4(9, 9, 9, 9), 1, 2));
+  LookupCounts n;
+  const Rule* r =
+      rs.classifier().lookup(tcp_packet(Ipv4(9, 9, 9, 9), 1, 2), nullptr, &n);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(static_cast<const TestRule*>(r)->id, 1);
   // Only the first (highest pri_max) tuple may be searched.
-  EXPECT_EQ(rs.classifier().stats().tuples_searched, 1u);
+  EXPECT_EQ(n.searched, 1u);
 }
 
 TEST(ClassifierTest, NoPrioritySortingSearchesAllTuples) {
@@ -129,11 +130,12 @@ TEST(ClassifierTest, NoPrioritySortingSearchesAllTuples) {
   rs.add(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8), 10, 2);
   rs.add(MatchBuilder().ip().nw_src_prefix(Ipv4(0, 0, 0, 0), 0), 5, 3);
 
-  rs.classifier().reset_stats();
-  const Rule* r = rs.classifier().lookup(tcp_packet(Ipv4(9, 9, 9, 9), 1, 2));
+  LookupCounts n;
+  const Rule* r =
+      rs.classifier().lookup(tcp_packet(Ipv4(9, 9, 9, 9), 1, 2), nullptr, &n);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(static_cast<const TestRule*>(r)->id, 1);  // still correct result
-  EXPECT_EQ(rs.classifier().stats().tuples_searched, 3u);
+  EXPECT_EQ(n.searched, 3u);
 }
 
 TEST(ClassifierTest, PrioritySortingStillFindsLowerPriorityMatch) {
@@ -158,13 +160,13 @@ TEST(ClassifierTest, MetadataPartitionSkipsTuples) {
 
   FlowKey pkt = tcp_packet(Ipv4(9, 9, 9, 9), 5, 80);
   pkt.set_metadata(1);
-  rs.classifier().reset_stats();
-  const Rule* r = rs.classifier().lookup(pkt);
+  LookupCounts n;
+  const Rule* r = rs.classifier().lookup(pkt, nullptr, &n);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(static_cast<const TestRule*>(r)->id, 1);
   // The metadata=2 tuple must be skipped without a hash probe.
-  EXPECT_EQ(rs.classifier().stats().tuples_searched, 1u);
-  EXPECT_EQ(rs.classifier().stats().tuples_skipped, 1u);
+  EXPECT_EQ(n.searched, 1u);
+  EXPECT_EQ(n.skipped, 1u);
 }
 
 TEST(ClassifierTest, PartitionSkipUnwildcardsMetadata) {

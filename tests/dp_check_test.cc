@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "sim/clock.h"
 #include "util/rng.h"
@@ -103,6 +105,55 @@ TEST(DpCheckTest, DisjointEntriesPassMaskPairProbing) {
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.benign_overlaps, 0u);
   EXPECT_GE(r.mask_pairs_checked, 1u);
+}
+
+// --- Stage filing (DESIGN.md §8, §15) --------------------------------------
+
+// Every megaflow matches recirc_id exactly and sits in the kernel classifier
+// its recirc_id names; a lookup probes only that one. The checker flags an
+// entry whose mask lost recirc_id and one filed in the other stage's
+// classifier, in every shard, and quarantine removes both.
+TEST(DpCheckTest, FlagsUnpinnedAndMisfiledMegaflows) {
+  Datapath be({}, 2);
+  Match post = MatchBuilder().tcp().ct_state(ct_state::kEstablished);
+  post.mask.set_exact(FieldId::kRecircId);
+  post.key.set_recirc_id(5);
+  Datapath::FlowRef a =
+      be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
+                 DpActions().output(2), 0);
+  Datapath::FlowRef b = be.install(post, DpActions().output(3), 0);
+  Datapath::FlowRef c =
+      be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
+                 DpActions().output(4), 0);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  // A synthetic install is pinned to recirc_id 0.
+  EXPECT_TRUE(be.flow_match(a).mask.is_exact(FieldId::kRecircId));
+  ASSERT_TRUE(run_dp_check(be).ok());
+
+  const std::vector<Datapath::FlowRef> flows = be.dump();
+  const auto idx = [&](Datapath::FlowRef f) {
+    return static_cast<size_t>(
+        std::find(flows.begin(), flows.end(), f) - flows.begin());
+  };
+  be.corrupt_filing(idx(a), Datapath::FilingCorruption::kUnpinned);
+  be.corrupt_filing(idx(b), Datapath::FilingCorruption::kMisfiled);
+  EXPECT_FALSE(be.flow_match(a).mask.has_field(FieldId::kRecircId));
+  EXPECT_FALSE(be.flow_filed_by_recirc_id(b));
+
+  const DpCheckReport r = run_dp_check(be);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.recirc_unpinned, 1u);
+  EXPECT_EQ(r.misfiled, 1u);
+  ASSERT_EQ(r.quarantine.size(), 2u);
+  EXPECT_EQ(r.quarantine[0], a);
+  EXPECT_EQ(r.quarantine[1], b);
+
+  EXPECT_EQ(quarantine_flows(be, r), 2u);
+  EXPECT_EQ(be.flow_count(), 1u);
+  EXPECT_EQ(be.mask_count(), 1u);
+  EXPECT_TRUE(run_dp_check(be).ok());
 }
 
 // --- Offload shadow coherence (DESIGN.md §13) -------------------------------

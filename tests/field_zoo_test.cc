@@ -152,7 +152,8 @@ TEST_P(StageBoundaryTest, MissTerminatesAtFieldStage) {
   pkt.set_tp_dst(80);
 
   FlowWildcards wc;
-  EXPECT_EQ(rs.classifier().lookup(pkt, &wc), nullptr);
+  LookupCounts n;
+  EXPECT_EQ(rs.classifier().lookup(pkt, &wc, &n), nullptr);
   // Fields of LATER stages must stay wildcarded.
   if (sc.expected_stage < Stage::kL4) {
     EXPECT_FALSE(wc.has_field(FieldId::kTpDst)) << wc.to_string();
@@ -163,7 +164,7 @@ TEST_P(StageBoundaryTest, MissTerminatesAtFieldStage) {
   if (sc.expected_stage < Stage::kL2) {
     EXPECT_FALSE(wc.has_field(FieldId::kEthDst)) << wc.to_string();
   }
-  EXPECT_EQ(rs.classifier().stats().stage_terminations,
+  EXPECT_EQ(n.stage_terminations,
             sc.expected_stage == Stage::kL4 ? 0u : 1u);
 }
 

@@ -190,6 +190,103 @@ TEST(Recirculation, DepthCapDropsAndCounts) {
   EXPECT_EQ(sw.backend().stats().recirc_depth_drops, 2u);
 }
 
+// The kernel cache is two classifiers split by recirc_id, here with three
+// first-stage masks and one post-ct mask, the post-ct one installed first.
+// Counted through Datapath::Stats::tuples_searched with the EMC off: a
+// post-ct hit probes exactly one subtable, and a first-stage lookup, hit
+// or miss, probes the three first-stage masks and never the post-ct one.
+TEST(Recirculation, LookupsProbeOnlyTheirStagesMasks) {
+  DatapathConfig cfg;
+  cfg.microflow_enabled = false;
+  Datapath dp(cfg);
+  testutil::UpcallCollector upcalls(dp);
+  constexpr uint32_t kPostCt = 7;
+  Match post = MatchBuilder().tcp().ct_state(ct_state::kNew);
+  post.mask.set_exact(FieldId::kRecircId);
+  post.key.set_recirc_id(kPostCt);
+  ASSERT_NE(dp.install(post, DpActions().output(2), 1), nullptr);
+  DpActions to_ct;
+  CtAction ct;
+  ct.recirc_id = kPostCt;
+  to_ct.list.push_back(ct);
+  ASSERT_NE(dp.install(MatchBuilder().in_port(3), DpActions().output(1), 1),
+            nullptr);
+  ASSERT_NE(dp.install(MatchBuilder().in_port(1).udp().tp_dst(53),
+                       DpActions().output(1), 1),
+            nullptr);
+  ASSERT_NE(dp.install(MatchBuilder().in_port(1).tcp(), to_ct, 1), nullptr);
+  ASSERT_EQ(dp.mask_count(), 4u);
+
+  const Packet syn = tcp_pkt(1, Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 4000,
+                             80, kSyn);
+  const Datapath::RxResult rx = dp.receive(syn, 2);
+  ASSERT_NE(rx.actions, nullptr);
+  EXPECT_EQ(rx.actions->to_string(), "output:2");
+  EXPECT_EQ(rx.tuples_searched, 3u);  // the first stage's own masks
+  const Datapath::Stats s1 = dp.stats();
+  EXPECT_EQ(s1.recirculations, 1u);
+  EXPECT_EQ(s1.tuples_searched, 3u + 1u);  // the post-ct hit: one probe
+
+  const Packet stray = tcp_pkt(2, Ipv4(10, 0, 0, 3), Ipv4(10, 0, 0, 2), 4000,
+                               80, kSyn);
+  const Datapath::RxResult miss = dp.receive(stray, 3);
+  EXPECT_EQ(miss.path, Datapath::Path::kMiss);
+  EXPECT_EQ(miss.tuples_searched, 3u);
+  EXPECT_EQ(dp.stats().tuples_searched - s1.tuples_searched, 3u);
+  EXPECT_EQ(upcalls.pkts.size(), 1u);
+}
+
+// A look-then-commit chain, the shape of examples/stateful_firewall.cc:
+// table 0 looks the connection up, table 1 commits a new one in a second
+// ct and forwards it once established. Each ct of a chain sees the commits
+// before it, in evaluate() as in the datapath, so evaluate() composes the
+// fate the switch gives the connection's first packet after three
+// recirculations (the lookup, the commit that still reads new, the one
+// that reads established), and leaves the tracker untouched.
+TEST(Recirculation, EvaluateSeesEarlierCommitsOfItsChain) {
+  Switch sw;
+  sw.add_port(1);
+  sw.add_port(2);
+  sw.table(0).add_flow(MatchBuilder().ip(), 10, OfActions().ct(1));
+  sw.table(1).add_flow(MatchBuilder().in_port(1).ct_state(ct_state::kNew),
+                       30, OfActions().ct(1, /*commit=*/true));
+  sw.table(1).add_flow(
+      MatchBuilder().in_port(1).ct_state(ct_state::kEstablished), 20,
+      OfActions().output(2));
+  sw.table(1).add_flow(
+      MatchBuilder().in_port(2).ct_state(ct_state::kEstablished |
+                                         ct_state::kReply),
+      20, OfActions().output(1));
+  std::vector<std::string> traces;
+  sw.set_trace_hook([&](const Packet&, const DpActions& a, Datapath::Path) {
+    traces.push_back(a.to_string());
+  });
+  const Packet out = tcp_pkt(1, Ipv4(10, 0, 0, 5), Ipv4(93, 184, 216, 34),
+                             40000, 443, kSyn);
+  const Packet back = tcp_pkt(2, Ipv4(93, 184, 216, 34), Ipv4(10, 0, 0, 5),
+                              443, 40000, kSynAck);
+
+  const std::string want_out = sw.pipeline().evaluate(out.key, 1).actions
+                                   .to_string();
+  EXPECT_EQ(want_out, "output:2");
+  EXPECT_EQ(sw.conntrack().size(), 0u);
+  sw.inject(out, 1);
+  sw.handle_upcalls(1);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0], want_out);
+  EXPECT_EQ(sw.backend().stats().recirculations, 3u);
+  EXPECT_EQ(sw.conntrack().size(), 1u);
+
+  // The reply reads established at its first ct and needs no commit.
+  const std::string want_back = sw.pipeline().evaluate(back.key, 2).actions
+                                    .to_string();
+  EXPECT_EQ(want_back, "output:1");
+  sw.inject(back, 2);
+  sw.handle_upcalls(2);
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces[1], want_back);
+}
+
 // The unsound ablation: recirculation without ct_state sends the post-ct
 // stage down its stateless route.
 TEST(Recirculation, AblationDropsCtState) {

@@ -166,14 +166,14 @@ TEST(WildcardsTest, PrefixTrackingSkipsTuples) {
   rs.add(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 1, 0, 0), 16), 1, 1);
   rs.add(MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 1, 3, 0), 24), 1, 2);
   rs.add(MatchBuilder().ip().nw_dst(Ipv4(10, 1, 4, 5)), 1, 3);
-  rs.classifier().reset_stats();
   FlowWildcards wc;
+  LookupCounts n;
   const Rule* r =
-      rs.classifier().lookup(tcp_packet(Ipv4(10, 1, 6, 1), 1, 2), &wc);
+      rs.classifier().lookup(tcp_packet(Ipv4(10, 1, 6, 1), 1, 2), &wc, &n);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(static_cast<const TestRule*>(r)->id, 1);
-  EXPECT_EQ(rs.classifier().stats().tuples_skipped, 2u);
-  EXPECT_EQ(rs.classifier().stats().tuples_searched, 1u);
+  EXPECT_EQ(n.skipped, 2u);
+  EXPECT_EQ(n.searched, 1u);
 }
 
 TEST(WildcardsTest, PortPrefixTrackingKeepsHighPortsGeneral) {
