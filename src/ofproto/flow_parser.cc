@@ -40,7 +40,8 @@ std::vector<std::string> split_commas(const std::string& s) {
 }
 
 std::optional<uint64_t> parse_u64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+  // std::stoull takes a minus sign and wraps the value around.
+  if (s.empty() || s.find('-') != std::string::npos) return std::nullopt;
   try {
     size_t pos = 0;
     const uint64_t v = std::stoull(s, &pos, 0);  // accepts 0x.. too

@@ -124,6 +124,14 @@ TEST(FlowParserTest, RejectsGarbage) {
   EXPECT_FALSE(parse_flow("ip, actions=ct(commit)").ok);  // needs table=
   EXPECT_FALSE(parse_flow("table=99, ip, actions=drop").ok);
   EXPECT_FALSE(parse_flow("dl_src=zz:00:00:00:00:01, actions=drop").ok);
+  // Inputs the text fuzzer found accepted where they should not be.
+  EXPECT_FALSE(parse_flow("ip, actions=").ok);  // formats as "drop"
+  EXPECT_FALSE(parse_flow("metadata=-1, actions=drop").ok);
+  EXPECT_FALSE(parse_flow("ip, actions=set_field:-1->tun_id").ok);
+  EXPECT_FALSE(parse_flow("ip, actions=set_field:0x100->nw_ttl").ok);
+  EXPECT_FALSE(parse_flow("ip, actions=ct(table=1,nat,nat)").ok);
+  EXPECT_FALSE(parse_flow("ipv6, ipv6_src=12345:0:0:0:0:0:0:0, actions=drop")
+                   .ok);
 }
 
 TEST(FlowParserTest, ErrorsNameTheProblem) {
@@ -144,6 +152,11 @@ TEST(FlowParserTest, FormatRoundTrips) {
       "table=0, priority=0, actions=controller",
       "table=1, priority=9, udp, tp_src=53, actions=tunnel(1000,42)",
       "table=0, priority=2, tcp, actions=ct(commit,table=1)",
+      // Cases the text fuzzer (FlowTextFuzz) found formatted lossily.
+      "table=0, priority=1, ip, actions=controller:7",
+      "table=0, priority=1, ipv6, ipv6_src=2001:db8:0:0:0:0:0:0/64, "
+      "actions=drop",
+      "table=0, priority=1, icmp, tp_src=8/4, actions=drop",
   };
   for (const char* text : flows) {
     ParsedFlow f1 = must_parse(text);
