@@ -1,6 +1,7 @@
 #include "datapath/datapath.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <unordered_set>
 
@@ -302,10 +303,12 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
   return {Path::kMiss, nullptr, searched};
 }
 
-// One chunk (n <= kMaxBatch) of the batched fast path. The dance, in order:
+// One chunk (n <= kMaxBatch) of the batched fast path, O(n). The dance, in
+// order:
 //
 //   1. hash every flow key once;
-//   2. group packets by microflow (same hash + same key) — only the first
+//   2. group packets by microflow (same hash + same key) through a small
+//      open-addressed table of leader indices on the stack — only the first
 //      packet of each group (the "leader") probes the caches;
 //   3. leaders walk offload -> EMC -> megaflow -> miss exactly like
 //      receive();
@@ -313,8 +316,10 @@ Datapath::RxResult Datapath::receive_locked(Shard& s, const Packet& pkt,
 //      follower a microflow hit (sequentially, the leader's EMC insert would
 //      have been hit by each follower), a missing leader makes each follower
 //      its own upcall (nothing was installed in between);
-//   5. per-megaflow statistics are bumped once per matched entry with the
-//      group's packet/byte totals.
+//   5. followers of a hit add their packet and byte counts to their
+//      leader's; each such leader then bumps its megaflow once, and an
+//      offload-hit leader credits its NIC slot once. A burst has one
+//      timestamp, so totals and last-used equal receive()'s.
 void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
                              uint64_t now_ns, RxResult* results, size_t base,
                              size_t total, BatchSummary& summary) {
@@ -322,8 +327,8 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
   uint16_t leader[kMaxBatch];         // index of the packet's group leader
   MegaflowEntry* entry[kMaxBatch];    // leader slots: matched megaflow
   const OffloadTable::Entry* offl[kMaxBatch];  // leader slots: NIC slot hit
-  uint16_t leaders[kMaxBatch];        // indices of unique microflow leaders
-  size_t n_leaders = 0;
+  uint32_t grp_pkts[kMaxBatch];       // leader slots: the group's packets
+  uint64_t grp_bytes[kMaxBatch];      // leader slots: the group's bytes
   bool recirc = false;                // some leader hit a recirculating entry
 
   s.stats.packets += n;
@@ -331,64 +336,69 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
 
   for (size_t i = 0; i < n; ++i) hashes[i] = pkts[i].key.hash();
 
-  // Microflow grouping. Bursts are small (<= 256) and the leader list is
-  // typically much smaller, so a linear scan with a hash prefilter beats a
-  // hash table here.
+  // Microflow grouping: linear probing in a table of leader indices at
+  // most half full (the next power of two >= 2n slots).
+  constexpr uint16_t kFree = UINT16_MAX;
+  uint16_t slots[2 * kMaxBatch];
+  const size_t mask = std::bit_ceil(2 * n) - 1;
+  std::fill_n(slots, mask + 1, kFree);
   for (size_t i = 0; i < n; ++i) {
-    leader[i] = static_cast<uint16_t>(i);
-    for (size_t l = 0; l < n_leaders; ++l) {
-      const size_t j = leaders[l];
-      if (hashes[j] == hashes[i] && pkts[j].key == pkts[i].key) {
-        leader[i] = static_cast<uint16_t>(j);
-        break;
-      }
+    size_t h = hashes[i] & mask;
+    while (slots[h] != kFree) {
+      const size_t j = slots[h];
+      if (hashes[j] == hashes[i] && pkts[j].key == pkts[i].key) break;
+      h = (h + 1) & mask;
     }
-    if (leader[i] == i) leaders[n_leaders++] = static_cast<uint16_t>(i);
+    if (slots[h] == kFree) slots[h] = static_cast<uint16_t>(i);
+    leader[i] = slots[h];
   }
 
   // Leaders probe the caches; followers resolve against their leader (whose
   // index is always smaller, so a single in-order pass suffices).
   for (size_t i = 0; i < n; ++i) {
     if (leader[i] != i) {
-      const RxResult& lr = results[leader[i]];
+      const size_t l = leader[i];
+      const RxResult& lr = results[l];
+      if (entry[l] == nullptr) {
+        ++s.stats.misses;
+        ++summary.misses;
+        s.missed.push_back(pkts[i]);
+        results[i] = {Path::kMiss, nullptr, 0};
+        continue;
+      }
+      ++grp_pkts[l];
+      grp_bytes[l] += pkts[i].size_bytes;
       if (lr.path == Path::kOffloadHit) {
         // Hardware would have matched this packet the same way; no software
         // cache is consulted.
         ++s.stats.offload_hits;
         ++summary.offload_hits;
         results[i] = {Path::kOffloadHit, lr.actions, 0};
-        continue;
-      }
-      if (entry[leader[i]] != nullptr) {
-        if (cfg_.microflow_enabled) {
-          // Sequentially this packet would have hit the EMC entry the
-          // leader installed (or re-used); no table is physically probed.
-          ++s.stats.microflow_hits;
-          results[i] = {Path::kMicroflowHit, lr.actions, 0};
-        } else {
-          // No EMC: sequentially this would have been its own (identical)
-          // classifier search. Dedup skips the probe but keeps the class.
-          ++s.stats.megaflow_hits;
-          results[i] = {Path::kMegaflowHit, lr.actions, 0};
-        }
+      } else if (cfg_.microflow_enabled) {
+        // Sequentially this packet would have hit the EMC entry the leader
+        // installed (or re-used); no table is physically probed.
+        ++s.stats.microflow_hits;
+        results[i] = {Path::kMicroflowHit, lr.actions, 0};
       } else {
-        ++s.stats.misses;
-        ++summary.misses;
-        s.missed.push_back(pkts[i]);
-        results[i] = {Path::kMiss, nullptr, 0};
+        // No EMC: sequentially this would have been its own (identical)
+        // classifier search. Dedup skips the probe but keeps the class.
+        ++s.stats.megaflow_hits;
+        results[i] = {Path::kMegaflowHit, lr.actions, 0};
       }
       continue;
     }
 
     entry[i] = nullptr;
     offl[i] = nullptr;
+    grp_pkts[i] = 1;
+    grp_bytes[i] = pkts[i].size_bytes;
     if (s.off != nullptr) {
       ++summary.offload_probes;
       if (const OffloadTable::Entry* oe = s.off->probe(pkts[i].key)) {
         ++s.stats.offload_hits;
         ++summary.offload_hits;
-        // The owning megaflow's stats are bumped in the group pass below,
-        // via entry[]; the slot's own counters are credited there too.
+        // The owning megaflow's stats and the slot's own counters are
+        // credited with the group's totals below.
         offl[i] = oe;
         entry[i] = static_cast<MegaflowEntry*>(oe->replica);
         results[i] = {Path::kOffloadHit, &oe->actions, 0};
@@ -431,34 +441,13 @@ void Datapath::process_chunk(Shard& s, const Packet* pkts, size_t n,
     }
   }
 
-  // Group statistics: one packets/bytes/used update per matched megaflow.
-  // Distinct microflows may share a megaflow, so accumulate over leaders
-  // first (the leader list is small; quadratic dedup over it is cheap).
-  for (size_t l = 0; l < n_leaders; ++l) {
-    MegaflowEntry* e = entry[leaders[l]];
-    if (e == nullptr) continue;
-    bool first = true;
-    for (size_t m = 0; m < l; ++m) {
-      if (entry[leaders[m]] == e) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
-    ++summary.groups;
-    uint64_t pkt_count = 0, byte_count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (entry[leader[i]] == e) {
-        ++pkt_count;
-        byte_count += pkts[i].size_bytes;
-      }
-    }
-    e->bump(pkt_count, byte_count, now_ns);  // matches receive(): last wins
-    // An offload-absorbed group also credits its NIC slot's counters (one
-    // slot per megaflow, so the group's first leader identifies it).
-    if (const OffloadTable::Entry* oe = offl[leaders[l]]) {
-      oe->hits.fetch_add(pkt_count, std::memory_order_relaxed);
-      oe->bytes.fetch_add(byte_count, std::memory_order_relaxed);
+  // Group statistics: one update per leader that matched.
+  for (size_t i = 0; i < n; ++i) {
+    if (leader[i] != i || entry[i] == nullptr) continue;
+    entry[i]->bump(grp_pkts[i], grp_bytes[i], now_ns);
+    if (const OffloadTable::Entry* oe = offl[i]) {
+      oe->hits.fetch_add(grp_pkts[i], std::memory_order_relaxed);
+      oe->bytes.fetch_add(grp_bytes[i], std::memory_order_relaxed);
     }
   }
 

@@ -221,7 +221,6 @@ class Datapath {
     uint32_t emc_probes = 0;        // EMC probes after intra-burst dedup
     uint32_t megaflow_lookups = 0;  // classifier searches (dedup leaders)
     uint32_t tuples_searched = 0;   // megaflow hash tables probed
-    uint32_t groups = 0;            // distinct megaflows matched
     uint32_t misses = 0;  // packets upcalled (or dropped), recirculated too
 
     void operator+=(const BatchSummary& o) noexcept {
@@ -231,7 +230,6 @@ class Datapath {
       emc_probes += o.emc_probes;
       megaflow_lookups += o.megaflow_lookups;
       tuples_searched += o.tuples_searched;
-      groups += o.groups;
       misses += o.misses;
     }
   };
@@ -250,8 +248,10 @@ class Datapath {
   // Compared to calling receive() per packet this computes each flow-key
   // hash once, probes the EMC once per unique microflow in the burst,
   // searches the megaflow classifier once per unique microflow that missed
-  // the EMC, bumps megaflow statistics once per matched megaflow, and hands
-  // all misses to the upcall sink in arrival order at the end of the burst.
+  // the EMC, bumps a megaflow's statistics once per unique microflow that
+  // matched it (followers add to their leader's totals), and hands all
+  // misses to the upcall sink in arrival order at the end of the burst.
+  // Grouping and statistics cost O(n) per burst.
   // Per-packet actions, upcalls, and flow statistics are identical to the
   // sequential path (asserted by batch_equivalence_test); only the
   // cumulative tuples_searched counter differs because deduplicated packets

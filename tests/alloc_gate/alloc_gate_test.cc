@@ -15,7 +15,9 @@
 //   * handling an upcall that installs a fresh flow allocates at most once:
 //     the entry itself, which carries the actions and attribution inline;
 //   * a multi-worker datapath hands a burst of misses to its upcall sink
-//     without allocating;
+//     without allocating, and a burst of hits, duplicate and distinct
+//     microflows alike, allocates nothing (the burst's grouping table
+//     lives on the stack);
 //   * a megaflow mask that empties and refills reuses its classifier
 //     subtable: an install allocates its entries, one per worker shard,
 //     and nothing else.
@@ -295,6 +297,40 @@ TEST_F(AllocGate, ShardedMissBurstAllocatesNothing) {
   const size_t bursts = kBursts + dp.n_workers();
   EXPECT_EQ(sunk, bursts * burst.size());
   EXPECT_EQ(dp.stats().misses, bursts * burst.size());
+}
+
+TEST_F(AllocGate, HitBurstAllocatesNothing) {
+  for (size_t workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    Datapath dp({}, workers);
+    // Client packets (to the service port) and server packets (from it)
+    // take two megaflows.
+    Datapath::FlowRef to_svc = dp.install(
+        MatchBuilder().tcp().tp_dst(8080), DpActions().output(1), 0);
+    Datapath::FlowRef from_svc = dp.install(
+        MatchBuilder().tcp().tp_src(8080), DpActions().output(2), 0);
+    ASSERT_NE(to_svc, nullptr);
+    ASSERT_NE(from_svc, nullptr);
+    // Eight microflows each way, twice over: duplicates and distinct
+    // microflows of both megaflows in one burst.
+    std::vector<Packet> burst;
+    for (size_t i = 0; i < 32; ++i)
+      burst.push_back(pkt(i % 8, i / 8 % 2 == 0, kAck));
+    std::array<Datapath::RxResult, 32> res;
+    for (size_t w = 0; w < dp.n_workers(); ++w)  // warm-up: the EMC hints
+      dp.process_batch(w, burst, now_, res.data());
+    constexpr size_t kBursts = 100;
+    const size_t a0 = g_allocs;
+    for (size_t b = 0; b < kBursts; ++b)
+      dp.process_batch(b % dp.n_workers(), burst, now_, res.data());
+    EXPECT_EQ(g_allocs - a0, 0u);
+    for (const Datapath::RxResult& r : res)
+      EXPECT_EQ(r.path, Datapath::Path::kMicroflowHit);
+    const size_t bursts = kBursts + dp.n_workers();
+    EXPECT_EQ(dp.flow_packets(to_svc), bursts * burst.size() / 2);
+    EXPECT_EQ(dp.flow_packets(from_svc), bursts * burst.size() / 2);
+    EXPECT_EQ(dp.stats().misses, 0u);
+  }
 }
 
 TEST_F(AllocGate, FlappingMaskReusesItsSubtable) {

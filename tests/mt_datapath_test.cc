@@ -112,9 +112,12 @@ TEST(MtDatapathTest, BurstDedupGroupsStats) {
   EXPECT_EQ(sum.packets, 32u);
   EXPECT_EQ(sum.emc_probes, 1u);
   EXPECT_EQ(sum.megaflow_lookups, 1u);
-  EXPECT_EQ(sum.groups, 1u);
+  // One entry, worker 0's replica, takes the whole burst at its timestamp.
+  EXPECT_EQ(e->packets(), 32u);
+  EXPECT_EQ(e->bytes(), 3200u);
   EXPECT_EQ(dp.flow_packets(e), 32u);
   EXPECT_EQ(dp.flow_bytes(e), 3200u);
+  EXPECT_EQ(dp.flow_used_ns(e), 50u);
 }
 
 TEST(MtDatapathTest, RemoveIsDeferredAndStaleHintCorrected) {
